@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .linalg import (
     BipartiteShape,
+    _partial_transpose,
     herm_defect,
     hermitize,
     partial_transpose,
@@ -156,11 +157,7 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     min_eig = np.inf
     for _ in range(samples):
         a = sample_ppt_density(rng, in_spec)
-        blocks_in = a.reshape(k, n, k, n)
-        out = np.zeros((k, m, k, m), dtype=complex)
-        for s in range(k):
-            for r in range(k):
-                out[s, :, r, :] = apply_map(t, blocks_in[s, :, r, :])
+        out = np.einsum("sirj,ijkl->skrl", a.reshape(k, n, k, n), t.blocks)
         w = np.linalg.eigvalsh(hermitize(out.reshape(k * m, k * m)))
         min_eig = min(min_eig, float(w[0]))
     return {"k": k, "samples": samples, "min_output_eigenvalue": float(min_eig),
@@ -179,7 +176,7 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list,
     """
     a = require_hermitian(require_bipartite(a, BipartiteShape(k, n)))
     w = np.linalg.eigvalsh(hermitize(a))
-    a_pt = partial_transpose(a, BipartiteShape(k, n), "A")
+    a_pt = _partial_transpose(a, BipartiteShape(k, n), "A")
     w_pt = np.linalg.eigvalsh(hermitize(a_pt))
     if w[0] < -1e-9 or w_pt[0] < -1e-9:
         raise ContractError(
@@ -214,7 +211,7 @@ def _check_functional_positivity(psi: np.ndarray, shape: BipartiteShape,
     for _ in range(samples):
         c = random_psd(rng, shape.dim)
         worst = min(worst, float(np.trace(psi @ c).real))
-        c_tau = partial_transpose(c, shape, "A")
+        c_tau = _partial_transpose(c, shape, "A")
         worst_tau = min(worst_tau, float(np.trace(psi @ c_tau).real))
     defect = herm_defect(psi)
     return {
@@ -243,13 +240,13 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     min_sep_gamma = np.inf
     for _ in range(separable_samples):
         d = random_product_density(rng, shape.dim_a, shape.dim_b, terms=int(rng.integers(1, 11)))
-        gamma = partial_transpose(d, shape, "B")
+        gamma = _partial_transpose(d, shape, "B")
         min_sep_gamma = min(min_sep_gamma, float(np.linalg.eigvalsh(hermitize(gamma))[0]))
     psi = np.zeros(4, dtype=complex)
     psi[1], psi[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     singlet = np.outer(psi, psi.conj())
     singlet_gamma_min = float(np.linalg.eigvalsh(
-        hermitize(partial_transpose(singlet, BipartiteShape(2, 2), "B"))
+        hermitize(_partial_transpose(singlet, BipartiteShape(2, 2), "B"))
     )[0])
     report = {
         "transposition_choi_min_eig": float(swap_eigs[0]),

@@ -5,8 +5,9 @@ of the form {"body": ..., "timing": ...}; identical configurations give
 byte-identical bodies (timing is kept outside the body for that reason).
 
 Exit codes: 0 all assertions passed, 1 an assertion failed (the body
-names the offending residual), 2 input or contract error (a diagnostic
-object is emitted instead of a report).
+names the offending residual), 2 input or contract error, 3 two
+independent computation routes disagreed (ConsistencyError).  For 2 and 3
+a JSON diagnostic object is emitted instead of a report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import choi, cones, constructions, gns, optim
-from .errors import ConditioningError, ContractError, DimensionLimitError, ShapeError
+from .errors import ConditioningError, ConsistencyError, ContractError, DimensionLimitError, ShapeError
 from .io import load_matrix, report_body_text, save_report
 from .linalg import BipartiteShape, hermitize, partial_transpose, require_density
 from .rand import complex_gaussian, generator, random_faithful_density
@@ -324,13 +325,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         code, report = run_command(cfg)
-    except (ContractError, ShapeError, DimensionLimitError, ConditioningError, ValueError) as exc:
+    except (ContractError, ShapeError, DimensionLimitError, ConditioningError, ValueError,
+            ConsistencyError) as exc:
         diagnostic = {"error": str(exc), "kind": type(exc).__name__}
         field_name = getattr(exc, "field", None)
         if field_name:
             diagnostic["field"] = field_name
         print(json.dumps(diagnostic, sort_keys=True, indent=2))
-        return 2
+        return 3 if isinstance(exc, ConsistencyError) else 2
     print(report_body_text(report["body"]))
     return code
 

@@ -25,11 +25,11 @@ from .errors import ConsistencyError, ContractError
 from .gns import GnsContext, GnsVector, apply_delta_power, apply_jm, apply_u, build_gns, inner
 from .linalg import (
     BipartiteShape,
+    _mat_sqrt_psd,
+    _partial_transpose,
     herm_defect,
     hermitize,
     kron,
-    mat_sqrt_psd,
-    partial_transpose,
     require_density,
 )
 from .rand import complex_gaussian, generator, random_psd
@@ -100,7 +100,7 @@ def sample_cone_element(ctx: GnsContext, beta: float, rng: np.random.Generator) 
     """Constructive V_beta sample Delta^beta a Omega with a random PSD a."""
     a = random_psd(rng, ctx.dim)
     xi = apply_delta_power(ctx, beta, ctx.vector_for_operator(a))
-    return ctx.vector(xi.mat / xi.norm())
+    return GnsVector(xi.mat / xi.norm(), ctx)
 
 
 def _separating_eta(ctx: GnsContext, beta: float, xi: GnsVector) -> tuple[GnsVector, float]:
@@ -137,7 +137,7 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     outside_seen = 0
     for _ in range(samples):
         g = complex_gaussian(rng, ctx.dim, ctx.dim)
-        xi = ctx.vector(g / np.linalg.norm(g))
+        xi = GnsVector(g / np.linalg.norm(g), ctx)
         verdict = v_beta_membership(ctx, q, xi)
         if verdict.inside:
             continue
@@ -189,7 +189,7 @@ def state_to_cone_vector(ctx: GnsContext, sigma) -> GnsVector:
     sigma = require_density(sigma)
     if sigma.shape[0] != ctx.dim:
         raise ContractError(f"state dim {sigma.shape[0]} != context dim {ctx.dim}")
-    return ctx.vector(mat_sqrt_psd(sigma))
+    return GnsVector(_mat_sqrt_psd(sigma), ctx)
 
 
 def transpose_state_vector(ctx: GnsContext, xi: GnsVector,
@@ -235,50 +235,28 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, check_samples: int = 5
     for _ in range(check_samples):
         ma = complex_gaussian(rng, ctx_a.dim, ctx_a.dim)
         mb = complex_gaussian(rng, ctx_b.dim, ctx_b.dim)
-        xi = joint.vector(kron(ma, mb))
+        xa, xb = GnsVector(ma, ctx_a), GnsVector(mb, ctx_b)
+        xi = GnsVector(np.kron(ma, mb), joint)
         jm_joint = apply_jm(joint, xi).mat
-        jm_factored = kron(apply_jm(ctx_a, ctx_a.vector(ma)).mat, apply_jm(ctx_b, ctx_b.vector(mb)).mat)
+        jm_factored = np.kron(apply_jm(ctx_a, xa).mat, apply_jm(ctx_b, xb).mat)
         worst = max(worst, float(np.max(np.abs(jm_joint - jm_factored))))
         d_joint = apply_delta_power(joint, 1.0, xi).mat
-        d_factored = kron(apply_delta_power(ctx_a, 1.0, ctx_a.vector(ma)).mat,
-                          apply_delta_power(ctx_b, 1.0, ctx_b.vector(mb)).mat)
+        d_factored = np.kron(apply_delta_power(ctx_a, 1.0, xa).mat, apply_delta_power(ctx_b, 1.0, xb).mat)
         worst = max(worst, float(np.max(np.abs(d_joint - d_factored))))
     if worst > 1e-10:
         raise ConsistencyError(f"composite factorization residual {worst:.3e} > 1e-10")
     return comp
 
 
-def apply_factor_maps(comp: CompositeGnsContext, mat: np.ndarray,
-                      op_a=None, op_b=None) -> np.ndarray:
-    """Apply operators acting on the factor GNS spaces slotwise.
-
-    ``op_a`` / ``op_b`` take and return factor-sized matrices (the
-    matricized form of vectors in H_pi_A / H_pi_B).
-    """
-    na, nb = comp.ctx_a.dim, comp.ctx_b.dim
-    t = mat.reshape(na, nb, na, nb)
-    if op_b is not None:
-        out = np.empty_like(t)
-        for p in range(na):
-            for q in range(na):
-                out[p, :, q, :] = op_b(t[p, :, q, :])
-        t = out
-    if op_a is not None:
-        out = np.empty_like(t)
-        for r in range(nb):
-            for s in range(nb):
-                out[:, r, :, s] = op_a(t[:, r, :, s])
-        t = out
-    return t.reshape(na * nb, na * nb)
-
-
 def one_otimes_ub(comp: CompositeGnsContext, xi: GnsVector) -> GnsVector:
-    """(1 (x) U_B) on the joint GNS space, blockwise on the B slot."""
+    """(1 (x) U_B) on the joint GNS space: m -> K_B m^T K_B^dagger on each B block."""
     if xi.ctx is not comp.joint:
         raise ContractError("vector does not belong to the joint GNS context")
+    na, nb = comp.shape.dim_a, comp.shape.dim_b
     kb = comp.ctx_b.kernel
-    out = apply_factor_maps(comp, xi.mat, op_b=lambda m: kb @ m.T @ kb.conj().T)
-    return comp.joint.vector(out)
+    t = xi.mat.reshape(na, nb, na, nb).transpose(0, 2, 3, 1)
+    out = (kb @ t @ kb.conj().T).transpose(0, 2, 1, 3)
+    return GnsVector(out.reshape(na * nb, na * nb), comp.joint)
 
 
 def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
@@ -299,7 +277,7 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
 
     quarter = apply_delta_power(joint, -0.25, xi)
     a = quarter.mat @ joint.inv_sqrt_rho
-    a_gamma = partial_transpose(a, comp.shape, "B")
+    a_gamma = _partial_transpose(a, comp.shape, "B")
     cert_a = float(np.linalg.eigvalsh(hermitize(a))[0])
     cert_gamma = float(np.linalg.eigvalsh(hermitize(a_gamma))[0])
     cert_route2 = min(cert_a, cert_gamma)
@@ -325,43 +303,22 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
 
 def _natural_cone_generator(comp: CompositeGnsContext, ops_a, ops_b) -> np.ndarray:
     """(sum a_k (x) b_k) j_m(sum a_l (x) b_l) Omega  =  T rho^{1/2} T^dagger."""
-    t_op = sum(kron(a, b) for a, b in zip(ops_a, ops_b))
+    t_op = sum(np.kron(a, b) for a, b in zip(ops_a, ops_b))
     return t_op @ comp.joint.sqrt_rho @ t_op.conj().T
 
 
 def _commutant_cone_generator(comp: CompositeGnsContext, ops_a, ops_b) -> np.ndarray:
-    """Same expression with each b_k replaced by alpha(b_k) = U_B b_k U_B."""
-    ctx_b = comp.ctx_b
+    """Same expression with each b_k replaced by alpha(b_k) = U_B b_k U_B.
 
-    def alpha(b):
-        def act(m: np.ndarray) -> np.ndarray:
-            inner_u = apply_u(ctx_b, ctx_b.vector(m)).mat
-            return apply_u(ctx_b, ctx_b.vector(b @ inner_u)).mat
-        return act
-
-    def j_b(m: np.ndarray) -> np.ndarray:
-        return ctx_b.jm_op.apply_mat(m)
-
-    def j_a(m: np.ndarray) -> np.ndarray:
-        return comp.ctx_a.jm_op.apply_mat(m)
-
-    omega = comp.joint.sqrt_rho
-    total = np.zeros_like(omega)
-    for a_k, b_k in zip(ops_a, ops_b):
-        for a_l, b_l in zip(ops_a, ops_b):
-            # j_m(a_l (x) alpha(b_l)) Omega, factor by factor
-            vec = apply_factor_maps(
-                comp, omega,
-                op_a=lambda m, al=a_l: j_a(al @ j_a(m)),
-                op_b=lambda m, bl=b_l: j_b(alpha(bl)(j_b(m))),
-            )
-            vec = apply_factor_maps(
-                comp, vec,
-                op_a=lambda m, ak=a_k: ak @ m,
-                op_b=alpha(b_k),
-            )
-            total = total + vec
-    return total
+    alpha(b) is right multiplication by c = b^t (transpose in rho_B's
+    eigenbasis) and j_m is the adjoint, so the generator is
+    sum_k (a_k (x) 1) [sum_l (a_l (x) 1) Omega (1 (x) c_l)]^dagger (1 (x) c_k).
+    """
+    na, nb = comp.shape.dim_a, comp.shape.dim_b
+    lefts = [np.kron(a, np.eye(nb)) for a in ops_a]
+    rights = [np.kron(np.eye(na), gns_mod.transpose_operator(comp.ctx_b, b)) for b in ops_b]
+    half = sum(left @ comp.joint.sqrt_rho @ right for left, right in zip(lefts, rights))
+    return sum(left @ half.conj().T @ right for left, right in zip(lefts, rights))
 
 
 def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int = 0,
@@ -385,7 +342,7 @@ def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int
         ops_a = [complex_gaussian(rng, na, na) / np.sqrt(na) for _ in range(terms)]
         ops_b = [complex_gaussian(rng, nb, nb) / np.sqrt(nb) for _ in range(terms)]
         plain = _natural_cone_generator(comp, ops_a, ops_b)
-        lhs = one_otimes_ub(comp, comp.joint.vector(plain)).mat
+        lhs = one_otimes_ub(comp, GnsVector(plain, comp.joint)).mat
         rhs = _commutant_cone_generator(comp, ops_a, ops_b)
         worst_residual = max(worst_residual, float(np.max(np.abs(lhs - rhs))))
         flipped_p.append(lhs / np.linalg.norm(lhs))
@@ -462,7 +419,7 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
         for _ in range(max(1, iters // restarts)):
             resid = target - approx
             u, v = _lmo_product_atom(resid, na, nb, rng)
-            atom = kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+            atom = np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
             if atoms and np.trace(atom.conj().T @ resid).real <= 1e-15:
                 break
             atoms.append(atom)
@@ -482,4 +439,4 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
         if best_bound <= 1e-9:
             break
     info = {"history": history, "terms": len(atoms), "converged": best_bound <= 1e-9}
-    return best_bound, joint.vector(best_mat), info
+    return best_bound, GnsVector(best_mat, joint), info

@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones as cones_mod
-from .cones import CompositeGnsContext, build_composite, density_of, one_otimes_ub, state_to_cone_vector
+from .cones import CompositeGnsContext, build_composite, density_of, one_otimes_ub
 from .errors import ContractError, ShapeError
-from .gns import apply_delta_power, apply_u, build_gns, transpose_operator
+from .gns import GnsVector, apply_delta_power, apply_u, build_gns, transpose_operator
 from .linalg import (
     BipartiteShape,
+    _mat_sqrt_psd,
+    _partial_transpose,
+    _project_psd,
     hermitize,
-    mat_sqrt_psd,
     partial_transpose,
-    project_psd,
     require_density,
 )
 from .optim import PptSetSpec, sample_ppt_density
@@ -225,13 +226,13 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
     rng = generator(seed)
     spec = PptSetSpec(comp.shape)
     a = sample_ppt_density(rng, spec)
-    xi = apply_delta_power(joint, 0.25, joint.vector_for_operator(project_psd(a)))
-    xi = joint.vector(xi.mat / xi.norm())
+    xi = apply_delta_power(joint, 0.25, joint.vector_for_operator(_project_psd(a)))
+    xi = GnsVector(xi.mat / xi.norm(), joint)
     # certificates inherit the sampler's feasibility slack, so test at 10x that
     verdict = cones_mod.pn_intersection_membership(comp, xi, tol=10 * spec.tol_feas)
     dens = density_of(xi)
     dens = dens / np.trace(dens).real
-    gamma_min = float(np.linalg.eigvalsh(hermitize(partial_transpose(dens, comp.shape, "B")))[0])
+    gamma_min = float(np.linalg.eigvalsh(hermitize(_partial_transpose(dens, comp.shape, "B")))[0])
     bound, _, info = cones_mod.separable_cone_distance(comp, xi, iters=distance_iters, seed=seed)
     report = {
         "xi_certificate": verdict.certificate,
@@ -262,8 +263,7 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     ctx_b = build_gns(random_faithful_density(rng, shape.dim_b))
     comp = build_composite(ctx_a, ctx_b)
     joint = comp.joint
-    kb = comp.ctx_b.kernel
-    eye_a = np.eye(shape.dim_a)
+    eigen_b = np.kron(np.eye(shape.dim_a), comp.ctx_b.kernel)
 
     counts = {"ppt_and_sqrt_ppt": 0, "ppt_and_sqrt_npt": 0, "input_not_ppt": 0}
     report = ExperimentReport(samples=samples, dims=shape, counts=counts, seed=seed)
@@ -273,14 +273,15 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     pt_matches = 0
     for _ in range(samples):
         d_raw = sample_ppt_density(rng, spec)
-        d = project_psd(d_raw)
+        d = _project_psd(d_raw)
         d = d / np.trace(d).real
-        gamma_min = float(np.linalg.eigvalsh(hermitize(partial_transpose(d, shape, "B")))[0])
+        d_gamma = _partial_transpose(d, shape, "B")
+        gamma_min = float(np.linalg.eigvalsh(hermitize(d_gamma))[0])
         if gamma_min < -1e-7:
             counts["input_not_ppt"] += 1
             continue
-        root = mat_sqrt_psd(d)
-        root_gamma_min = float(np.linalg.eigvalsh(hermitize(partial_transpose(root, shape, "B")))[0])
+        root = _mat_sqrt_psd(d)
+        root_gamma_min = float(np.linalg.eigvalsh(hermitize(_partial_transpose(root, shape, "B")))[0])
         if root_gamma_min >= -RESIDUAL_TOL:
             counts["ppt_and_sqrt_ppt"] += 1
         else:
@@ -291,7 +292,7 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
                     "d_im": d.imag.tolist(),
                     "sqrt_gamma_min_eig": root_gamma_min,
                 })
-        xi = state_to_cone_vector(joint, d)
+        xi = GnsVector(root, joint)  # the natural-cone vector of d is its PSD root
         control = float(np.max(np.abs(
             density_of(apply_u(joint, xi)) - transpose_operator(joint, d)
         )))
@@ -299,7 +300,7 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
         if control > 1e-10:
             report.control_failures += 1
         zeta = one_otimes_ub(comp, xi)
-        eigen_pt = np.kron(eye_a, kb) @ partial_transpose(d, shape, "B") @ np.kron(eye_a, kb).conj().T
+        eigen_pt = eigen_b @ d_gamma @ eigen_b.conj().T
         probe = float(np.max(np.abs(density_of(zeta) - eigen_pt)))
         pt_probe_max = max(pt_probe_max, probe)
         pt_probe_min = min(pt_probe_min, probe)
@@ -316,5 +317,5 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
 def reverify_counterexample(entry: dict, shape: BipartiteShape) -> float:
     """Recompute a serialized counterexample's sqrt-PT eigenvalue from scratch."""
     d = np.array(entry["d_re"]) + 1j * np.array(entry["d_im"])
-    root = mat_sqrt_psd(require_density(d, tol_psd=1e-8))
+    root = _mat_sqrt_psd(require_density(d, tol_psd=1e-8))
     return float(np.linalg.eigvalsh(hermitize(partial_transpose(root, shape, "B")))[0])

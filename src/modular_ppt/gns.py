@@ -16,7 +16,7 @@ basis conjugation as  f -> K conj(f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +26,6 @@ from .linalg import EPS_FAITHFUL, require_density, require_square
 from .rand import complex_gaussian, generator
 
 CONDITION_RATIO_WARN = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class AntilinearOp:
-    """Antilinear map  xi -> left @ core(conj(xi)) @ right  on matricized vectors.
-
-    ``core`` is the transpose when ``transpose_first`` is set (so that
-    conj + transpose = adjoint); the left/right factors carry the basis
-    kernel.  Applying an op twice must give the identity.
-    """
-
-    name: str
-    left: np.ndarray
-    right: np.ndarray
-    transpose_first: bool = False
-
-    def apply_mat(self, mat: np.ndarray) -> np.ndarray:
-        core = mat.conj().T if self.transpose_first else mat.conj()
-        return self.left @ core @ self.right
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +56,6 @@ class GnsContext:
     inv_sqrt_rho: np.ndarray
     kernel: np.ndarray           # K = X X^T
     log_ratio: np.ndarray        # log(lambda_i / lambda_j) table
-    jm_op: AntilinearOp = field(repr=False, default=None)
-    j_op: AntilinearOp = field(repr=False, default=None)
-    jc_op: AntilinearOp = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -126,15 +104,9 @@ def build_gns(rho, eps_faithful: float = EPS_FAITHFUL) -> GnsContext:
     kernel = vecs @ vecs.T
     logs = np.log(vals)
     log_ratio = logs[:, None] - logs[None, :]
-    n = rho.shape[0]
-    eye = np.eye(n)
-    jm = AntilinearOp("J_m", eye, eye, transpose_first=True)
-    j = AntilinearOp("J", kernel, kernel.conj().T, transpose_first=False)
-    jc = AntilinearOp("J_c", kernel, np.eye(1), transpose_first=False)
     return GnsContext(
         rho=rho, eigvals=vals, eigvecs=vecs, sqrt_rho=sqrt_rho,
         inv_sqrt_rho=inv_sqrt_rho, kernel=kernel, log_ratio=log_ratio,
-        jm_op=jm, j_op=j, jc_op=jc,
     )
 
 
@@ -159,22 +131,18 @@ def apply_delta_power(ctx: GnsContext, beta: float, xi: GnsVector) -> GnsVector:
     return GnsVector(ctx.from_eigbasis(coords), ctx)
 
 
-def apply_conjugation(op: AntilinearOp, xi: GnsVector) -> GnsVector:
-    return GnsVector(op.apply_mat(xi.mat), xi.ctx)
-
-
 def apply_jm(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """Modular conjugation: a rho^{1/2} -> rho^{1/2} a^dagger, i.e. the adjoint."""
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
-    return apply_conjugation(ctx.jm_op, xi)
+    return GnsVector(xi.mat.conj().T, ctx)
 
 
 def apply_j(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """Coordinate conjugation in the eigen matrix-unit basis."""
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
-    return apply_conjugation(ctx.j_op, xi)
+    return GnsVector(ctx.kernel @ xi.mat.conj() @ ctx.kernel.conj().T, ctx)
 
 
 def apply_u(ctx: GnsContext, xi: GnsVector) -> GnsVector:
@@ -182,11 +150,6 @@ def apply_u(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
     return GnsVector(ctx.kernel @ xi.mat.T @ ctx.kernel.conj().T, ctx)
-
-
-def conjugate_h_vector(ctx: GnsContext, f: np.ndarray) -> np.ndarray:
-    """J_c on the base space: conjugation of coefficients in rho's eigenbasis."""
-    return ctx.kernel @ np.asarray(f, dtype=complex).conj()
 
 
 def transpose_operator(ctx: GnsContext, a) -> np.ndarray:
@@ -209,7 +172,7 @@ def _sample_vectors(ctx: GnsContext, rng: np.random.Generator, count: int) -> li
     out = []
     for _ in range(count):
         g = complex_gaussian(rng, ctx.dim, ctx.dim)
-        out.append(ctx.vector(g / np.linalg.norm(g)))
+        out.append(GnsVector(g / np.linalg.norm(g), ctx))
     return out
 
 
@@ -259,10 +222,10 @@ def verify_modular_identities(ctx: GnsContext, samples: int = 50, seed: int = 0)
         xi = vecs[k]
 
         def alpha_a(v: GnsVector) -> GnsVector:
-            return apply_u(ctx, ctx.vector(a @ apply_u(ctx, v).mat))
+            return apply_u(ctx, GnsVector(a @ apply_u(ctx, v).mat, ctx))
 
-        lhs = alpha_a(ctx.vector(b @ xi.mat))
-        rhs = ctx.vector(b @ alpha_a(xi).mat)
+        lhs = alpha_a(GnsVector(b @ xi.mat, ctx))
+        rhs = GnsVector(b @ alpha_a(xi).mat, ctx)
         bump("commutant", gap(lhs, rhs))
 
     res["max_residual"] = max(res.values())

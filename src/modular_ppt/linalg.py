@@ -7,6 +7,10 @@ roots, and a Schur-complement positivity test.
 
 Matrices are plain complex ndarrays; the type contracts of the package are
 enforced by the ``require_*`` validators, which raise rather than coerce.
+Contracts are checked once, at the public boundary: ``partial_transpose``,
+``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
+unchecked kernel of the same name with a leading underscore.  Package code
+working on arrays it made itself calls the kernels directly.
 The product basis convention throughout: e_i (x) f_j sits at index
 i * dim_b + j.
 """
@@ -118,7 +122,10 @@ def kron(a, b) -> np.ndarray:
 
 def partial_transpose(m, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:
     """Transpose one tensor factor of a bipartite operator, blockwise."""
-    m = require_bipartite(m, shape)
+    return _partial_transpose(require_bipartite(m, shape), shape, subsystem)
+
+
+def _partial_transpose(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:
     na, nb = shape.dim_a, shape.dim_b
     t = m.reshape(na, nb, na, nb)
     if subsystem == "B":
@@ -219,7 +226,10 @@ def mat_sqrt_psd(m, tol: float = TOL_PSD) -> np.ndarray:
     rather than the deterministic-basis convention of ``herm_eig`` (whose
     cluster re-spanning would cost accuracy near degenerate eigenvalues).
     """
-    m = require_hermitian(m)
+    return _mat_sqrt_psd(require_hermitian(m), tol)
+
+
+def _mat_sqrt_psd(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
     if vals[0] < -tol:
         raise ContractError(f"matrix is not PSD: eigenvalue {vals[0]:.3e} < -{tol:.1e}")
@@ -229,7 +239,10 @@ def mat_sqrt_psd(m, tol: float = TOL_PSD) -> np.ndarray:
 
 def project_psd(m) -> np.ndarray:
     """Frobenius-nearest PSD matrix (clamp negative eigenvalues)."""
-    m = require_hermitian(m)
+    return _project_psd(require_hermitian(m))
+
+
+def _project_psd(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped) @ vecs.conj().T

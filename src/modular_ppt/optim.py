@@ -11,15 +11,17 @@ the executable form of the dual-cone pairing test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DimensionLimitError
 from .linalg import (
     BipartiteShape,
+    _partial_transpose,
+    _project_psd,
     hermitize,
-    partial_transpose,
+    max_dim,
     project_psd,
     require_bipartite,
     require_density,
@@ -56,12 +58,13 @@ class PptSetSpec:
             raise ContractError(f"trace target must be positive, got {self.trace_target}")
         if self.tol_feas <= 0 or self.max_iters < 1:
             raise ContractError("tol_feas must be positive and max_iters >= 1")
+        if self.shape.dim > max_dim():
+            raise DimensionLimitError(f"PPT set dimension {self.shape.dim} exceeds cap {max_dim()}")
 
 
 @dataclass
 class SolveTrace:
     iterates: int = 0
-    objective_history: list = field(default_factory=list)
     feasibility_residual: float = 0.0
     step_rule: str = ""
     converged: bool = True
@@ -72,7 +75,7 @@ class SolveTrace:
 
 
 def feasibility_residual(d: np.ndarray, spec: PptSetSpec) -> float:
-    gamma = partial_transpose(d, spec.shape, "B")
+    gamma = _partial_transpose(d, spec.shape, "B")
     return float(max(
         -np.linalg.eigvalsh(hermitize(d))[0],
         -np.linalg.eigvalsh(hermitize(gamma))[0],
@@ -106,18 +109,21 @@ def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
     output is always feasible; the blend distance is recorded on the
     trace.  Non-convergence is reported, never raised.
     """
-    m = require_bipartite(require_hermitian(m), spec.shape)
+    return _dykstra(require_bipartite(require_hermitian(m), spec.shape), spec)
+
+
+def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
     x = hermitize(m)
     n = x.shape[0]
     incr = [np.zeros_like(x) for _ in range(3)]
 
     def proj_gamma_psd(y: np.ndarray) -> np.ndarray:
-        return partial_transpose(project_psd(partial_transpose(y, spec.shape, "B")), spec.shape, "B")
+        return _partial_transpose(_project_psd(_partial_transpose(y, spec.shape, "B")), spec.shape, "B")
 
     def proj_trace(y: np.ndarray) -> np.ndarray:
         return y + (spec.trace_target - np.trace(y).real) / n * np.eye(n)
 
-    projectors = (project_psd, proj_gamma_psd, proj_trace)
+    projectors = (_project_psd, proj_gamma_psd, proj_trace)
     trace = SolveTrace(step_rule="dykstra")
     residual = feasibility_residual(x, spec)
     history = [residual]
@@ -163,7 +169,7 @@ def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray
 
 
 def _polish_density(d: np.ndarray) -> np.ndarray:
-    p = project_psd(hermitize(d))
+    p = _project_psd(hermitize(d))
     return p / np.trace(p).real
 
 
@@ -187,24 +193,24 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     rng = generator(seed, stream=17)
     best_vals = []
     best_d = None
-    history: list[float] = []
+    steps = 0
     for r in range(restarts):
         if r == 0:
             d = np.eye(spec.shape.dim, dtype=complex) / spec.shape.dim * spec.trace_target
         else:
-            d, _ = project_ppt(hermitize(random_density(rng, spec.shape.dim)) * spec.trace_target, spec)
+            d, _ = _dykstra(hermitize(random_density(rng, spec.shape.dim)) * spec.trace_target, spec)
         avg = np.zeros_like(d, dtype=complex)
         run_best = np.trace(d @ h).real
         run_best_d = d
         stall = 0
         prev_best = run_best
         for t in range(iters):
-            d, _ = project_ppt(d - eta0 / np.sqrt(t + 1.0) * h, spec)
+            d, _ = _dykstra(d - eta0 / np.sqrt(t + 1.0) * h, spec)
             avg += d
             val = np.trace(d @ h).real
             if val < run_best:
                 run_best, run_best_d = val, d
-            history.append(float(run_best))
+            steps += 1
             if abs(run_best - prev_best) < 1e-10:
                 stall += 1
                 if stall >= 50:
@@ -213,7 +219,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
                 stall = 0
                 prev_best = run_best
         if iters > 0:
-            avg_proj, _ = project_ppt(avg / max(1, t + 1), spec)
+            avg_proj, _ = _dykstra(avg / max(1, t + 1), spec)
             avg_val = np.trace(avg_proj @ h).real
             if avg_val < run_best:
                 run_best, run_best_d = avg_val, avg_proj
@@ -224,8 +230,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     spread = float(max(best_vals) - min(best_vals))
     minimizer = _polish_density(best_d) * spec.trace_target
     trace = SolveTrace(
-        iterates=len(history),
-        objective_history=history,
+        iterates=steps,
         feasibility_residual=feasibility_residual(minimizer, spec),
         step_rule="subgradient-1/sqrt(t)",
         converged=spread <= 1e-3,
@@ -240,10 +245,10 @@ def npt_witness(d, shape: BipartiteShape, tol: float = 1e-10) -> np.ndarray | No
     of d^Gamma; None when d is PPT.  Tr(W d) recovers that eigenvalue, while
     Tr(W sigma) >= 0 for every PPT sigma."""
     d = require_density(require_bipartite(d, shape))
-    gamma = hermitize(partial_transpose(d, shape, "B"))
+    gamma = hermitize(_partial_transpose(d, shape, "B"))
     vals, vecs = np.linalg.eigh(gamma)
     if vals[0] >= -tol:
         return None
     v = vecs[:, 0]
-    w = partial_transpose(np.outer(v, v.conj()), shape, "B")
+    w = _partial_transpose(np.outer(v, v.conj()), shape, "B")
     return w / np.linalg.norm(w)

@@ -30,11 +30,19 @@ def ctx3():
     return build_gns(random_faithful_density(generator(30), 3))
 
 
+def composite(na, nb):
+    rng = generator(31)
+    return build_composite(build_gns(random_faithful_density(rng, na)),
+                           build_gns(random_faithful_density(rng, nb)))
+
+
 @pytest.fixture
 def comp22():
-    rng = generator(31)
-    return build_composite(build_gns(random_faithful_density(rng, 2)),
-                           build_gns(random_faithful_density(rng, 2)))
+    return composite(2, 2)
+
+
+# shapes with na != nb pin the reshapes of the block maps
+shapes = pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
 
 
 class TestVBeta:
@@ -209,11 +217,24 @@ class TestComposite:
             rhs = kron(ma.conj().T, mb.conj().T)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
-    def test_one_otimes_ub_involution(self, comp22):
+    @shapes
+    def test_one_otimes_ub_involution(self, dims):
+        comp = composite(*dims)
         rng = generator(58)
-        xi = comp22.joint.vector(complex_gaussian(rng, 4, 4))
-        twice = one_otimes_ub(comp22, one_otimes_ub(comp22, xi))
+        xi = comp.joint.vector(complex_gaussian(rng, comp.joint.dim, comp.joint.dim))
+        twice = one_otimes_ub(comp, one_otimes_ub(comp, xi))
         assert np.max(np.abs(twice.mat - xi.mat)) <= 1e-12
+
+    @shapes
+    def test_one_otimes_ub_on_product_vectors(self, dims):
+        # (1 (x) U_B)(m_a (x) m_b) = m_a (x) U_B m_b, with U_B m = K_B m^T K_B^dagger
+        comp = composite(*dims)
+        rng = generator(65)
+        for _ in range(10):
+            ma, mb = complex_gaussian(rng, dims[0], dims[0]), complex_gaussian(rng, dims[1], dims[1])
+            out = one_otimes_ub(comp, comp.joint.vector(kron(ma, mb))).mat
+            expected = kron(ma, apply_u(comp.ctx_b, comp.ctx_b.vector(mb)).mat)
+            assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 class TestPnIntersection:
@@ -266,8 +287,9 @@ class TestCommutantCone:
         rhs = cones._commutant_cone_generator(comp22, [a1], [np.eye(2, dtype=complex)])
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_generator_identity_and_pairings(self, comp22):
-        report = commutant_cone_check(comp22, samples=12, seed=63)
+    @shapes
+    def test_generator_identity_and_pairings(self, dims):
+        report = commutant_cone_check(composite(*dims), samples=12, seed=63)
         assert report["passed"]
         assert report["generator_identity_residual"] <= 1e-10
         assert report["min_cross_pairing"] >= -1e-10

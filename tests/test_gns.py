@@ -4,7 +4,6 @@ import pytest
 from modular_ppt import gns
 from modular_ppt.errors import ConditioningError, ContractError, FaithfulnessError
 from modular_ppt.gns import (
-    apply_conjugation,
     apply_delta_power,
     apply_j,
     apply_jm,
@@ -96,7 +95,7 @@ class TestDeltaPower:
 
 class TestConjugations:
     def test_jm_fixes_omega(self, ctx_diag):
-        out = apply_conjugation(ctx_diag.jm_op, ctx_diag.omega)
+        out = apply_jm(ctx_diag, ctx_diag.omega)
         assert np.allclose(out.mat, ctx_diag.omega.mat)
 
     def test_j_antilinear(self, ctx_rand):

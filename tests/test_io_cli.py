@@ -120,6 +120,27 @@ class TestCliMain:
     def test_exit_two_on_missing_dims(self, capsys):
         assert main(["hierarchy"]) == 2
 
+    def test_exit_two_on_solver_dimension_cap(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "eye9.json")
+        save_matrix(np.eye(9), path, kind="hermitian", shape=BipartiteShape(3, 3))
+        monkeypatch.setenv("MODULAR_PPT_MAX_DIM", "8")
+        assert main(["minimize", "--in", path]) == 2
+        assert json.loads(capsys.readouterr().out)["kind"] == "DimensionLimitError"
+
+    def test_exit_three_on_route_disagreement(self, capsys, monkeypatch):
+        from modular_ppt import cli as cli_mod
+        from modular_ppt.errors import ConsistencyError
+
+        def disagreeing_runner(cfg):
+            raise ConsistencyError("routes disagree")
+
+        monkeypatch.setitem(cli_mod.RUNNERS, "experiment", disagreeing_runner)
+        with pytest.raises(ConsistencyError):
+            run_command(RunConfig(command="experiment", dims=(2, 2)))
+        assert main(["experiment", "--dims", "2x2"]) == 3
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic == {"error": "routes disagree", "kind": "ConsistencyError"}
+
     def test_exit_one_names_failing_residual(self, capsys, monkeypatch):
         from modular_ppt import cli as cli_mod
 

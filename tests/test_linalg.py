@@ -16,6 +16,7 @@ from modular_ppt.linalg import (
     psd_check,
     schur_positivity,
 )
+from modular_ppt.optim import PptSetSpec
 from modular_ppt.rand import complex_gaussian, generator, random_psd
 
 
@@ -44,6 +45,12 @@ class TestKron:
         monkeypatch.setenv("MODULAR_PPT_MAX_DIM", "8")
         with pytest.raises(DimensionLimitError):
             kron(np.eye(3), np.eye(3))
+
+    def test_dimension_cap_in_ppt_set(self, monkeypatch):
+        monkeypatch.setenv("MODULAR_PPT_MAX_DIM", "8")
+        with pytest.raises(DimensionLimitError):
+            PptSetSpec(BipartiteShape(3, 3))
+        assert PptSetSpec(BipartiteShape(2, 4)).shape.dim == 8
 
     def test_mixed_product_random(self, rng):
         for _ in range(20):
