@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Print a short hash of the report body of each pinned CLI configuration.
+
+Each configuration runs in its own process with OPENBLAS_NUM_THREADS=1,
+against the ``src`` tree next to this script; one line is printed per
+run: ``command args sha256[:16]`` of the printed body.  Run it in two
+checkouts and diff the outputs to check that a change keeps report bodies
+byte-identical:
+
+    python scripts/body_hashes.py > after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CONFIGS = (
+    *(("experiment", "--dims", "2x2", "--seed", str(s)) for s in range(5)),
+    *(("experiment", "--dims", dims, "--seed", str(s)) for dims in ("2x3", "3x3") for s in range(2)),
+    ("construct", "--dims", "2x2"),
+    ("construct", "--dims", "2x3"),
+    ("hierarchy", "--dims", "2x2"),
+    ("choi", "--dims", "2x2"),
+    ("cone-check", "--dims", "3"),
+    ("gns-verify", "--dims", "4"),
+    ("minimize", "--in", "swap.json", "--dims", "2x2"),
+    ("minimize", "--in", "swap.json", "--dims", "2x2", "--iters", "300"),
+)
+
+WRITE_SWAP = (
+    "from modular_ppt.choi import choi_from_map, transposition_map_table\n"
+    "from modular_ppt.io import save_matrix\n"
+    "from modular_ppt.linalg import BipartiteShape\n"
+    "save_matrix(choi_from_map(transposition_map_table(2)), 'swap.json', kind='hermitian',"
+    " shape=BipartiteShape(2, 2))\n"
+)
+
+
+def main() -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    with tempfile.TemporaryDirectory() as work:
+        # the body echoes the --in path, so it is the same relative name everywhere
+        subprocess.run([sys.executable, "-c", WRITE_SWAP], cwd=work, env=env, check=True)
+        for args in CONFIGS:
+            run = subprocess.run([sys.executable, "-m", "modular_ppt.cli", *args], cwd=work, env=env,
+                                 capture_output=True, check=False)
+            digest = hashlib.sha256(run.stdout).hexdigest()[:16]
+            print(" ".join(args), digest if run.returncode in (0, 1) else f"exit {run.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-from .optim import PptSetSpec, min_trace_over_ppt, sample_ppt_density
+from .optim import PptSetSpec, min_trace_over_ppt, sample_ppt_densities
 from .rand import generator, random_product_density, random_psd
 
 
@@ -128,8 +128,7 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     rng = generator(seed)
     spec = PptSetSpec(shape)
     best = np.inf
-    for _ in range(samples):
-        d = sample_ppt_density(rng, spec)
+    for d in sample_ppt_densities(rng, spec, samples):
         best = min(best, float(np.trace(d @ h).real))
     report = {"min_sampled_pairing": best, "samples": samples, "optimizer_used": optimizer}
     if optimizer:
@@ -155,8 +154,7 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     # inputs sampled one decade tighter than the -1e-8 output verdict
     in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
     min_eig = np.inf
-    for _ in range(samples):
-        a = sample_ppt_density(rng, in_spec)
+    for a in sample_ppt_densities(rng, in_spec, samples):
         out = np.einsum("sirj,ijkl->skrl", a.reshape(k, n, k, n), t.blocks)
         w = np.linalg.eigvalsh(hermitize(out.reshape(k * m, k * m)))
         min_eig = min(min_eig, float(w[0]))

@@ -5,9 +5,10 @@ of the form {"body": ..., "timing": ...}; identical configurations give
 byte-identical bodies (timing is kept outside the body for that reason).
 
 Exit codes: 0 all assertions passed, 1 an assertion failed (the body
-names the offending residual), 2 input or contract error, 3 two
-independent computation routes disagreed (ConsistencyError).  For 2 and 3
-a JSON diagnostic object is emitted instead of a report.
+names the offending residual), 2 input or contract error, 3 a numerical
+computation failed: two independent computation routes disagreed
+(ConsistencyError) or a LAPACK routine did not converge (LinAlgError).
+For 2 and 3 a JSON diagnostic object is emitted instead of a report.
 """
 
 from __future__ import annotations
@@ -56,10 +57,13 @@ class RunConfig:
 
 
 def _parse_dims(text: str) -> tuple[int, int] | int:
-    if "x" in text.lower():
-        a, b = text.lower().split("x")
-        return int(a), int(b)
-    return int(text)
+    try:
+        if "x" in text.lower():
+            a, b = text.lower().split("x")
+            return int(a), int(b)
+        return int(text)
+    except ValueError:
+        raise ContractError(f"--dims expects N or NxM, got {text!r}") from None
 
 
 def _bipartite(cfg: RunConfig) -> BipartiteShape:
@@ -311,7 +315,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if "=" not in entry:
             raise ContractError(f"--tol expects KEY=VAL, got {entry!r}")
         key, val = entry.split("=", 1)
-        tol[key] = float(val)
+        try:
+            tol[key] = float(val)
+        except ValueError:
+            raise ContractError(f"--tol {key} expects a number, got {val!r}") from None
     dims = _parse_dims(args.dims) if args.dims else None
     return RunConfig(
         command=args.command, seed=args.seed, dims=dims, samples=args.samples,
@@ -325,14 +332,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         code, report = run_command(cfg)
-    except (ContractError, ShapeError, DimensionLimitError, ConditioningError, ValueError,
-            ConsistencyError) as exc:
+    except (ContractError, ShapeError, DimensionLimitError, ConditioningError,
+            ConsistencyError, np.linalg.LinAlgError) as exc:
         diagnostic = {"error": str(exc), "kind": type(exc).__name__}
         field_name = getattr(exc, "field", None)
         if field_name:
             diagnostic["field"] = field_name
         print(json.dumps(diagnostic, sort_keys=True, indent=2))
-        return 3 if isinstance(exc, ConsistencyError) else 2
+        return 3 if isinstance(exc, (ConsistencyError, np.linalg.LinAlgError)) else 2
     print(report_body_text(report["body"]))
     return code
 

@@ -99,7 +99,7 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
 def sample_cone_element(ctx: GnsContext, beta: float, rng: np.random.Generator) -> GnsVector:
     """Constructive V_beta sample Delta^beta a Omega with a random PSD a."""
     a = random_psd(rng, ctx.dim)
-    xi = apply_delta_power(ctx, beta, ctx.vector_for_operator(a))
+    xi = apply_delta_power(ctx, beta, GnsVector(a @ ctx.sqrt_rho, ctx))
     return GnsVector(xi.mat / xi.norm(), ctx)
 
 
@@ -113,7 +113,7 @@ def _separating_eta(ctx: GnsContext, beta: float, xi: GnsVector) -> tuple[GnsVec
     w = hermitize(ctx.sqrt_rho @ a @ ctx.sqrt_rho)
     vals, vecs = np.linalg.eigh(w)
     v = vecs[:, 0]
-    eta = apply_delta_power(ctx, 0.5 - beta, ctx.vector_for_operator(np.outer(v, v.conj())))
+    eta = apply_delta_power(ctx, 0.5 - beta, GnsVector(np.outer(v, v.conj()) @ ctx.sqrt_rho, ctx))
     return eta, float(vals[0])
 
 

@@ -27,7 +27,7 @@ from .linalg import (
     partial_transpose,
     require_density,
 )
-from .optim import PptSetSpec, sample_ppt_density
+from .optim import PptSetSpec, sample_ppt_densities, sample_ppt_density
 from .rand import complex_gaussian, generator, random_faithful_density
 
 SOLUTION_SV_THRESHOLD = 1e-9
@@ -226,7 +226,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
     rng = generator(seed)
     spec = PptSetSpec(comp.shape)
     a = sample_ppt_density(rng, spec)
-    xi = apply_delta_power(joint, 0.25, joint.vector_for_operator(_project_psd(a)))
+    xi = apply_delta_power(joint, 0.25, GnsVector(_project_psd(a) @ joint.sqrt_rho, joint))
     xi = GnsVector(xi.mat / xi.norm(), joint)
     # certificates inherit the sampler's feasibility slack, so test at 10x that
     verdict = cones_mod.pn_intersection_membership(comp, xi, tol=10 * spec.tol_feas)
@@ -271,8 +271,7 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     pt_probe_max = 0.0
     pt_probe_min = np.inf
     pt_matches = 0
-    for _ in range(samples):
-        d_raw = sample_ppt_density(rng, spec)
+    for d_raw in sample_ppt_densities(rng, spec, samples):
         d = _project_psd(d_raw)
         d = d / np.trace(d).real
         d_gamma = _partial_transpose(d, shape, "B")

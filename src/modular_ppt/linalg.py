@@ -11,6 +11,8 @@ Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
 unchecked kernel of the same name with a leading underscore.  Package code
 working on arrays it made itself calls the kernels directly.
+``hermitize`` and the kernels ``_partial_transpose`` and ``_project_psd``
+also take a stack of shape (k, n, n) and act on each matrix of it.
 The product basis convention throughout: e_i (x) f_j sits at index
 i * dim_b + j.
 """
@@ -76,7 +78,7 @@ def herm_defect(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
@@ -127,14 +129,14 @@ def partial_transpose(m, shape: BipartiteShape, subsystem: str = "B") -> np.ndar
 
 def _partial_transpose(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:
     na, nb = shape.dim_a, shape.dim_b
-    t = m.reshape(na, nb, na, nb)
+    t = m.reshape(m.shape[:-2] + (na, nb, na, nb))
     if subsystem == "B":
-        out = t.transpose(0, 3, 2, 1)
+        out = t.swapaxes(-3, -1)
     elif subsystem == "A":
-        out = t.transpose(2, 1, 0, 3)
+        out = t.swapaxes(-4, -2)
     else:
         raise ShapeError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(na * nb, na * nb)
+    return out.reshape(m.shape)
 
 
 def partial_trace(m, shape: BipartiteShape, keep: str = "A") -> np.ndarray:
@@ -245,7 +247,7 @@ def project_psd(m) -> np.ndarray:
 def _project_psd(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
     clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.conj().T
+    return (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def schur_positivity(m, block_dim: int, eps: float = 1e-8) -> bool:

@@ -141,6 +141,22 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic == {"error": "routes disagree", "kind": "ConsistencyError"}
 
+    @pytest.mark.parametrize("argv", [["--dims", "2xfoo"], ["--dims", "2x2", "--tol", "feas=abc"]])
+    def test_exit_two_on_malformed_number(self, argv, capsys):
+        assert main(["experiment", *argv]) == 2
+        assert json.loads(capsys.readouterr().out)["kind"] == "ContractError"
+
+    def test_exit_three_on_lapack_failure(self, capsys, monkeypatch):
+        from modular_ppt import cli as cli_mod
+
+        def failing_runner(cfg):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(cli_mod.RUNNERS, "experiment", failing_runner)
+        assert main(["experiment", "--dims", "2x2"]) == 3
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic == {"error": "Eigenvalues did not converge", "kind": "LinAlgError"}
+
     def test_exit_one_names_failing_residual(self, capsys, monkeypatch):
         from modular_ppt import cli as cli_mod
 
