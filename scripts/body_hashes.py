@@ -26,9 +26,10 @@ CONFIGS = (
     *(("experiment", "--dims", dims, "--seed", str(s)) for dims in ("2x3", "3x3") for s in range(2)),
     ("construct", "--dims", "2x2"),
     ("construct", "--dims", "2x3"),
+    ("construct", "--dims", "3x3"),
     ("hierarchy", "--dims", "2x2"),
     ("choi", "--dims", "2x2"),
-    ("cone-check", "--dims", "3"),
+    *(("cone-check", "--dims", d) for d in ("2", "3", "6")),
     ("gns-verify", "--dims", "4"),
     ("minimize", "--in", "swap.json", "--dims", "2x2"),
     ("minimize", "--in", "swap.json", "--dims", "2x2", "--iters", "300"),

@@ -11,6 +11,16 @@ On a composite system the PPT states correspond to the cone intersection
 P_n  ∩  (1 (x) U_B) P_n, which this module tests by two independent
 routes: once through cone membership on the joint GNS space, once through
 a PSD + partial-transpose check on the reconstructed operator.
+
+Stack convention: the unchecked kernels ``_v_beta_certificate``,
+``_cone_elements`` and ``_separating_eta`` act on a stack of independent
+problems of shape (k, n, n); a single vector is a stack of one.  Every
+sample gives the same bits as when processed alone.  ``duality_check`` and
+``u_maps_cones`` draw all their samples first, in the order of a
+sample-by-sample loop, and process them as one stack; ``_lmo_product_atom``
+alternates all its random starts as one stack, and a start leaves it at
+the round where it settles.  The public functions check beta and the
+Delta-power range once per call.
 """
 
 from __future__ import annotations
@@ -22,17 +32,29 @@ from scipy.optimize import nnls
 
 from . import gns as gns_mod
 from .errors import ConsistencyError, ContractError
-from .gns import GnsContext, GnsVector, apply_delta_power, apply_jm, apply_u, build_gns, inner
+from .gns import (
+    GnsContext,
+    GnsVector,
+    _check_delta_power,
+    _delta_power,
+    _flip,
+    _inner,
+    apply_delta_power,
+    apply_jm,
+    apply_u,
+    build_gns,
+)
 from .linalg import (
     BipartiteShape,
     _mat_sqrt_psd,
+    _norms,
     _partial_transpose,
     herm_defect,
     hermitize,
     kron,
     require_density,
 )
-from .rand import complex_gaussian, generator, random_psd
+from .rand import _unit_trace_gram, complex_gaussian, complex_gaussians, generator, random_psd
 
 DEFAULT_TOL = 1e-10
 
@@ -58,16 +80,25 @@ class MembershipVerdict:
     detail: dict = field(default_factory=dict)
 
 
+def _v_beta_certificate(ctx: GnsContext, beta: float, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The witness a = mat(Delta^{-beta} xi) rho^{-1/2} and its least
+    eigenvalue, for a vector or a stack of them; unchecked."""
+    a = _delta_power(ctx, -beta, mats) @ ctx.inv_sqrt_rho
+    return a, np.linalg.eigvalsh(hermitize(a))[..., 0]
+
+
 def v_beta_membership(ctx: GnsContext, q: ConeQuery, xi: GnsVector) -> MembershipVerdict:
     """xi in V_beta  iff  a = mat(Delta^{-beta} xi) rho^{-1/2} is PSD."""
-    a = apply_delta_power(ctx, -q.beta, xi).mat @ ctx.inv_sqrt_rho
-    defect = herm_defect(a)
-    cert = float(np.linalg.eigvalsh(hermitize(a))[0])
+    if xi.ctx is not ctx:
+        raise ContractError("vector does not belong to this GNS context")
+    _check_delta_power(ctx, -q.beta)
+    a, cert = _v_beta_certificate(ctx, q.beta, xi.mat)
+    cert = float(cert)
     return MembershipVerdict(
         inside=cert >= -q.tol,
         certificate=cert,
         route=f"v_beta({q.beta})",
-        herm_defect=defect,
+        herm_defect=herm_defect(a),
     )
 
 
@@ -96,25 +127,28 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
     )
 
 
+def _cone_elements(ctx: GnsContext, beta: float, psd: np.ndarray) -> np.ndarray:
+    """Unit vectors Delta^beta a Omega for a stack of PSD a; unchecked."""
+    xi = _delta_power(ctx, beta, psd @ ctx.sqrt_rho)
+    return xi / _norms(xi)[:, None, None]
+
+
 def sample_cone_element(ctx: GnsContext, beta: float, rng: np.random.Generator) -> GnsVector:
     """Constructive V_beta sample Delta^beta a Omega with a random PSD a."""
-    a = random_psd(rng, ctx.dim)
-    xi = apply_delta_power(ctx, beta, GnsVector(a @ ctx.sqrt_rho, ctx))
-    return GnsVector(xi.mat / xi.norm(), ctx)
+    ConeQuery(beta)  # checks beta
+    _check_delta_power(ctx, beta)
+    return GnsVector(_cone_elements(ctx, beta, random_psd(rng, ctx.dim)[None])[0], ctx)
 
 
-def _separating_eta(ctx: GnsContext, beta: float, xi: GnsVector) -> tuple[GnsVector, float]:
+def _separating_eta(ctx: GnsContext, beta: float, witness: np.ndarray) -> np.ndarray:
     """For xi outside V_beta, an eta in V_{1/2-beta} pairing negatively with xi.
 
     Built from the most negative eigenvector of rho^{1/2} a rho^{1/2},
-    where a is the membership witness of xi.
+    where a is the membership witness of xi (``_v_beta_certificate``), for
+    one witness or a stack; unchecked.
     """
-    a = apply_delta_power(ctx, -beta, xi).mat @ ctx.inv_sqrt_rho
-    w = hermitize(ctx.sqrt_rho @ a @ ctx.sqrt_rho)
-    vals, vecs = np.linalg.eigh(w)
-    v = vecs[:, 0]
-    eta = apply_delta_power(ctx, 0.5 - beta, GnsVector(np.outer(v, v.conj()) @ ctx.sqrt_rho, ctx))
-    return eta, float(vals[0])
+    v = np.linalg.eigh(hermitize(ctx.sqrt_rho @ witness @ ctx.sqrt_rho))[1][..., :, 0]
+    return _delta_power(ctx, 0.5 - beta, (v[..., :, None] * v.conj()[..., None, :]) @ ctx.sqrt_rho)
 
 
 def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
@@ -125,33 +159,28 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     for random vectors failing the beta membership test a separating
     element of V_{1/2-beta} is produced from the witness eigenvector.
     """
-    q = ConeQuery(beta, tol)
+    ConeQuery(beta, tol)  # checks beta
+    for power in (beta, 0.5 - beta):
+        _check_delta_power(ctx, power)
     rng = generator(seed)
-    min_pairing = np.inf
-    for _ in range(samples):
-        xi = sample_cone_element(ctx, beta, rng)
-        eta = sample_cone_element(ctx, 0.5 - beta, rng)
-        min_pairing = min(min_pairing, inner(eta, xi).real)
-    separated = 0
-    missed = 0
-    outside_seen = 0
-    for _ in range(samples):
-        g = complex_gaussian(rng, ctx.dim, ctx.dim)
-        xi = GnsVector(g / np.linalg.norm(g), ctx)
-        verdict = v_beta_membership(ctx, q, xi)
-        if verdict.inside:
-            continue
-        outside_seen += 1
-        eta, _ = _separating_eta(ctx, beta, xi)
-        if inner(eta, xi).real < -tol:
-            separated += 1
-        else:
-            missed += 1
+    n = ctx.dim
+    psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
+    xi = _cone_elements(ctx, beta, psd[:, 0])
+    eta = _cone_elements(ctx, 0.5 - beta, psd[:, 1])
+    min_pairing = np.min(_inner(eta, xi).real, initial=np.inf)
+
+    g = complex_gaussians(rng, samples, n, n)
+    xi = g / _norms(g)[:, None, None]
+    witness, cert = _v_beta_certificate(ctx, beta, xi)
+    outside = ~(cert >= -tol)
+    eta = _separating_eta(ctx, beta, witness[outside])
+    separated = int(np.sum(_inner(eta, xi[outside]).real < -tol))
+    missed = int(np.sum(outside)) - separated
     passed = min_pairing >= -tol and missed == 0
     return {
         "beta": beta,
         "min_member_pairing": float(min_pairing),
-        "outside_samples": outside_seen,
+        "outside_samples": separated + missed,
         "outside_separated": separated,
         "outside_missed": missed,
         "passed": bool(passed),
@@ -161,16 +190,18 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
 def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL) -> dict:
     """U carries V_beta into V_{1/2-beta}; U Delta^{1/2} fixes V_0."""
+    ConeQuery(beta, tol)  # checks beta
+    for power in (beta, 0.5 - beta, 0.5):
+        _check_delta_power(ctx, power)
     rng = generator(seed)
-    worst_flip = np.inf
-    worst_v0 = np.inf
-    for _ in range(samples):
-        xi = sample_cone_element(ctx, beta, rng)
-        flipped = v_beta_membership(ctx, ConeQuery(0.5 - beta, tol), apply_u(ctx, xi))
-        worst_flip = min(worst_flip, flipped.certificate)
-        zero = sample_cone_element(ctx, 0.0, rng)
-        back = apply_u(ctx, apply_delta_power(ctx, 0.5, zero))
-        worst_v0 = min(worst_v0, v_beta_membership(ctx, ConeQuery(0.0, tol), back).certificate)
+    n = ctx.dim
+    psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
+    xi = _cone_elements(ctx, beta, psd[:, 0])
+    _, flip_cert = _v_beta_certificate(ctx, 0.5 - beta, _flip(ctx, xi))
+    worst_flip = np.min(flip_cert, initial=np.inf)
+    zero = _cone_elements(ctx, 0.0, psd[:, 1])
+    _, v0_cert = _v_beta_certificate(ctx, 0.0, _flip(ctx, _delta_power(ctx, 0.5, zero)))
+    worst_v0 = np.min(v0_cert, initial=np.inf)
     return {
         "beta": beta,
         "min_flip_certificate": float(worst_flip),
@@ -275,10 +306,9 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
     m2 = natural_cone_membership(joint, one_otimes_ub(comp, xi), tol)
     cert_route1 = min(m1.certificate, m2.certificate)
 
-    quarter = apply_delta_power(joint, -0.25, xi)
-    a = quarter.mat @ joint.inv_sqrt_rho
+    a, cert_a = _v_beta_certificate(joint, 0.25, xi.mat)
+    cert_a = float(cert_a)
     a_gamma = _partial_transpose(a, comp.shape, "B")
-    cert_a = float(np.linalg.eigvalsh(hermitize(a))[0])
     cert_gamma = float(np.linalg.eigvalsh(hermitize(a_gamma))[0])
     cert_route2 = min(cert_a, cert_gamma)
 
@@ -361,32 +391,31 @@ def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int
 def _lmo_product_atom(residual: np.ndarray, na: int, nb: int,
                       rng: np.random.Generator, rounds: int = 25,
                       starts: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Best pure (x) pure atom for Re<u u* (x) v v*, residual>, by alternation."""
+    """Best pure (x) pure atom for Re<u u* (x) v v*, residual>, by alternation.
+
+    The starts alternate as one stack; a start leaves it at the round where
+    its v v* settles, and the first start of the largest value wins.
+    """
     t = residual.reshape(na, nb, na, nb)
-    best = None
-    best_val = -np.inf
-    for _ in range(starts):
-        v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
-        v /= np.linalg.norm(v)
-        u = np.zeros(na, dtype=complex)
-        for _ in range(rounds):
-            q = np.outer(v, v.conj())
-            m_a = hermitize(np.einsum("prqs,rs->pq", t, q.conj()))
-            vals, vecs = np.linalg.eigh(m_a)
-            u = vecs[:, -1]
-            p = np.outer(u, u.conj())
-            m_b = hermitize(np.einsum("prqs,pq->rs", t, p.conj()))
-            vals_b, vecs_b = np.linalg.eigh(m_b)
-            v_new = vecs_b[:, -1]
-            if np.linalg.norm(np.outer(v_new, v_new.conj()) - np.outer(v, v.conj())) < 1e-13:
-                v = v_new
-                break
-            v = v_new
-        val = float(vals_b[-1])
-        if val > best_val:
-            best_val = val
-            best = (u, v)
-    return best
+    v = complex_gaussians(rng, starts, 1, nb)[:, 0]
+    v = v / _norms(v)[:, None]
+    u_out = np.empty((starts, na), dtype=complex)
+    v_out = np.empty_like(v)
+    val = np.empty(starts)
+    live = np.arange(starts)
+    for _ in range(rounds):
+        q = v[:, :, None] * v.conj()[:, None, :]
+        u = np.linalg.eigh(hermitize(np.einsum("prqs,krs->kpq", t, q.conj())))[1][:, :, -1]
+        p = u[:, :, None] * u.conj()[:, None, :]
+        vals_b, vecs_b = np.linalg.eigh(hermitize(np.einsum("prqs,kpq->krs", t, p.conj())))
+        v = vecs_b[:, :, -1]
+        u_out[live], v_out[live], val[live] = u, v, vals_b[:, -1]
+        settled = _norms(v[:, :, None] * v.conj()[:, None, :] - q) < 1e-13
+        live, v = live[~settled], v[~settled]
+        if not live.size:
+            break
+    best = int(np.argmax(val))
+    return u_out[best], v_out[best]
 
 
 def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int = 200,
@@ -412,6 +441,7 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
 
     best_bound = float(np.linalg.norm(target))
     best_mat = np.zeros_like(target)
+    best_terms = 0
     history: list[float] = []
     for _ in range(restarts):
         atoms: list[np.ndarray] = []
@@ -433,10 +463,11 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
             if bound < best_bound:
                 best_bound = bound
                 best_mat = approx
+                best_terms = len(atoms)
             history.append(best_bound)
             if best_bound <= 1e-9:
                 break
         if best_bound <= 1e-9:
             break
-    info = {"history": history, "terms": len(atoms), "converged": best_bound <= 1e-9}
+    info = {"history": history, "terms": best_terms, "converged": best_bound <= 1e-9}
     return best_bound, GnsVector(best_mat, joint), info

@@ -12,6 +12,13 @@ in the eigenbasis of rho, which is fixed deterministically by
 
 because transposition in that basis acts as  a -> K a^T K^dagger  and the
 basis conjugation as  f -> K conj(f).
+
+Delta^beta, the flip U and the inner product each have one unchecked
+kernel (``_delta_power``, ``_flip``, ``_inner``) that takes a matrix or a
+stack of shape (k, n, n) and acts on each matrix of it, with the same bits
+as on the matrix alone.  The public ``apply_delta_power``, ``apply_u``,
+``transpose_operator`` and ``inner`` check their inputs once and call them;
+``_check_delta_power`` is the Delta-power overflow check.
 """
 
 from __future__ import annotations
@@ -42,7 +49,12 @@ class GnsVector:
 def inner(x: GnsVector, y: GnsVector) -> complex:
     if x.ctx is not y.ctx:
         raise ContractError("inner product of vectors from different GNS contexts")
-    return complex(np.trace(x.mat.conj().T @ y.mat))
+    return complex(_inner(x.mat, y.mat))
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr x^dagger y of each pair of matrices of two stacks."""
+    return np.trace(x.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,20 +127,30 @@ def state_value(ctx: GnsContext, a) -> complex:
     return inner(ctx.omega, ctx.vector_for_operator(a))
 
 
+def _check_delta_power(ctx: GnsContext, beta: float) -> None:
+    """Raise ConditioningError where Delta^beta would overflow exp."""
+    peak = float(np.max(np.abs(beta * ctx.log_ratio)))
+    if peak > 700.0:
+        raise ConditioningError(
+            f"Delta power overflow: |beta * log eigenvalue ratio| = {peak:.1f} > 700"
+        )
+
+
+def _delta_power(ctx: GnsContext, beta: float, mats: np.ndarray) -> np.ndarray:
+    """Delta^beta on a matrix or a stack, unchecked; Delta^0 returns its input."""
+    if beta == 0.0:
+        return mats
+    return ctx.from_eigbasis(ctx.to_eigbasis(mats) * np.exp(beta * ctx.log_ratio))
+
+
 def apply_delta_power(ctx: GnsContext, beta: float, xi: GnsVector) -> GnsVector:
     """Delta^beta: scales the (i, j) eigenbasis coordinate by (l_i/l_j)^beta."""
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
     if beta == 0.0:
         return xi
-    exponents = beta * ctx.log_ratio
-    peak = float(np.max(np.abs(exponents)))
-    if peak > 700.0:
-        raise ConditioningError(
-            f"Delta power overflow: |beta * log eigenvalue ratio| = {peak:.1f} > 700"
-        )
-    coords = ctx.to_eigbasis(xi.mat) * np.exp(exponents)
-    return GnsVector(ctx.from_eigbasis(coords), ctx)
+    _check_delta_power(ctx, beta)
+    return GnsVector(_delta_power(ctx, beta, xi.mat), ctx)
 
 
 def apply_jm(ctx: GnsContext, xi: GnsVector) -> GnsVector:
@@ -145,11 +167,17 @@ def apply_j(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     return GnsVector(ctx.kernel @ xi.mat.conj() @ ctx.kernel.conj().T, ctx)
 
 
+def _flip(ctx: GnsContext, mats: np.ndarray) -> np.ndarray:
+    """m -> K m^T K^dagger on a matrix or a stack, unchecked: the flip U on
+    vectors, and the transpose in rho's eigenbasis on operators."""
+    return ctx.kernel @ mats.swapaxes(-1, -2) @ ctx.kernel.conj().T
+
+
 def apply_u(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """The flip unitary, E_ij -> E_ji on eigen matrix units."""
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
-    return GnsVector(ctx.kernel @ xi.mat.T @ ctx.kernel.conj().T, ctx)
+    return GnsVector(_flip(ctx, xi.mat), ctx)
 
 
 def transpose_operator(ctx: GnsContext, a) -> np.ndarray:
@@ -157,7 +185,7 @@ def transpose_operator(ctx: GnsContext, a) -> np.ndarray:
     a = require_square(np.asarray(a, dtype=complex))
     if a.shape[0] != ctx.dim:
         raise ContractError(f"operator dim {a.shape[0]} != context dim {ctx.dim}")
-    return ctx.kernel @ a.T @ ctx.kernel.conj().T
+    return _flip(ctx, a)
 
 
 def apply_tau(ctx: GnsContext, xi: GnsVector) -> GnsVector:

@@ -12,13 +12,15 @@ Contracts are checked once, at the public boundary: ``partial_transpose``,
 unchecked kernel of the same name with a leading underscore.  Package code
 working on arrays it made itself calls the kernels directly.
 ``hermitize`` and the kernels ``_partial_transpose`` and ``_project_psd``
-also take a stack of shape (k, n, n) and act on each matrix of it.
+also take a stack of shape (k, n, n) and act on each matrix of it;
+``_norms`` gives the norm of each matrix or vector of a stack.
 The product basis convention throughout: e_i (x) f_j sits at index
 i * dim_b + j.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -79,6 +81,15 @@ def herm_defect(m: np.ndarray) -> float:
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each entry of a stack, bit for bit what
+    ``np.linalg.norm`` gives for the entry alone: the square root of two
+    BLAS dot products, re.re + im.im."""
+    flat = stack.reshape(len(stack), 1, math.prod(stack.shape[1:]))
+    dots = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    return np.sqrt(dots[:, 0, 0])
 
 
 def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:

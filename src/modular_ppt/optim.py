@@ -157,7 +157,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
     final = np.empty(len(x))
     live = np.arange(len(x))
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
-    checkpoint = _residuals(x, spec)  # residual at the last multiple of 100 sweeps
+    checkpoint = np.full(len(x), np.inf)  # residual at the last multiple of 100 sweeps; first read at 200
     stall = np.zeros(len(x), dtype=int)
     for sweep in range(1, spec.max_iters + 1):
         prev = x

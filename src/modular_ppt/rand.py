@@ -17,7 +17,14 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return complex_gaussians(rng, 1, rows, cols)[0]
+
+
+def complex_gaussians(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
+    """``count`` successive ``complex_gaussian`` draws as one (count, rows, cols)
+    stack; the generator moves on exactly as after the single draws."""
+    z = rng.standard_normal((count, 2, rows, cols))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, norm: float | None = 1.0) -> np.ndarray:
@@ -30,9 +37,13 @@ def random_hermitian(rng: np.random.Generator, dim: int, norm: float | None = 1.
 
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """Wishart-style PSD sample G G^dagger, normalized to unit trace."""
-    g = complex_gaussian(rng, dim, rank or dim)
-    p = g @ g.conj().T
-    return p / np.trace(p).real
+    return _unit_trace_gram(complex_gaussian(rng, dim, rank or dim))
+
+
+def _unit_trace_gram(g: np.ndarray) -> np.ndarray:
+    """G G^dagger / Tr, for a matrix or for each matrix of a stack."""
+    p = g @ g.conj().swapaxes(-1, -2)
+    return p / np.trace(p, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

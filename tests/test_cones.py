@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from modular_ppt import cones, gns
 from modular_ppt.cones import (
@@ -18,7 +21,7 @@ from modular_ppt.cones import (
     u_maps_cones,
     v_beta_membership,
 )
-from modular_ppt.errors import ContractError
+from modular_ppt.errors import ConditioningError, ContractError
 from modular_ppt.gns import apply_delta_power, apply_u, build_gns, inner, transpose_operator
 from modular_ppt.linalg import hermitize, kron
 from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density
@@ -116,7 +119,8 @@ class TestDuality:
 
     def test_separating_vector_for_outsider(self, ctx3):
         xi = ctx3.vector(np.diag([1.0, -2.0, 1.0]))
-        eta, _ = cones._separating_eta(ctx3, 0.25, xi)
+        witness, _ = cones._v_beta_certificate(ctx3, 0.25, xi.mat)
+        eta = ctx3.vector(cones._separating_eta(ctx3, 0.25, witness))
         assert inner(eta, xi).real < -1e-3
         verdict = v_beta_membership(ctx3, ConeQuery(0.25), eta)
         assert verdict.inside
@@ -358,3 +362,201 @@ class TestSeparableDistance:
         _, _, info = separable_cone_distance(comp22, xi, iters=60, seed=71)
         hist = info["history"]
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(hist, hist[1:]))
+
+
+# --- stacked cone layer against per-sample reference loops --------------------
+
+BETAS = (0.0, 0.125, 0.25, 0.375, 0.5)
+
+
+def ref_delta(ctx, beta, m):
+    """Delta^beta on one matrix, in numpy alone."""
+    if beta == 0.0:
+        return m
+    coords = ctx.eigvecs.conj().T @ m @ ctx.eigvecs * np.exp(beta * ctx.log_ratio)
+    return ctx.eigvecs @ coords @ ctx.eigvecs.conj().T
+
+
+def ref_flip(ctx, m):
+    return ctx.kernel @ m.T @ ctx.kernel.conj().T
+
+
+def ref_certificate(ctx, beta, m):
+    return float(np.linalg.eigvalsh(hermitize(ref_delta(ctx, -beta, m) @ ctx.inv_sqrt_rho))[0])
+
+
+def ref_cone_element(ctx, beta, rng):
+    g = rng.standard_normal((ctx.dim, ctx.dim)) + 1j * rng.standard_normal((ctx.dim, ctx.dim))
+    p = g @ g.conj().T
+    xi = ref_delta(ctx, beta, p / np.trace(p).real @ ctx.sqrt_rho)
+    return xi / np.linalg.norm(xi)
+
+
+def ref_pairing(x, y):
+    return complex(np.trace(x.conj().T @ y)).real
+
+
+def reference_duality_check(ctx, beta, samples, seed, tol=1e-10):
+    """duality_check as a numpy loop over one sample at a time."""
+    rng = generator(seed)
+    min_pairing = np.inf
+    for _ in range(samples):
+        xi = ref_cone_element(ctx, beta, rng)
+        eta = ref_cone_element(ctx, 0.5 - beta, rng)
+        min_pairing = min(min_pairing, ref_pairing(eta, xi))
+    separated = missed = outside_seen = 0
+    for _ in range(samples):
+        g = rng.standard_normal((ctx.dim, ctx.dim)) + 1j * rng.standard_normal((ctx.dim, ctx.dim))
+        xi = g / np.linalg.norm(g)
+        if ref_certificate(ctx, beta, xi) >= -tol:
+            continue
+        outside_seen += 1
+        a = ref_delta(ctx, -beta, xi) @ ctx.inv_sqrt_rho
+        v = np.linalg.eigh(hermitize(ctx.sqrt_rho @ a @ ctx.sqrt_rho))[1][:, 0]
+        eta = ref_delta(ctx, 0.5 - beta, np.outer(v, v.conj()) @ ctx.sqrt_rho)
+        if ref_pairing(eta, xi) < -tol:
+            separated += 1
+        else:
+            missed += 1
+    return {
+        "beta": beta,
+        "min_member_pairing": float(min_pairing),
+        "outside_samples": outside_seen,
+        "outside_separated": separated,
+        "outside_missed": missed,
+        "passed": bool(min_pairing >= -tol and missed == 0),
+    }
+
+
+def reference_u_maps_cones(ctx, beta, samples, seed, tol=1e-10):
+    """u_maps_cones as a numpy loop over one sample at a time."""
+    rng = generator(seed)
+    worst_flip = worst_v0 = np.inf
+    for _ in range(samples):
+        xi = ref_cone_element(ctx, beta, rng)
+        worst_flip = min(worst_flip, ref_certificate(ctx, 0.5 - beta, ref_flip(ctx, xi)))
+        zero = ref_cone_element(ctx, 0.0, rng)
+        back = ref_flip(ctx, ref_delta(ctx, 0.5, zero))
+        worst_v0 = min(worst_v0, ref_certificate(ctx, 0.0, back))
+    return {
+        "beta": beta,
+        "min_flip_certificate": float(worst_flip),
+        "min_v0_certificate": float(worst_v0),
+        "passed": bool(worst_flip >= -tol and worst_v0 >= -tol),
+    }
+
+
+def reference_lmo_starts(residual, na, nb, rng, rounds=25, starts=3):
+    """Each start of _lmo_product_atom run alone: (u, v, value) per start."""
+    t = residual.reshape(na, nb, na, nb)
+    out = []
+    for _ in range(starts):
+        v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+        v /= np.linalg.norm(v)
+        for _ in range(rounds):
+            q = np.outer(v, v.conj())
+            u = np.linalg.eigh(hermitize(np.einsum("prqs,rs->pq", t, q.conj())))[1][:, -1]
+            p = np.outer(u, u.conj())
+            vals_b, vecs_b = np.linalg.eigh(hermitize(np.einsum("prqs,pq->rs", t, p.conj())))
+            v_new = vecs_b[:, -1]
+            settled = np.linalg.norm(np.outer(v_new, v_new.conj()) - q) < 1e-13
+            v = v_new
+            if settled:
+                break
+        out.append((u, v, float(vals_b[-1])))
+    return out
+
+
+class TestStackedConeLayer:
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_duality_and_flip_equal_reference_loops(self, dim):
+        ctx = build_gns(random_faithful_density(generator(80 + dim), dim))
+        for beta in BETAS:
+            assert duality_check(ctx, beta, samples=30, seed=dim) == \
+                reference_duality_check(ctx, beta, samples=30, seed=dim)
+            assert u_maps_cones(ctx, beta, samples=30, seed=dim) == \
+                reference_u_maps_cones(ctx, beta, samples=30, seed=dim)
+
+    def test_no_samples(self, ctx3):
+        assert duality_check(ctx3, 0.25, samples=0) == reference_duality_check(ctx3, 0.25, 0, 0)
+        assert u_maps_cones(ctx3, 0.25, samples=0) == reference_u_maps_cones(ctx3, 0.25, 0, 0)
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_delta_kernel_on_a_stack_equals_single_calls(self, dim):
+        rng = generator(90 + dim)
+        ctx = build_gns(random_faithful_density(rng, dim))
+        stack = np.stack([complex_gaussian(rng, dim, dim) for _ in range(20)])
+        for beta in (-0.5, -0.125, 0.0, 0.25, 0.5, 1.0):
+            out = gns._delta_power(ctx, beta, stack)
+            for m, o in zip(stack, out):
+                assert np.array_equal(o, apply_delta_power(ctx, beta, ctx.vector(m)).mat)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"])
+    def test_lmo_picks_the_reference_start(self, dims):
+        na, nb = dims
+        picked_other_than_first = 0
+        for seed in range(10):
+            residual = complex_gaussian(generator(100 + seed), na * nb, na * nb)
+            u, v = cones._lmo_product_atom(residual, na, nb, rng := generator(seed))
+            after = rng.standard_normal()
+            ref_rng = generator(seed)
+            starts = reference_lmo_starts(residual, na, nb, ref_rng)
+            assert after == ref_rng.standard_normal()   # starts drawn in the same order
+            vals = [val for _, _, val in starts]
+            best = vals.index(max(vals))
+            picked_other_than_first += best > 0
+            ref_u, ref_v, ref_val = starts[best]
+            atom = np.kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+            ref_atom = np.kron(np.outer(ref_u, ref_u.conj()), np.outer(ref_v, ref_v.conj()))
+            assert np.max(np.abs(atom - ref_atom)) <= 1e-12
+            assert np.trace(atom.conj().T @ residual).real == pytest.approx(ref_val, abs=1e-12)
+        assert picked_other_than_first > 0
+
+    def test_delta_overflow_raises_once_per_call(self, ctx3, monkeypatch):
+        # no faithful state overflows at |beta| <= 1/2, so stretch the eigenvalue ratios
+        bad = dataclasses.replace(ctx3, log_ratio=ctx3.log_ratio * 1e4)
+        for beta in BETAS:
+            with pytest.raises(ConditioningError):
+                duality_check(bad, beta, samples=5)
+            with pytest.raises(ConditioningError):
+                u_maps_cones(bad, beta, samples=5)
+        with pytest.raises(ConditioningError):
+            sample_cone_element(bad, 0.25, generator(0))
+        checks = []
+        monkeypatch.setattr(cones, "_check_delta_power", lambda ctx, beta: checks.append(beta))
+        for samples in (1, 40):
+            checks.clear()
+            duality_check(ctx3, 0.125, samples=samples)
+            assert checks == [0.125, 0.375]
+            checks.clear()
+            u_maps_cones(ctx3, 0.125, samples=samples)
+            assert checks == [0.125, 0.375, 0.5]
+
+    def test_beta_checked_at_each_public_call(self, ctx3):
+        for call in (lambda: duality_check(ctx3, 0.6, samples=3),
+                     lambda: u_maps_cones(ctx3, -0.1, samples=3),
+                     lambda: sample_cone_element(ctx3, 0.7, generator(0))):
+            with pytest.raises(ContractError):
+                call()
+
+
+class TestSeparableTerms:
+    def test_terms_count_the_returned_approximant(self, comp22, monkeypatch):
+        # a 2-term product mixture where the best of three restarts is not the last
+        rng = generator(203)
+        mix = sum(kron(random_psd(rng, 2), random_psd(rng, 2)) for _ in range(2))
+        xi = comp22.joint.vector(mix / np.linalg.norm(mix))
+        kept = []   # atoms with a nonzero coefficient after each step's refit
+
+        def recording_nnls(basis, target):
+            coeff, rnorm = nnls(basis, target)
+            kept.append(int(np.sum(coeff > 1e-14)))
+            return coeff, rnorm
+
+        monkeypatch.setattr(cones, "nnls", recording_nnls)
+        bound, _, info = separable_cone_distance(comp22, xi, iters=30, restarts=3, seed=3)
+        history = info["history"]
+        assert len(kept) == len(history)
+        best_step = history.index(bound)
+        assert kept[-1] != kept[best_step]
+        assert info["terms"] == kept[best_step]
