@@ -120,9 +120,14 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
                       opt_restarts: int = 2) -> dict:
     """min Tr(D h) over sampled PPT states, optionally over the solver.
 
-    A certified negative minimum proves h is outside the dual cone of the
-    PPT states, hence that S_h is not decomposable; decomposable inputs
-    must stay >= -1e-8.
+    A negative pairing exhibits a PPT state D with Tr(D h) < 0, so h is
+    outside the dual cone of the PPT states and S_h is not decomposable;
+    decomposable inputs must stay >= -1e-8.  With ``optimizer`` the report
+    also carries the solver's certified bracket (``optimizer_value``,
+    ``optimizer_lower_bound``, ``optimizer_gap``; see
+    ``min_trace_over_ppt``, whose ``opt_restarts`` starts run as one
+    stack): a lower bound >= 0 certifies that h pairs nonnegatively with
+    every PPT state, which is the decomposable side of the duality.
     """
     h = require_hermitian(require_bipartite(h, shape))
     rng = generator(seed)
@@ -134,7 +139,8 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     if optimizer:
         value, _, trace = min_trace_over_ppt(h, spec, iters=opt_iters, restarts=opt_restarts, seed=seed)
         report["optimizer_value"] = float(value)
-        report["optimizer_spread"] = trace.restart_spread
+        report["optimizer_lower_bound"] = trace.lower_bound
+        report["optimizer_gap"] = trace.gap
         best = min(best, float(value))
     report["min_pairing"] = float(best)
     return report

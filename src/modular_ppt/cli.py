@@ -9,6 +9,11 @@ names the offending residual), 2 input or contract error, 3 a numerical
 computation failed: two independent computation routes disagreed
 (ConsistencyError) or a LAPACK routine did not converge (LinAlgError).
 For 2 and 3 a JSON diagnostic object is emitted instead of a report.
+
+``minimize`` reports a certified bracket of min Tr(DH) over PPT states:
+``value`` (Tr(DH) at a PPT state, whose diagonal is ``minimizer_diag``),
+``lower_bound``, their ``gap`` and ``converged`` (the gap met the solver's
+criterion within ``--iters``); see ``optim.min_trace_over_ppt``.
 """
 
 from __future__ import annotations
@@ -180,8 +185,9 @@ def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
         h, spec, iters=cfg.iters or 1500, restarts=5, seed=cfg.seed)
     body = {
         "value": value,
-        "restart_spread": trace.restart_spread,
-        "low_confidence": trace.low_confidence,
+        "lower_bound": trace.lower_bound,
+        "gap": trace.gap,
+        "converged": trace.converged,
         "feasibility_residual": trace.feasibility_residual,
         "minimizer_diag": np.diag(minimizer).real.tolist(),
     }

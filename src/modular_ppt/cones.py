@@ -254,7 +254,9 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, check_samples: int = 5
 
     The modular conjugation and modular operator of the joint context must
     factor as J_A (x) J_B and Delta_A (x) Delta_B on sampled product
-    vectors; a violation indicates a kernel bug and raises.
+    vectors, to 1e-10 relative to the largest entry of each joint image
+    (the Delta images scale with the eigenvalue ratios of the states, and
+    so does their rounding); a violation indicates a kernel bug and raises.
     """
     joint = build_gns(kron(ctx_a.rho, ctx_b.rho))
     comp = CompositeGnsContext(
@@ -270,12 +272,13 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, check_samples: int = 5
         xi = GnsVector(np.kron(ma, mb), joint)
         jm_joint = apply_jm(joint, xi).mat
         jm_factored = np.kron(apply_jm(ctx_a, xa).mat, apply_jm(ctx_b, xb).mat)
-        worst = max(worst, float(np.max(np.abs(jm_joint - jm_factored))))
         d_joint = apply_delta_power(joint, 1.0, xi).mat
         d_factored = np.kron(apply_delta_power(ctx_a, 1.0, xa).mat, apply_delta_power(ctx_b, 1.0, xb).mat)
-        worst = max(worst, float(np.max(np.abs(d_joint - d_factored))))
+        for joint_image, factored in ((jm_joint, jm_factored), (d_joint, d_factored)):
+            scale = np.max(np.abs(joint_image))
+            worst = max(worst, float(np.max(np.abs(joint_image - factored)) / scale))
     if worst > 1e-10:
-        raise ConsistencyError(f"composite factorization residual {worst:.3e} > 1e-10")
+        raise ConsistencyError(f"composite factorization residual {worst:.3e} > 1e-10 (relative)")
     return comp
 
 

@@ -257,8 +257,12 @@ def project_psd(m) -> np.ndarray:
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _spectral(vecs, np.clip(vals, 0.0, None))
+
+
+def _spectral(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V^dagger, for a matrix or for each matrix of a stack."""
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def schur_positivity(m, block_dim: int, eps: float = 1e-8) -> bool:

@@ -4,9 +4,13 @@
 ``project_ppt`` is Dykstra's alternating-projection scheme, which (unlike
 naive alternating projections) converges to the Frobenius-nearest point of
 the intersection -- needed so that distance-to-projection doubles as a
-membership oracle.  ``min_trace_over_ppt`` runs a projected subgradient
-method with 1/sqrt(t) steps on a linear objective over the same set and is
-the executable form of the dual-cone pairing test.
+membership oracle.  ``min_trace_over_ppt`` minimizes a linear objective
+over the same set with one ADMM loop (two eigendecompositions per
+iteration, no nested projection) and returns a certified bracket: the
+value of a feasible state above, and below a dual bound from a
+decomposition h - s I = P + Q^Gamma with P, Q PSD, the decomposable-witness
+side of the duality.  It is the executable form of the dual-cone pairing
+test.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
@@ -14,7 +18,7 @@ one.  Every sample keeps its own stopping rules and its own
 ``SolveTrace``, and gives the same bits as when projected alone.
 ``project_ppt`` and ``sample_ppt_density`` project a stack of one,
 ``sample_ppt_densities`` projects its samples in stacks of SAMPLE_CHUNK,
-and ``min_trace_over_ppt`` steps all its restarts as one stack.
+and ``min_trace_over_ppt`` runs all its ADMM starts as one stack.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ import numpy as np
 from .errors import ContractError, DimensionLimitError
 from .linalg import (
     BipartiteShape,
+    _norms,
     _partial_transpose,
     _project_psd,
+    _spectral,
     hermitize,
     max_dim,
     project_psd,
@@ -36,7 +42,7 @@ from .linalg import (
     require_density,
     require_hermitian,
 )
-from .rand import generator, random_density
+from .rand import _unit_trace_gram, complex_gaussians, generator
 
 __all__ = [
     "PptSetSpec",
@@ -50,6 +56,10 @@ __all__ = [
 ]
 
 SAMPLE_CHUNK = 256  # samples projected together by sample_ppt_densities
+GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * target * ||h||_F
+CHECK_EVERY = 5  # ADMM iterations between certificate checks
+RHO_BALANCE = 10.0  # rho is rebalanced when one ADMM residual exceeds the other by this factor
+RHO_STEP = 2.0  # and is then multiplied or divided by this factor
 
 
 @dataclass(frozen=True)
@@ -80,10 +90,10 @@ class SolveTrace:
     feasibility_residual: float = 0.0
     step_rule: str = ""
     converged: bool = True
-    restart_spread: float = 0.0
-    low_confidence: bool = False
     snapped: bool = False
     snap_distance: float = 0.0
+    lower_bound: float | None = None  # certified bracket of min_trace_over_ppt
+    gap: float | None = None
 
 
 def feasibility_residual(d: np.ndarray, spec: PptSetSpec) -> float:
@@ -225,83 +235,100 @@ def sample_ppt_densities(rng: np.random.Generator, spec: PptSetSpec, k: int) -> 
         yield from _dykstra(seedlings, spec)[0]
 
 
-def _polish_density(d: np.ndarray) -> np.ndarray:
-    p = _project_psd(hermitize(d))
-    return p / np.trace(p).real
-
-
 def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5,
                        seed: int = 0) -> tuple[float, np.ndarray, SolveTrace]:
-    """min Tr(D h) over the PPT set, by projected subgradient descent.
+    """min Tr(D h) over the PPT set, bracketed by a certified gap.
 
-    Steps eta_t = eta_0 / sqrt(t+1) with eta_0 = 1/||h||_F; the best
-    objective over all (feasible) iterates and the projected average
-    iterate is returned.  Restarts from several random feasible points
-    provide the only optimality cross-check: a spread above 1e-3 sets the
-    low-confidence flag.  The value is an upper bound on the true minimum
-    (up to tol_feas leakage in the iterates).
+    One scaled-form ADMM loop over the split D = X, D^Gamma = Y, with X in
+    {X >= 0, Tr X = target} and Y >= 0 (Wen, Goldfarb & Yin 2010):
 
-    The restarts run as one stack: restart 0 starts at (target/n) I, the
-    others at projected random states drawn from stream 17 of ``seed``;
-    a restart whose best value has stalled for 50 steps leaves the stack.
+        X <- Pi_Delta((Y - U)^Gamma - h/rho)   one eigh and a simplex projection
+        Y <- Pi_+(X^Gamma + U)                 one eigh
+        U <- U + X^Gamma - Y                   the negative part of X^Gamma + U
+
+    rho starts at ||h||_F / target and is rebalanced between the primal and
+    dual residuals.  Every CHECK_EVERY iterations both sides of the bracket
+    are certified.  The upper bound is Tr(D h) at the feasible point
+    D = (1 - lam) X + lam (target/n) I, the least blend toward the centre
+    that makes D^Gamma PSD; D is the returned minimizer.  The lower bound is
+    target * lambda_min(h - Q^Gamma) with Q = -rho U, which is PSD: for any
+    PSD Q and feasible D, Tr(D h) = Tr(D (h - Q^Gamma)) + Tr(D^Gamma Q)
+    >= target * lambda_min(h - Q^Gamma).  The value is the least upper
+    bound, ``trace.lower_bound`` the greatest lower bound, and the loop stops
+    once their gap is below GAP_TOL * target * ||h||_F (``trace.converged``)
+    or after ``iters`` iterations.
+
+    ``restarts`` is the number of ADMM starts, run as one stack: start 0
+    at (target/n) I, the others at random densities from stream 17 of
+    ``seed``.  The bracket combines all starts.
     """
-    h = require_bipartite(require_hermitian(h), spec.shape)
+    h = hermitize(require_bipartite(require_hermitian(h), spec.shape))
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
-    n = spec.shape.dim
-    nrm = np.linalg.norm(h)
+    n, target = spec.shape.dim, spec.trace_target
+    center = np.eye(n, dtype=complex) * (target / n)
+    nrm = float(np.linalg.norm(h))
     if nrm == 0:
-        d0 = np.eye(n) / n * spec.trace_target
-        return 0.0, d0, SolveTrace(step_rule="subgradient-1/sqrt(t)")
-    eta0 = 1.0 / nrm
-    rng = generator(seed, stream=17)
-    d = np.empty((restarts, n, n), dtype=complex)
-    d[0] = np.eye(n, dtype=complex) / n * spec.trace_target
-    if restarts > 1:
-        starts = [hermitize(random_density(rng, n)) * spec.trace_target for _ in range(1, restarts)]
-        d[1:] = _dykstra(np.stack(starts), spec)[0]
-    avg = np.zeros_like(d)
-    run_best = _trace(d @ h)
-    run_best_d = d.copy()
-    prev_best = run_best.copy()
-    stall = np.zeros(restarts, dtype=int)
-    steps = np.zeros(restarts, dtype=int)
-    live = np.arange(restarts)
-    for t in range(iters):
-        if not live.size:
+        return 0.0, center, SolveTrace(step_rule="admm", lower_bound=0.0, gap=0.0)
+
+    def pt(m: np.ndarray) -> np.ndarray:
+        return _partial_transpose(m, spec.shape, "B")
+
+    x = np.empty((restarts, n, n), dtype=complex)
+    x[0] = center
+    x[1:] = _unit_trace_gram(complex_gaussians(generator(seed, stream=17), restarts - 1, n, n)) * target
+    x_gamma = y = pt(x)
+    u = np.zeros_like(x)
+    rho = np.full(restarts, nrm / target)
+    upper, lower, minimizer = np.inf, -np.inf, center
+    for it in range(iters + 1):
+        if it:
+            y_prev = y
+            w, v = np.linalg.eigh(pt(y - u) - h / rho[:, None, None])
+            x = _spectral(v, _simplex(w, target))
+            x_gamma = pt(x)
+            w, v = np.linalg.eigh(x_gamma + u)
+            y, u = _spectral(v, np.maximum(w, 0.0)), _spectral(v, np.minimum(w, 0.0))
+        if it % CHECK_EVERY and it != iters:
+            continue
+        eps = np.maximum(0.0, -np.linalg.eigvalsh(x_gamma)[:, 0])
+        lam = (eps / (eps + target / n))[:, None, None]
+        d = (1 - lam) * x + lam * center
+        values = _trace(d @ h)
+        best = int(np.argmin(values))
+        if values[best] < upper:
+            upper, minimizer = float(values[best]), d[best]
+        lower = max(lower, float(target * np.linalg.eigvalsh(h + rho[:, None, None] * pt(u))[:, 0].max()))
+        if upper - lower <= GAP_TOL * target * nrm:
             break
-        d = _dykstra(d - eta0 / np.sqrt(t + 1.0) * h, spec)[0]
-        avg[live] += d
-        val = _trace(d @ h)
-        better = val < run_best[live]
-        run_best[live[better]] = val[better]
-        run_best_d[live[better]] = d[better]
-        steps[live] += 1
-        flat = np.abs(run_best[live] - prev_best[live]) < 1e-10
-        stall[live] = np.where(flat, stall[live] + 1, 0)
-        prev_best[live[~flat]] = run_best[live[~flat]]
-        keep = stall[live] < 50
-        live, d = live[keep], d[keep]
-    if iters > 0:
-        avg_proj = _dykstra(avg / steps[:, None, None], spec)[0]
-        avg_val = _trace(avg_proj @ h)
-        better = avg_val < run_best
-        run_best[better] = avg_val[better]
-        run_best_d[better] = avg_proj[better]
-    value = float(run_best.min())
-    spread = float(run_best.max() - value)
-    # in restart order, ties going to the later restart
-    best = max(r for r in range(restarts) if run_best[r] == value)
-    minimizer = _polish_density(run_best_d[best]) * spec.trace_target
+        if it:
+            primal = _norms(x_gamma - y)
+            dual = rho * _norms(y - y_prev)
+            scale = np.where(primal > RHO_BALANCE * dual, RHO_STEP,
+                             np.where(dual > RHO_BALANCE * primal, 1 / RHO_STEP, 1.0))
+            rho, u = rho * scale, u / scale[:, None, None]
+    minimizer = hermitize(minimizer)
+    lower = min(lower, upper)  # the two meet within rounding; a smaller lower bound stays valid
+    gap = upper - lower
     trace = SolveTrace(
-        iterates=int(steps.sum()),
+        iterates=it,
         feasibility_residual=feasibility_residual(minimizer, spec),
-        step_rule="subgradient-1/sqrt(t)",
-        converged=spread <= 1e-3,
-        restart_spread=spread,
-        low_confidence=spread > 1e-3,
+        step_rule="admm",
+        converged=bool(gap <= GAP_TOL * target * nrm),
+        lower_bound=lower,
+        gap=gap,
     )
-    return value, minimizer, trace
+    return upper, minimizer, trace
+
+
+def _simplex(w: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection of each row of w, sorted ascending (as eigh
+    returns eigenvalues), onto {l >= 0, sum l = total}."""
+    desc = w[:, ::-1]
+    excess = np.cumsum(desc, axis=1) - total
+    kept = np.count_nonzero(desc - excess / np.arange(1, w.shape[1] + 1) > 0, axis=1)
+    theta = excess[np.arange(len(w)), kept - 1] / kept
+    return np.maximum(w - theta[:, None], 0.0)
 
 
 def npt_witness(d, shape: BipartiteShape, tol: float = 1e-10) -> np.ndarray | None:

@@ -17,7 +17,7 @@ from modular_ppt.choi import (
 )
 from modular_ppt.errors import ContractError, ShapeError
 from modular_ppt.linalg import BipartiteShape, hermitize
-from modular_ppt.optim import PptSetSpec, sample_ppt_density
+from modular_ppt.optim import PptSetSpec, min_trace_over_ppt, sample_ppt_density
 from modular_ppt.rand import complex_gaussian, generator, random_psd, random_unit_vector
 
 
@@ -107,6 +107,9 @@ class TestDecomposable:
                                    opt_iters=600, opt_restarts=3)
         assert report["min_pairing"] >= -1e-8
         assert report["optimizer_value"] == pytest.approx(0.0, abs=1e-4)
+        assert report["optimizer_lower_bound"] <= 0.0 <= report["optimizer_value"] + 1e-12
+        assert report["optimizer_gap"] <= 1e-6
+        assert "optimizer_spread" not in report
         # attained by the product state |01><01|
         d = np.zeros((4, 4), dtype=complex)
         d[1, 1] = 1.0
@@ -123,11 +126,30 @@ class TestDecomposable:
         report = dual_pairing_test(w.h, shape22, samples=500, seed=78, optimizer=True,
                                    opt_iters=200, opt_restarts=2)
         assert report["min_pairing"] >= -1e-8
+        # the certified lower bound shows the pairing is nonnegative on every PPT state
+        assert report["optimizer_lower_bound"] >= -1e-6
 
     def test_non_psd_parts_rejected(self, shape22):
         with pytest.raises(ContractError):
             DecomposableWitness(h1=np.diag([1.0, -1.0, 0.0, 0.0]),
                                 h2=np.zeros((4, 4)), shape=shape22)
+
+
+class TestChoiMap:
+    """The Choi map is positive but not decomposable: a PPT state pairs
+    negatively with its operator, at the minimum 1 - 2/sqrt(3)."""
+
+    def test_certified_bracket(self, choi_map):
+        value, minimizer, trace = min_trace_over_ppt(choi_map, PptSetSpec(BipartiteShape(3, 3)),
+                                                     iters=300, restarts=2)
+        assert trace.gap <= 1e-6 and value < 0
+        assert trace.lower_bound <= -0.15470053838 <= value
+        assert np.trace(minimizer @ choi_map).real < 0
+
+    def test_pairing_report_shows_indecomposability(self, choi_map):
+        report = dual_pairing_test(choi_map, BipartiteShape(3, 3), samples=20, seed=3, optimizer=True)
+        assert report["optimizer_value"] < 0 and report["min_pairing"] == report["optimizer_value"]
+        assert report["optimizer_lower_bound"] <= -0.15470053838
 
 
 class TestStormerBlock:

@@ -21,7 +21,7 @@ from modular_ppt.cones import (
     u_maps_cones,
     v_beta_membership,
 )
-from modular_ppt.errors import ConditioningError, ContractError
+from modular_ppt.errors import ConditioningError, ConsistencyError, ContractError
 from modular_ppt.gns import apply_delta_power, apply_u, build_gns, inner, transpose_operator
 from modular_ppt.linalg import hermitize, kron
 from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density
@@ -220,6 +220,19 @@ class TestComposite:
             lhs = gns.apply_jm(comp22.joint, xi).mat
             rhs = kron(ma.conj().T, mb.conj().T)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+    def test_factorization_check_catches_relative_error(self, monkeypatch):
+        rng = generator(66)
+        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (3, 3))
+        build_composite(ca, cb)
+
+        def perturbed(ctx, beta, xi):
+            out = apply_delta_power(ctx, beta, xi)
+            return gns.GnsVector(out.mat * (1 + 1e-8), ctx) if ctx is ca else out
+
+        monkeypatch.setattr(cones, "apply_delta_power", perturbed)
+        with pytest.raises(ConsistencyError, match="composite factorization residual"):
+            build_composite(ca, cb)
 
     @shapes
     def test_one_otimes_ub_involution(self, dims):

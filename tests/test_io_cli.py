@@ -141,6 +141,11 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic == {"error": "routes disagree", "kind": "ConsistencyError"}
 
+    def test_exit_zero_on_composite_with_large_delta_images(self, capsys):
+        # the Delta images of this seed's states reach a rounding residual of 1.1e-10
+        assert main(["experiment", "--dims", "3x3", "--seed", "79020364", "--samples", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     @pytest.mark.parametrize("argv", [["--dims", "2xfoo"], ["--dims", "2x2", "--tol", "feas=abc"]])
     def test_exit_two_on_malformed_number(self, argv, capsys):
         assert main(["experiment", *argv]) == 2

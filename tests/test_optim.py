@@ -80,23 +80,103 @@ class TestProjectPpt:
             assert is_ppt == (not moved)
 
 
+def _max_entangled(d):
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1 / np.sqrt(d)
+    return np.outer(v, v.conj())
+
+
+def _swap(d):
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            m[i * d + j, j * d + i] = 1.0
+    return m
+
+
+# (name, d, h, min Tr(D h) over PPT states): the PPT fidelity bound is 1/d
+CLOSED_FORMS = [
+    (f"{name}-{d}x{d}", d, h, target)
+    for d in (2, 3)
+    for name, h, target in (("identity", np.eye(d * d, dtype=complex), 1.0),
+                            ("swap", _swap(d), 0.0),
+                            ("minus-phi", -_max_entangled(d), -1.0 / d))
+]
+
+
+def assert_feasible_state(d, spec):
+    assert np.linalg.eigvalsh(hermitize(d))[0] >= -1e-12
+    assert np.linalg.eigvalsh(hermitize(partial_transpose(d, spec.shape, "B")))[0] >= -1e-12
+    assert abs(np.trace(d).real - spec.trace_target) <= 1e-12
+
+
 class TestMinTrace:
     def test_identity_objective(self, spec22):
         value, minimizer, trace = min_trace_over_ppt(np.eye(4), spec22, iters=100, restarts=3)
-        assert value == pytest.approx(1.0, abs=1e-6)
-        assert trace.restart_spread <= 1e-6
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert trace.lower_bound <= value and trace.gap <= 1e-12 and trace.converged
 
     def test_swap_target(self, swap22, spec22):
         value, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=1500, restarts=5)
-        assert value == pytest.approx(0.0, abs=1e-4)
-        assert trace.restart_spread <= 1e-4
+        assert trace.lower_bound <= 0.0 <= value + 1e-12
+        assert trace.gap <= 1e-6
         # the minimizer sits on the zero face of the swap pairing
         assert np.trace(minimizer @ swap22).real == pytest.approx(0.0, abs=1e-6)
 
     def test_max_entangled_fidelity_bound(self, phi_plus, spec22):
         value, minimizer, trace = min_trace_over_ppt(-phi_plus, spec22, iters=1500, restarts=5)
-        assert value == pytest.approx(-0.5, abs=1e-3)
-        assert trace.restart_spread <= 1e-4
+        assert value >= -0.5 - 1e-12  # the value belongs to a feasible state, so it cannot undercut 1/2
+        assert trace.lower_bound <= -0.5 and trace.gap <= 1e-6
+
+    @pytest.mark.parametrize("name,d,h,target", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+    def test_closed_form_is_certified(self, name, d, h, target):
+        spec = PptSetSpec(BipartiteShape(d, d))
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300, restarts=2)
+        assert trace.lower_bound <= value
+        assert trace.gap == value - trace.lower_bound <= 1e-6
+        assert trace.converged
+        # the closed form lies in the bracket, up to rounding; value belongs to a feasible state
+        assert trace.lower_bound - 1e-12 <= target <= value + 1e-12
+        assert value >= target - 1e-12
+        assert_feasible_state(minimizer, spec)
+        assert np.trace(minimizer @ h).real == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_lower_bound_is_sound(self, dims):
+        spec = PptSetSpec(BipartiteShape(*dims))
+        rng = generator(205 + dims[1])
+        h = hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300, restarts=2)
+        assert trace.converged
+        assert_feasible_state(minimizer, spec)
+        # sampled states are feasible to tol_feas, so they may undercut the bound by that much
+        slack = spec.tol_feas * spec.shape.dim * np.linalg.norm(h)
+        pairings = [np.trace(d @ h).real for d in sample_ppt_densities(rng, spec, 200)]
+        assert min(pairings) >= trace.lower_bound - slack
+
+    def test_value_is_scale_invariant(self, spec22):
+        h = hermitize(complex_gaussian(generator(206), 4, 4))
+        value, _, trace = min_trace_over_ppt(h, spec22, iters=300, restarts=2)
+        for c in (1e-3, 1.0, 1e3):
+            scaled, _, scaled_trace = min_trace_over_ppt(c * h, spec22, iters=300, restarts=2)
+            assert scaled_trace.converged
+            assert abs(scaled - c * value) <= scaled_trace.gap + c * trace.gap
+
+    def test_uncertified_run_keeps_a_valid_bracket(self, choi_map):
+        # the Choi-map operator needs more than 5 iterations to certify
+        spec = PptSetSpec(BipartiteShape(3, 3))
+        value, minimizer, trace = min_trace_over_ppt(choi_map, spec, iters=5, restarts=2)
+        assert not trace.converged and trace.iterates == 5
+        assert trace.gap > optim.GAP_TOL * np.linalg.norm(choi_map)
+        assert trace.lower_bound <= 1 - 2 / np.sqrt(3) <= value
+        assert_feasible_state(minimizer, spec)
+
+    def test_no_dykstra_projection(self, monkeypatch, swap22, spec22):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("min_trace_over_ppt projected with Dykstra")
+        monkeypatch.setattr(optim, "_dykstra", forbidden)
+        value, _, trace = min_trace_over_ppt(swap22, spec22, iters=300, restarts=3)
+        assert trace.converged and abs(value) <= 1e-6
 
     def test_brute_force_cross_check_of_fidelity(self, phi_plus, spec22):
         # independent oracle: fidelity of any PPT sample with phi+ stays <= 1/2
@@ -188,64 +268,30 @@ class TestStackedDykstra:
         assert np.array_equal(stacked_rng.integers(0, 2**62, 8), single_rng.integers(0, 2**62, 8))
 
 
-def _min_trace_one_restart_at_a_time(h, spec, iters, restarts, seed):
-    """The subgradient method with each restart run to its end in turn."""
-    n = spec.shape.dim
-    eta0 = 1.0 / np.linalg.norm(h)
-    rng = generator(seed, stream=17)
-    best_vals, best_d, steps = [], None, 0
-    for r in range(restarts):
-        if r == 0:
-            d = np.eye(n, dtype=complex) / n * spec.trace_target
-        else:
-            d, _ = project_ppt(hermitize(random_density(rng, n)) * spec.trace_target, spec)
-        avg = np.zeros_like(d)
-        run_best = prev_best = np.trace(d @ h).real
-        run_best_d, stall = d, 0
-        for t in range(iters):
-            d, _ = project_ppt(d - eta0 / np.sqrt(t + 1.0) * h, spec)
-            avg += d
-            val = np.trace(d @ h).real
-            if val < run_best:
-                run_best, run_best_d = val, d
-            steps += 1
-            if abs(run_best - prev_best) < 1e-10:
-                stall += 1
-                if stall >= 50:
-                    break
-            else:
-                stall, prev_best = 0, run_best
-        avg_proj, _ = project_ppt(avg / (t + 1), spec)
-        if np.trace(avg_proj @ h).real < run_best:
-            run_best, run_best_d = np.trace(avg_proj @ h).real, avg_proj
-        best_vals.append(float(run_best))
-        if best_d is None or run_best <= min(best_vals):
-            best_d = run_best_d
-    value = min(best_vals)
-    minimizer = optim._polish_density(best_d) * spec.trace_target
-    return value, minimizer, steps, max(best_vals) - value
-
-
 class TestStackedRestarts:
-    @pytest.mark.parametrize("restarts", [1, 3])
-    def test_matches_restarts_run_in_turn(self, swap22, spec22, restarts):
-        # iters long enough that some restarts stall and leave the stack early
-        value, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=400, restarts=restarts, seed=4)
-        ref_value, ref_minimizer, ref_steps, ref_spread = _min_trace_one_restart_at_a_time(
-            swap22, spec22, 400, restarts, 4)
-        assert value == ref_value
-        assert np.array_equal(minimizer, ref_minimizer)
-        assert trace.iterates == ref_steps
-        assert trace.restart_spread == ref_spread
-        assert trace.feasibility_residual == feasibility_residual(ref_minimizer, spec22)
+    @pytest.mark.parametrize("restarts", [1, 4])
+    def test_starts_at_center_and_random_densities(self, restarts):
+        # with no iteration the bracket is the starts' own: Q = 0 gives lambda_min(h)
+        spec = PptSetSpec(BipartiteShape(2, 3))
+        h = hermitize(complex_gaussian(generator(313), 6, 6))
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=0, restarts=restarts, seed=5)
+        rng = generator(5, stream=17)
+        starts = [np.eye(6) / 6] + [random_density(rng, 6) for _ in range(1, restarts)]
+        # each start is blended toward I/6 until its partial transpose is PSD
+        eps = [max(0.0, -np.linalg.eigvalsh(partial_transpose(x, spec.shape, "B"))[0]) for x in starts]
+        feasible = [(1 - e / (e + 1 / 6)) * x + e / (e + 1 / 6) * np.eye(6) / 6 for x, e in zip(starts, eps)]
+        assert restarts == 1 or max(eps) > 0  # some random start is not PPT
+        assert trace.iterates == 0
+        assert value == pytest.approx(min(np.trace(d @ h).real for d in feasible), abs=1e-12)
+        assert trace.lower_bound == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
 
-    def test_random_objective_matches_restarts_run_in_turn(self, spec22):
-        h = hermitize(complex_gaussian(generator(312), 4, 4))
-        value, minimizer, trace = min_trace_over_ppt(h, spec22, iters=30, restarts=3, seed=1)
-        ref_value, ref_minimizer, ref_steps, _ = _min_trace_one_restart_at_a_time(h, spec22, 30, 3, 1)
-        assert (value, trace.iterates) == (ref_value, ref_steps)
-        assert ref_steps == 3 * 30  # every restart runs to the end
-        assert np.array_equal(minimizer, ref_minimizer)
+    def test_bracket_combines_the_starts(self, choi_map):
+        spec = PptSetSpec(BipartiteShape(3, 3))
+        brackets = [min_trace_over_ppt(choi_map, spec, iters=10, restarts=r, seed=2) for r in (1, 3)]
+        (v1, _, t1), (v3, _, t3) = brackets
+        assert t1.iterates == t3.iterates == 10
+        # start 0 runs the same in both stacks, so more starts can only tighten the bracket
+        assert v3 <= v1 + 1e-12 and t3.lower_bound >= t1.lower_bound - 1e-12
 
     def test_restarts_must_be_positive(self, swap22, spec22):
         with pytest.raises(ContractError):
