@@ -216,9 +216,13 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
     Omega, and reports (i) the cone membership certificates of xi, (ii)
     the PPT verdict of the induced state mat(xi)^2 / Tr -- which need not
     be PPT; that relation is exactly what the square-root experiment
-    probes -- and (iii) an upper bound on the distance from xi to the
-    product cone.  A large bound flags the vector as a candidate for
-    PPT-but-not-separable; nothing stronger is claimed.
+    probes -- and (iii) a bracket on the distance from xi to the product
+    cone: the upper bound ``separable_bound`` (distance to an exhibited
+    sum of ``separable_terms`` products) and ``separable_lower_bound``
+    (distance to the PSD and partial-transpose constraints, so 0 on PPT
+    vectors up to their feasibility slack).  A large upper bound flags the
+    vector as a candidate for PPT-but-not-separable; nothing stronger is
+    claimed.
     """
     joint = comp.joint
     if joint.dim > 81:
@@ -241,6 +245,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
         "state_gamma_min_eig": gamma_min,
         "state_is_ppt": bool(gamma_min >= -1e-9),
         "separable_bound": float(bound),
+        "separable_lower_bound": info["lower_bound"],
         "separable_terms": info["terms"],
         "candidate_ppt_not_separable": bool(verdict.inside and bound > candidate_threshold),
     }

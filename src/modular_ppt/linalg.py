@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel.
 
 Everything downstream (modular operators, cones, the PPT solver) reduces to
-the routines here: Kronecker products, partial transpose/trace over a fixed
-product basis, a deterministic Hermitian eigendecomposition, PSD square
-roots, and a Schur-complement positivity test.
+the routines here: Kronecker products, the partial transpose over a fixed
+product basis, a deterministic Hermitian eigendecomposition, PSD
+projections and PSD square roots.
 
 Matrices are plain complex ndarrays; the type contracts of the package are
 enforced by the ``require_*`` validators, which raise rather than coerce.
@@ -150,17 +150,6 @@ def _partial_transpose(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B
     return out.reshape(m.shape)
 
 
-def partial_trace(m, shape: BipartiteShape, keep: str = "A") -> np.ndarray:
-    m = require_bipartite(m, shape)
-    na, nb = shape.dim_a, shape.dim_b
-    t = m.reshape(na, nb, na, nb)
-    if keep == "A":
-        return np.einsum("ikjk->ij", t)
-    if keep == "B":
-        return np.einsum("kikj->ij", t)
-    raise ShapeError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = vecs.copy()
@@ -263,32 +252,3 @@ def _project_psd(m: np.ndarray) -> np.ndarray:
 def _spectral(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """V diag(vals) V^dagger, for a matrix or for each matrix of a stack."""
     return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def schur_positivity(m, block_dim: int, eps: float = 1e-8) -> bool:
-    """Positivity by recursive elimination of the last block row/column.
-
-    The trailing diagonal block is regularized by +eps*I whenever its least
-    eigenvalue drops below eps; verdicts agree with a spectral PSD check to
-    within 10*eps on the minimum eigenvalue.
-    """
-    m = require_hermitian(m)
-    dim = m.shape[0]
-    if block_dim < 1 or dim % block_dim != 0:
-        raise ShapeError(f"dim {dim} is not a multiple of block_dim {block_dim}")
-    tol = 10 * eps
-    n = dim // block_dim
-    cur = hermitize(m)
-    while n > 1:
-        d = (n - 1) * block_dim
-        corner = hermitize(cur[d:, d:])
-        min_c = float(np.linalg.eigvalsh(corner)[0])
-        if min_c < -tol:
-            # a principal block this negative already decides the verdict
-            return False
-        if min_c < eps:
-            corner = corner + eps * np.eye(block_dim)
-        rows = cur[:d, d:]
-        cur = hermitize(cur[:d, :d] - rows @ np.linalg.solve(corner, rows.conj().T))
-        n -= 1
-    return bool(np.linalg.eigvalsh(cur)[0] >= -tol)

@@ -1,16 +1,18 @@
 """First-order convex machinery over the PPT spectrahedron
 {D : D >= 0, D^Gamma >= 0, Tr D = 1}.
 
-``project_ppt`` is Dykstra's alternating-projection scheme, which (unlike
-naive alternating projections) converges to the Frobenius-nearest point of
-the intersection -- needed so that distance-to-projection doubles as a
-membership oracle.  ``min_trace_over_ppt`` minimizes a linear objective
-over the same set with one ADMM loop (two eigendecompositions per
-iteration, no nested projection) and returns a certified bracket: the
-value of a feasible state above, and below a dual bound from a
-decomposition h - s I = P + Q^Gamma with P, Q PSD, the decomposable-witness
-side of the duality.  It is the executable form of the dual-cone pairing
-test.
+``project_ppt`` is Dykstra's alternating-projection scheme, stopped at
+the first sweep whose iterate is feasible (to ``tol_feas``): it returns a
+feasible point near the input, not the Frobenius-nearest point, because
+Dykstra's correction terms have not converged by then.  A member of the
+set is a fixed point of the first sweep, so distance-to-output still
+doubles as a membership oracle.  ``min_trace_over_ppt`` minimizes a
+linear objective over the same set with one ADMM loop (two
+eigendecompositions per iteration, no nested projection) and returns a
+certified bracket: the value of a feasible state above, and below a dual
+bound from a decomposition h - s I = P + Q^Gamma with P, Q PSD, the
+decomposable-witness side of the duality.  It is the executable form of
+the dual-cone pairing test.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
@@ -131,10 +133,14 @@ def _interior_snap(x: np.ndarray, residual: float, spec: PptSetSpec) -> tuple[np
 
 
 def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
-    """Frobenius projection onto the PPT set by Dykstra's algorithm.
+    """A feasible point of the PPT set near m, by early-stopped Dykstra.
 
     Cycles the PSD cone, the Gamma-transported PSD cone and the trace
-    hyperplane, each with its own correction term.  On the rare tangential
+    hyperplane, each with its own correction term, and stops at the first
+    sweep whose iterate is feasible to tol_feas.  That point is feasible
+    and near m, but it is not the Frobenius-nearest point: Dykstra's
+    correction terms have not converged by then.  A member of the set is
+    returned unchanged by the first sweep.  On the rare tangential
     instances where the residual stalls above tol_feas, the iterate is
     blended minimally toward the interior point (target/n) I so that the
     output is always feasible; the blend distance is recorded on the

@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
 
 from modular_ppt import cones, gns
 from modular_ppt.cones import (
@@ -23,8 +22,8 @@ from modular_ppt.cones import (
 )
 from modular_ppt.errors import ConditioningError, ConsistencyError, ContractError
 from modular_ppt.gns import apply_delta_power, apply_u, build_gns, inner, transpose_operator
-from modular_ppt.linalg import hermitize, kron
-from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density
+from modular_ppt.linalg import hermitize, kron, partial_transpose
+from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density, sample_ppt_densities
 from modular_ppt.rand import complex_gaussian, generator, random_faithful_density, random_psd
 
 
@@ -345,6 +344,26 @@ class TestCommutantCone:
         assert inner(separator, xi_bad).real < -1e-6
 
 
+def pure_product_mixture(rng, na, nb, terms):
+    """sum_k w_k (u_k u_k*) (x) (v_k v_k*) with Dirichlet weights: separable
+    and of rank at most ``terms``."""
+    out = np.zeros((na * nb, na * nb), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        out += w * kron(random_psd(rng, na, rank=1), random_psd(rng, nb, rank=1))
+    return out
+
+
+def unit_vector_of(comp, m):
+    return comp.joint.vector(m / np.linalg.norm(m))
+
+
+def assert_bracket(bound, approx, info):
+    """The bound is the distance to a PSD approximant and lies above the lower bound."""
+    assert 0.0 <= info["lower_bound"] <= bound
+    assert info["converged"] == (bound <= 1e-9)
+    assert np.linalg.eigvalsh(hermitize(approx.mat))[0] >= -1e-12 * max(1.0, approx.norm())
+
+
 class TestSeparableDistance:
     def test_product_vector_reached(self, comp22):
         rng = generator(65)
@@ -352,11 +371,15 @@ class TestSeparableDistance:
         xi = comp22.joint.vector(target / np.linalg.norm(target))
         bound, approx, info = separable_cone_distance(comp22, xi, iters=50, seed=66)
         assert bound <= 1e-8
+        assert_bracket(bound, approx, info)
 
     def test_singlet_stays_far(self, comp22, singlet):
         xi = state_to_cone_vector(comp22.joint, singlet)
-        bound, _, _ = separable_cone_distance(comp22, xi, iters=500, seed=67)
+        bound, approx, info = separable_cone_distance(comp22, xi, iters=500, seed=67)
         assert bound > 0.1
+        assert_bracket(bound, approx, info)
+        # the lower bound alone certifies that the singlet stays far
+        assert info["lower_bound"] > 0.1
         # cross-check: the singlet is certified entangled by its witness
         assert npt_witness(singlet, comp22.shape) is not None
 
@@ -365,16 +388,103 @@ class TestSeparableDistance:
         mats = [kron(random_psd(rng, 2), random_psd(rng, 2)) for _ in range(3)]
         mix = sum(mats)
         xi = comp22.joint.vector(mix / np.linalg.norm(mix))
-        bound, _, _ = separable_cone_distance(comp22, xi, iters=200, seed=69)
+        bound, approx, info = separable_cone_distance(comp22, xi, iters=200, seed=69)
         assert bound <= 1e-6
+        assert_bracket(bound, approx, info)
 
     def test_bound_history_monotone(self, comp22):
         rng = generator(70)
         xi = comp22.joint.vector(complex_gaussian(rng, 4, 4))
         xi = comp22.joint.vector(xi.mat / xi.norm())
-        _, _, info = separable_cone_distance(comp22, xi, iters=60, seed=71)
+        bound, approx, info = separable_cone_distance(comp22, xi, iters=60, seed=71)
         hist = info["history"]
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(hist, hist[1:]))
+        assert hist[-1] == bound
+        assert_bracket(bound, approx, info)
+        # the anti-Hermitian part of a Gaussian target is out of reach of any separable point
+        anti = np.linalg.norm(xi.mat - hermitize(xi.mat))
+        assert anti > 0.1 and info["lower_bound"] >= anti
+
+    @pytest.mark.parametrize("na,nb,terms", [(2, 2, 2), (2, 2, 3), (2, 3, 3)], ids=["2x2-2", "2x2-3", "2x3-3"])
+    def test_low_rank_pure_product_mixtures_converge(self, na, nb, terms):
+        comp = composite(na, nb)
+        xi = unit_vector_of(comp, pure_product_mixture(generator(72 + terms + nb), na, nb, terms))
+        bound, approx, info = separable_cone_distance(comp, xi, seed=73)
+        assert bound <= 1e-9
+        assert_bracket(bound, approx, info)
+        assert info["terms"] <= (na * nb) ** 2
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+    def test_sampled_ppt_states_converge(self, dims):
+        # PPT = separable in 2x2 and 2x3 (Horodecki 1996); the sampler is feasible
+        # only to tol_feas, so a 1e-6 blend with the identity makes each state PPT
+        comp = composite(*dims)
+        n = comp.shape.dim
+        for d in sample_ppt_densities(generator(74), PptSetSpec(comp.shape), 3):
+            d = (1 - 1e-6) * d + 1e-6 * np.eye(n) / n
+            bound, approx, info = separable_cone_distance(comp, unit_vector_of(comp, d), seed=75)
+            assert bound <= 1e-9
+            assert_bracket(bound, approx, info)
+
+    def test_work_is_bounded_outside_the_cone(self):
+        # 3x3 maximally entangled projector: the bound falls by 6-8% a round toward
+        # its distance 1/sqrt 3, so the stall rule, not the round budget, stops it
+        comp = composite(3, 3)
+        phi = np.zeros(9, dtype=complex)
+        phi[[0, 4, 8]] = 1 / np.sqrt(3)
+        bound, approx, info = separable_cone_distance(comp, comp.joint.vector(np.outer(phi, phi.conj())),
+                                                      iters=500, seed=1)
+        hist = info["history"]
+        assert len(hist) == cones.STALL_ROUNDS + 1
+        assert hist[-1] > 0.5 * hist[0]
+        assert_bracket(bound, approx, info)
+        assert info["lower_bound"] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+
+    def test_max_terms_caps_the_atoms(self, comp22):
+        xi = unit_vector_of(comp22, pure_product_mixture(generator(76), 2, 2, 3))
+        bound, approx, info = separable_cone_distance(comp22, xi, max_terms=1, seed=77)
+        assert info["terms"] == 1 and len(info["history"]) == 1
+        assert not info["converged"]
+        assert_bracket(bound, approx, info)
+
+
+class TestSeparableLowerBound:
+    def test_zero_on_full_rank_ppt_input(self, comp22):
+        mix = hermitize(pure_product_mixture(generator(78), 2, 2, 8) + np.eye(4) / 40)
+        bound, _, info = separable_cone_distance(comp22, unit_vector_of(comp22, mix), seed=79)
+        assert info["lower_bound"] == 0.0
+        assert bound <= 1e-9
+
+    def test_negative_parts_of_state_and_partial_transpose(self, comp22, singlet):
+        # singlet: PSD, and its partial transpose has the single eigenvalue -1/2
+        _, _, info = separable_cone_distance(comp22, comp22.joint.vector(singlet), iters=1)
+        assert info["lower_bound"] == pytest.approx(0.5, abs=1e-12)
+        # -singlet: eigenvalue -1 outweighs the partial transpose's -1/2 (x3); no
+        # atom pairs positively with it, so 0 is the nearest point and the bracket closes
+        bound, _, info = separable_cone_distance(comp22, comp22.joint.vector(-singlet), iters=1)
+        assert bound == pytest.approx(1.0, abs=1e-12) and info["terms"] == 0
+        assert info["lower_bound"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_closed_form_before_any_round(self, comp22, singlet):
+        # both T and T^Gamma have negative parts; with no round the upper bound is
+        # ||T||, so the lower bound is not clipped
+        t = singlet.copy()
+        t[0, 0] -= 0.3
+        neg = [np.linalg.norm(np.minimum(np.linalg.eigvalsh(m), 0.0))
+               for m in (t, partial_transpose(t, comp22.shape, "B"))]
+        bound, _, info = separable_cone_distance(comp22, comp22.joint.vector(t), iters=0)
+        assert bound == pytest.approx(np.linalg.norm(t), abs=1e-15) and info["terms"] == 0
+        assert min(neg) > 0.1 and info["lower_bound"] == pytest.approx(max(neg), abs=1e-12)
+        # with its rounds the bracket closes on this 2x2 input
+        bound, _, info = separable_cone_distance(comp22, comp22.joint.vector(t), seed=1)
+        assert info["lower_bound"] <= bound <= info["lower_bound"] + 1e-9
+
+    def test_never_above_the_upper_bound(self, comp22):
+        rng = generator(80)
+        for _ in range(10):
+            xi = comp22.joint.vector(hermitize(complex_gaussian(rng, 4, 4)))
+            bound, _, info = separable_cone_distance(comp22, unit_vector_of(comp22, xi.mat), iters=20, seed=81)
+            assert 0.0 < info["lower_bound"] <= bound
 
 
 # --- stacked cone layer against per-sample reference loops --------------------
@@ -555,21 +665,21 @@ class TestStackedConeLayer:
 
 class TestSeparableTerms:
     def test_terms_count_the_returned_approximant(self, comp22, monkeypatch):
-        # a 2-term product mixture where the best of three restarts is not the last
+        # each round's jointly polished factors; the returned approximant is one of them
         rng = generator(203)
         mix = sum(kron(random_psd(rng, 2), random_psd(rng, 2)) for _ in range(2))
         xi = comp22.joint.vector(mix / np.linalg.norm(mix))
-        kept = []   # atoms with a nonzero coefficient after each step's refit
+        polished = []
 
-        def recording_nnls(basis, target):
-            coeff, rnorm = nnls(basis, target)
-            kept.append(int(np.sum(coeff > 1e-14)))
-            return coeff, rnorm
+        def recording_polish(factors, target, na):
+            out = real_polish(factors, target, na)
+            polished.append(out)
+            return out
 
-        monkeypatch.setattr(cones, "nnls", recording_nnls)
-        bound, _, info = separable_cone_distance(comp22, xi, iters=30, restarts=3, seed=3)
-        history = info["history"]
-        assert len(kept) == len(history)
-        best_step = history.index(bound)
-        assert kept[-1] != kept[best_step]
-        assert info["terms"] == kept[best_step]
+        real_polish = cones._polish
+        monkeypatch.setattr(cones, "_polish", recording_polish)
+        bound, approx, info = separable_cone_distance(comp22, xi, iters=30, seed=3)
+        assert len(polished) >= len(info["history"])
+        returned = [f for f in polished if np.array_equal(cones._product_sum(f, 2), approx.mat)]
+        assert returned and info["terms"] == len(returned[-1])
+        assert np.linalg.matrix_rank(approx.mat, tol=1e-9) <= info["terms"]

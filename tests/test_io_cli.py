@@ -103,6 +103,22 @@ class TestRunCommand:
         code, report = run_command(cfg)
         assert code == 0 and report["body"]["results"]["ppt"] is False
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+    def test_construct_separable_bracket_closes(self, dims):
+        # PPT = separable in 2x2 and 2x3, so the bracket closes on the PPT cone vector
+        code, report = run_command(RunConfig(command="construct", dims=dims, seed=1))
+        results = report["body"]["results"]
+        assert code == 0 and results["xi_inside"]
+        assert 0.0 <= results["separable_lower_bound"] <= results["separable_bound"] <= 1e-9
+        assert not results["candidate_ppt_not_separable"]
+
+    def test_construct_3x3_reports_a_bracket(self):
+        code, report = run_command(RunConfig(command="construct", dims=(3, 3), seed=1))
+        results = report["body"]["results"]
+        assert code == 0
+        assert 0.0 <= results["separable_lower_bound"] <= results["separable_bound"]
+        assert 1 <= results["separable_terms"] <= 81
+
 
 class TestCliMain:
     def test_exit_zero_on_pass(self, capsys):

@@ -11,10 +11,8 @@ from modular_ppt.linalg import (
     hermitize,
     kron,
     mat_sqrt_psd,
-    partial_trace,
     partial_transpose,
     psd_check,
-    schur_positivity,
 )
 from modular_ppt.optim import PptSetSpec
 from modular_ppt.rand import complex_gaussian, generator, random_psd
@@ -74,14 +72,6 @@ def test_kron_matrix_unit_bookkeeping(i, j, k, l):
     assert np.array_equal(out, expected)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(-20, 20), min_size=4, max_size=4))
-def test_schur_positivity_diagonal_oracle(tenths):
-    entries = [t / 10 for t in tenths]
-    m = np.diag(entries).astype(complex)
-    assert schur_positivity(m, 2, eps=1e-8) == (min(entries) >= 0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 4))
 def test_partial_transpose_spectrum_invariant(da, db):
@@ -132,25 +122,6 @@ class TestPartialTranspose:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             partial_transpose(np.eye(5), BipartiteShape(2, 2))
-
-
-class TestPartialTrace:
-    def test_product_factorization(self, rng):
-        sa, sb = random_psd(rng, 2), random_psd(rng, 3)
-        out = partial_trace(kron(sa, sb), BipartiteShape(2, 3), "A")
-        assert np.allclose(out, sa * np.trace(sb))
-
-    def test_phi_plus_marginal(self, phi_plus, shape22):
-        out = partial_trace(phi_plus, shape22, "A")
-        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
-
-    def test_identity(self, shape22):
-        out = partial_trace(np.eye(4) / 4, shape22, "B")
-        assert np.allclose(out, np.eye(2) / 2)
-
-    def test_trace_preserved(self, rng, shape22):
-        m = complex_gaussian(rng, 4, 4)
-        assert abs(np.trace(partial_trace(m, shape22, "B")) - np.trace(m)) <= 1e-12
 
 
 class TestHermEig:
@@ -223,27 +194,3 @@ class TestMatSqrtPsd:
     def test_rejects_negative(self):
         with pytest.raises(ContractError):
             mat_sqrt_psd(np.diag([1.0, -1.0]))
-
-
-class TestSchurPositivity:
-    def test_identity(self):
-        assert schur_positivity(np.eye(4), 2)
-
-    def test_indefinite(self):
-        assert not schur_positivity(np.diag([1.0, 1.0, 1.0, -1.0]), 2)
-
-    def test_bad_partition(self):
-        with pytest.raises(ShapeError):
-            schur_positivity(np.eye(4), 3)
-
-    @pytest.mark.parametrize("blocks,block_dim", [(2, 2), (2, 3), (3, 3)])
-    def test_agrees_with_spectral_oracle(self, rng, blocks, block_dim):
-        eps = 1e-8
-        dim = blocks * block_dim
-        for k in range(200):
-            if k % 2 == 0:
-                m = hermitize(complex_gaussian(rng, dim, dim))
-            else:
-                m = random_psd(rng, dim) * dim
-            ok, _ = psd_check(m, tol=10 * eps)
-            assert schur_positivity(m, block_dim, eps=eps) == ok
