@@ -1,7 +1,7 @@
 """Dense complex-matrix kernel.
 
 Everything downstream (modular operators, cones, the PPT solver) reduces to
-the routines here: Kronecker products, the partial transpose over a fixed
+the routines here: Kronecker products, partial transpose/trace over a fixed
 product basis, a deterministic Hermitian eigendecomposition, PSD
 projections and PSD square roots.
 
@@ -148,6 +148,17 @@ def _partial_transpose(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B
     else:
         raise ShapeError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     return out.reshape(m.shape)
+
+
+def partial_trace(m, shape: BipartiteShape, keep: str = "A") -> np.ndarray:
+    m = require_bipartite(m, shape)
+    na, nb = shape.dim_a, shape.dim_b
+    t = m.reshape(na, nb, na, nb)
+    if keep == "A":
+        return np.einsum("ikjk->ij", t)
+    if keep == "B":
+        return np.einsum("kikj->ij", t)
+    raise ShapeError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:

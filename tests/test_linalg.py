@@ -11,6 +11,7 @@ from modular_ppt.linalg import (
     hermitize,
     kron,
     mat_sqrt_psd,
+    partial_trace,
     partial_transpose,
     psd_check,
 )
@@ -122,6 +123,25 @@ class TestPartialTranspose:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             partial_transpose(np.eye(5), BipartiteShape(2, 2))
+
+
+class TestPartialTrace:
+    def test_product_factorization(self, rng):
+        sa, sb = random_psd(rng, 2), random_psd(rng, 3)
+        out = partial_trace(kron(sa, sb), BipartiteShape(2, 3), "A")
+        assert np.allclose(out, sa * np.trace(sb))
+
+    def test_phi_plus_marginal(self, phi_plus, shape22):
+        out = partial_trace(phi_plus, shape22, "A")
+        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
+
+    def test_identity(self, shape22):
+        out = partial_trace(np.eye(4) / 4, shape22, "B")
+        assert np.allclose(out, np.eye(2) / 2)
+
+    def test_trace_preserved(self, rng, shape22):
+        m = complex_gaussian(rng, 4, 4)
+        assert abs(np.trace(partial_trace(m, shape22, "B")) - np.trace(m)) <= 1e-12
 
 
 class TestHermEig:
