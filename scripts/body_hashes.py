@@ -36,20 +36,15 @@ CONFIGS = (
     ("minimize", "--in", "choi_map.json", "--dims", "3x3"),
 )
 
-# the 2x2 swap, and the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map
+# the 2x2 swap, and the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
 # Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3
 WRITE_INPUTS = (
-    "import numpy as np\n"
-    "from modular_ppt.choi import MapTable, choi_from_map, transposition_map_table\n"
+    "from modular_ppt.choi import choi_from_map, generalized_choi_map, transposition_map_table\n"
     "from modular_ppt.io import save_matrix\n"
     "from modular_ppt.linalg import BipartiteShape\n"
     "save_matrix(choi_from_map(transposition_map_table(2)), 'swap.json', kind='hermitian',"
     " shape=BipartiteShape(2, 2))\n"
-    "blocks = np.zeros((3, 3, 3, 3), dtype=complex)\n"
-    "for i in range(3):\n"
-    "    blocks[i, i] = np.diag(np.roll(np.eye(3)[i], 1) + 2 * np.eye(3)[i])\n"
-    "    blocks[i, :, i] -= np.eye(3)\n"
-    "save_matrix(choi_from_map(MapTable(3, 3, blocks)), 'choi_map.json', kind='hermitian',"
+    "save_matrix(choi_from_map(generalized_choi_map(2, 0, 1)), 'choi_map.json', kind='hermitian',"
     " shape=BipartiteShape(3, 3))\n"
 )
 

@@ -4,8 +4,13 @@ S_H : B(H) -> B(K), via S_H(E_xy) = V_x^* H V_y (V_x z = x (x) z).
 The block table {B_ij = S_H(E_ij)} and H = sum_ij E_ij (x) B_ij are exact
 inverses (pure reindexing, bit-exact).  A map is decomposable (CP + CP
 composed with transposition) exactly when its operator pairs nonnegatively
-with every PPT state; the pairing is made executable through the solvers
-in ``optim``.
+with every PPT state.  ``dual_pairing_test`` decides that pairing from the
+certified bracket of ``optim.min_trace_over_ppt``: it hands back either the
+decomposition H = h1 + h2^Gamma read off the solver's dual, or a PPT state
+that pairs negatively with H, or says that the bracket left it undecided.
+Its sampling route (Dykstra-sampled PPT states) can only exhibit negative
+pairings.  The generalized Choi maps of Cho, Kye & Lee (1992), whose
+positivity and decomposability are known in closed form, pin both sides.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .linalg import (
 )
 from .optim import PptSetSpec, min_trace_over_ppt, sample_ppt_densities
 from .rand import generator, random_product_density, random_psd
+
+VERDICT_TOL = 1e-10  # dual_pairing_test's optimizer verdicts: lower bound >= -tol, or value < -tol
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,25 @@ def transposition_map_table(n: int) -> MapTable:
     return MapTable(n, n, blocks)
 
 
+def generalized_choi_map(a: float, b: float, c: float) -> MapTable:
+    """Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X on M_3 (Cho, Kye & Lee 1992).
+
+    Phi[a,b,c] is positive iff a >= 1, a + b + c >= 3 and, for 1 <= a <= 2,
+    bc >= (2 - a)^2; it is decomposable iff a >= 1 and, for 1 <= a <= 3,
+    bc >= ((3 - a)/2)^2.  The Choi map is Phi[2,0,1]: positive, not
+    decomposable.
+    """
+    coef = np.array([a, b, c], dtype=float)
+    if not np.all(np.isfinite(coef)):
+        raise ContractError(f"Choi map coefficients must be finite, got {(a, b, c)}")
+    i = np.arange(3)
+    blocks = np.zeros((3, 3, 3, 3), dtype=complex)
+    blocks[i[:, None], i[:, None], i, i] = coef[(i[:, None] - i) % 3]  # Phi(E_ii)_kk = coef[(i - k) % 3]
+    blocks[i[:, None], i, i[:, None], i] -= 1.0  # the - X term: -E_ij in Phi(E_ij)
+    return MapTable(3, 3, blocks)
+
+
 def random_decomposable(shape: BipartiteShape, seed: int = 0) -> DecomposableWitness:
     """Random CP + CP∘transpose witness, h_i = G_i G_i^dagger normalized."""
     rng = generator(seed)
@@ -118,31 +144,52 @@ def random_decomposable(shape: BipartiteShape, seed: int = 0) -> DecomposableWit
 def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 0,
                       optimizer: bool = False, opt_iters: int = 300,
                       opt_restarts: int = 2) -> dict:
-    """min Tr(D h) over sampled PPT states, optionally over the solver.
+    """Does h pair nonnegatively with every PPT state, i.e. is S_h decomposable?
 
-    A negative pairing exhibits a PPT state D with Tr(D h) < 0, so h is
-    outside the dual cone of the PPT states and S_h is not decomposable;
-    decomposable inputs must stay >= -1e-8.  With ``optimizer`` the report
-    also carries the solver's certified bracket (``optimizer_value``,
-    ``optimizer_lower_bound``, ``optimizer_gap``; see
-    ``min_trace_over_ppt``, whose ``opt_restarts`` starts run as one
-    stack): a lower bound >= 0 certifies that h pairs nonnegatively with
-    every PPT state, which is the decomposable side of the duality.
+    Sampling route (default): ``min_sampled_pairing`` (also ``min_pairing``)
+    is min Tr(D h) over ``samples`` Dykstra-sampled PPT states.  A negative
+    value exhibits a PPT state with Tr(D h) < 0, so S_h is not decomposable;
+    decomposable inputs must stay >= -1e-8, but no value proves it.
+
+    Optimizer route (``optimizer``): the verdict comes from the certified
+    bracket of ``min_trace_over_ppt`` alone (``opt_restarts`` starts run as
+    one stack); no state is sampled, ``samples`` is not read and the report
+    reads ``samples: 0``.  ``min_pairing`` is ``optimizer_value``, next to
+    ``optimizer_lower_bound`` and ``optimizer_gap``.  ``verdict`` is
+
+    - "decomposable" when the lower bound s >= -VERDICT_TOL.  ``decomposition``
+      is DecomposableWitness(h1 = h - Q^Gamma, h2 = Q^T) from the solver's
+      PSD dual Q: h1 = P + s I with P PSD, and (Q^T)^{Gamma_A} = Q^{Gamma_B},
+      so its ``.h`` reproduces h;
+    - "not_decomposable" when the value < -VERDICT_TOL.  ``ppt_state`` is the
+      solver's minimizer D, a PPT state with Tr(D h) < 0;
+    - "undecided" otherwise: the gap did not close within ``opt_iters``.
+
+    The one of ``decomposition`` and ``ppt_state`` that the verdict does not
+    name is None.
     """
     h = require_hermitian(require_bipartite(h, shape))
-    rng = generator(seed)
     spec = PptSetSpec(shape)
-    best = np.inf
-    for d in sample_ppt_densities(rng, spec, samples):
-        best = min(best, float(np.trace(d @ h).real))
-    report = {"min_sampled_pairing": best, "samples": samples, "optimizer_used": optimizer}
-    if optimizer:
-        value, _, trace = min_trace_over_ppt(h, spec, iters=opt_iters, restarts=opt_restarts, seed=seed)
-        report["optimizer_value"] = float(value)
-        report["optimizer_lower_bound"] = trace.lower_bound
-        report["optimizer_gap"] = trace.gap
-        best = min(best, float(value))
-    report["min_pairing"] = float(best)
+    if not optimizer:
+        rng = generator(seed)
+        best = np.inf
+        for d in sample_ppt_densities(rng, spec, samples):
+            best = min(best, float(np.trace(d @ h).real))
+        return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
+                "min_pairing": float(best)}
+    value, minimizer, trace = min_trace_over_ppt(h, spec, iters=opt_iters, restarts=opt_restarts, seed=seed)
+    report = {"samples": 0, "optimizer_used": True, "optimizer_value": float(value),
+              "optimizer_lower_bound": trace.lower_bound, "optimizer_gap": trace.gap,
+              "min_pairing": float(value), "verdict": "undecided", "decomposition": None,
+              "ppt_state": None}
+    if trace.lower_bound >= -VERDICT_TOL:
+        q = trace.dual
+        report["verdict"] = "decomposable"
+        report["decomposition"] = DecomposableWitness(
+            h1=h - _partial_transpose(q, shape, "B"), h2=q.T, shape=shape)
+    elif value < -VERDICT_TOL:
+        report["verdict"] = "not_decomposable"
+        report["ppt_state"] = minimizer
     return report
 
 
@@ -232,7 +279,12 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     (a) transposition has non-PSD operator (positive but not CP);
     (b) random CP maps pass the block-positivity test on PPT inputs;
     (c) separable states (product mixtures) are always PPT;
-    (d) the singlet is not PPT.
+    (d) the singlet is not PPT;
+    (e) the 3x3 Choi map Phi[2,0,1] is positive but not decomposable.  Its
+        positivity rests on the Cho-Kye-Lee theorem, not on sampling; the
+        optimizer route of ``dual_pairing_test`` certifies a PPT state D with
+        Tr(D C) < 0, which is therefore entangled (the bracket and verdict
+        are reported).
     """
     rng = generator(seed)
     n = shape.dim_a
@@ -258,10 +310,20 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
         "separable_min_gamma_eig": float(min_sep_gamma),
         "singlet_gamma_min_eig": singlet_gamma_min,
     }
+    choi_map = dual_pairing_test(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3),
+                                 seed=seed, optimizer=True)
+    report.update({
+        "choi_map_value": choi_map["optimizer_value"],
+        "choi_map_lower_bound": choi_map["optimizer_lower_bound"],
+        "choi_map_verdict": choi_map["verdict"],
+        "choi_map_positivity": "Cho-Kye-Lee theorem: Phi[a,b,c] with a >= 1, a + b + c >= 3 "
+                               "and bc >= (2 - a)^2 for a <= 2 is positive; not sampled",
+    })
     report["passed"] = bool(
         swap_eigs[0] < -0.5
         and block["min_output_eigenvalue"] >= -1e-8
         and min_sep_gamma >= -1e-10
         and singlet_gamma_min < -0.4
+        and choi_map["verdict"] == "not_decomposable"
     )
     return report

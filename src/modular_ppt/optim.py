@@ -96,6 +96,9 @@ class SolveTrace:
     snap_distance: float = 0.0
     lower_bound: float | None = None  # certified bracket of min_trace_over_ppt
     gap: float | None = None
+    # min_trace_over_ppt's PSD dual Q = -rho U, kept from the check that set
+    # lower_bound: h - Q^Gamma - (lower_bound / target) I is PSD
+    dual: np.ndarray | None = None
 
 
 def feasibility_residual(d: np.ndarray, spec: PptSetSpec) -> float:
@@ -262,7 +265,9 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     >= target * lambda_min(h - Q^Gamma).  The value is the least upper
     bound, ``trace.lower_bound`` the greatest lower bound, and the loop stops
     once their gap is below GAP_TOL * target * ||h||_F (``trace.converged``)
-    or after ``iters`` iterations.
+    or after ``iters`` iterations.  ``trace.dual`` is the Q of the greatest
+    lower bound, so h = (h - Q^Gamma) + Q^Gamma is the decomposition that
+    bound certifies.
 
     ``restarts`` is the number of ADMM starts, run as one stack: start 0
     at (target/n) I, the others at random densities from stream 17 of
@@ -275,7 +280,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     center = np.eye(n, dtype=complex) * (target / n)
     nrm = float(np.linalg.norm(h))
     if nrm == 0:
-        return 0.0, center, SolveTrace(step_rule="admm", lower_bound=0.0, gap=0.0)
+        return 0.0, center, SolveTrace(step_rule="admm", lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _partial_transpose(m, spec.shape, "B")
@@ -286,7 +291,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     x_gamma = y = pt(x)
     u = np.zeros_like(x)
     rho = np.full(restarts, nrm / target)
-    upper, lower, minimizer = np.inf, -np.inf, center
+    upper, lower, minimizer, q = np.inf, -np.inf, center, np.zeros_like(h)
     for it in range(iters + 1):
         if it:
             y_prev = y
@@ -304,7 +309,10 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
         best = int(np.argmin(values))
         if values[best] < upper:
             upper, minimizer = float(values[best]), d[best]
-        lower = max(lower, float(target * np.linalg.eigvalsh(h + rho[:, None, None] * pt(u))[:, 0].max()))
+        bounds = target * np.linalg.eigvalsh(h + rho[:, None, None] * pt(u))[:, 0]
+        top = int(np.argmax(bounds))
+        if bounds[top] > lower:
+            lower, q = float(bounds[top]), -rho[top] * u[top]
         if upper - lower <= GAP_TOL * target * nrm:
             break
         if it:
@@ -323,6 +331,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
         converged=bool(gap <= GAP_TOL * target * nrm),
         lower_bound=lower,
         gap=gap,
+        dual=q,
     )
     return upper, minimizer, trace
 

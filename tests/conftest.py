@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modular_ppt.choi import choi_from_map, generalized_choi_map
 from modular_ppt.linalg import BipartiteShape
 
 
@@ -39,13 +40,6 @@ def swap22():
 
 @pytest.fixture
 def choi_map():
-    """Operator sum_ij E_ij (x) Phi(E_ij) of the Choi map on M_3,
+    """Operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1] on M_3,
     Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X (Choi 1975)."""
-    op = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3))
-            e[i, j] = 1.0
-            op[3 * i:3 * i + 3, 3 * j:3 * j + 3] = np.diag(
-                [2 * e[0, 0] + e[2, 2], 2 * e[1, 1] + e[0, 0], 2 * e[2, 2] + e[1, 1]]) - e
-    return op
+    return choi_from_map(generalized_choi_map(2, 0, 1))

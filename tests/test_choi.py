@@ -7,6 +7,7 @@ from modular_ppt.choi import (
     apply_map,
     choi_from_map,
     dual_pairing_test,
+    generalized_choi_map,
     hierarchy_report,
     identity_map_table,
     lemma_fi_functional,
@@ -16,7 +17,8 @@ from modular_ppt.choi import (
     transposition_map_table,
 )
 from modular_ppt.errors import ContractError, ShapeError
-from modular_ppt.linalg import BipartiteShape, hermitize
+from modular_ppt import optim
+from modular_ppt.linalg import BipartiteShape, hermitize, partial_transpose
 from modular_ppt.optim import PptSetSpec, min_trace_over_ppt, sample_ppt_density
 from modular_ppt.rand import complex_gaussian, generator, random_psd, random_unit_vector
 
@@ -123,16 +125,119 @@ class TestDecomposable:
 
     def test_decomposable_forward_direction_dense_sampling(self, shape22):
         w = random_decomposable(shape22, seed=77)
-        report = dual_pairing_test(w.h, shape22, samples=500, seed=78, optimizer=True,
-                                   opt_iters=200, opt_restarts=2)
+        report = dual_pairing_test(w.h, shape22, samples=500, seed=78)
         assert report["min_pairing"] >= -1e-8
         # the certified lower bound shows the pairing is nonnegative on every PPT state
+        report = dual_pairing_test(w.h, shape22, seed=78, optimizer=True, opt_iters=200, opt_restarts=2)
+        assert report["verdict"] == "decomposable"
         assert report["optimizer_lower_bound"] >= -1e-6
 
     def test_non_psd_parts_rejected(self, shape22):
         with pytest.raises(ContractError):
             DecomposableWitness(h1=np.diag([1.0, -1.0, 0.0, 0.0]),
                                 h2=np.zeros((4, 4)), shape=shape22)
+
+
+class TestPairingVerdicts:
+    """The optimizer route of dual_pairing_test decides from the certified
+    bracket alone and hands back what certifies the verdict."""
+
+    @staticmethod
+    def assert_reproduces(report, h):
+        assert report["verdict"] == "decomposable" and report["ppt_state"] is None
+        witness = report["decomposition"]
+        assert isinstance(witness, DecomposableWitness)  # h1 and h2 checked PSD on construction
+        assert np.linalg.norm(witness.h - h) <= 1e-10 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_decomposition_round_trip(self, dims):
+        shape = BipartiteShape(*dims)
+        for seed in range(4):
+            h = random_decomposable(shape, seed=seed).h
+            self.assert_reproduces(dual_pairing_test(h, shape, seed=seed, optimizer=True), h)
+
+    def test_swap_decomposition_round_trip(self, swap22, shape22):
+        self.assert_reproduces(dual_pairing_test(swap22, shape22, optimizer=True), swap22)
+
+    def test_swap_without_iterations_is_undecided(self, swap22, shape22):
+        report = dual_pairing_test(swap22, shape22, optimizer=True, opt_iters=0)
+        assert report["verdict"] == "undecided"
+        assert report["optimizer_value"] == pytest.approx(0.5, abs=1e-12)
+        assert report["optimizer_lower_bound"] == pytest.approx(-1.0, abs=1e-12)
+        assert report["decomposition"] is None and report["ppt_state"] is None
+
+    def test_optimizer_route_draws_no_sample(self, monkeypatch, choi_map, shape22):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dual_pairing_test projected with Dykstra")
+        monkeypatch.setattr(optim, "_dykstra", forbidden)
+        h = random_decomposable(shape22, seed=5).h
+        for op, shape in ((h, shape22), (choi_map, BipartiteShape(3, 3))):
+            report = dual_pairing_test(op, shape, samples=200, optimizer=True)
+            assert report["samples"] == 0 and "min_sampled_pairing" not in report
+            assert report["min_pairing"] == report["optimizer_value"]
+        with pytest.raises(AssertionError, match="Dykstra"):
+            dual_pairing_test(h, shape22, samples=1)
+
+    def test_sampling_route_gives_no_verdict(self, shape22):
+        report = dual_pairing_test(np.eye(4), shape22, samples=5, seed=1)
+        assert report["samples"] == 5 and report["min_pairing"] == report["min_sampled_pairing"]
+        assert "verdict" not in report and "optimizer_value" not in report
+
+
+# (a, b, c) with a in [1, 3], b, c in [0, 2], a + b + c >= 3 and |bc - ((3 - a)/2)^2| >= 0.02,
+# drawn with default_rng(1992) at two decimals, the first 20 of each closed-form class
+CHO_KYE_LEE_DECOMPOSABLE = (
+    (2.51, 0.63, 0.71), (2.56, 1.72, 0.42), (2.8, 1.85, 1.25), (2.01, 1.92, 1.2),
+    (1.12, 1.34, 1.47), (1.58, 0.88, 1.86), (1.79, 0.72, 0.66), (1.86, 1.55, 0.44),
+    (2.24, 1.84, 1.15), (1.92, 1.93, 1.8), (2.06, 0.81, 1.75), (1.65, 1.14, 0.98),
+    (2.2, 1.24, 1.7), (2.58, 2.0, 1.59), (2.68, 0.44, 1.1), (2.24, 0.24, 1.58),
+    (2.96, 0.19, 0.63), (1.19, 1.27, 1.8), (1.82, 0.59, 0.82), (1.51, 1.89, 0.62),
+)
+CHO_KYE_LEE_INDECOMPOSABLE = (
+    (1.76, 0.14, 1.41), (2.25, 0.07, 1.67), (1.24, 1.99, 0.33), (1.73, 0.19, 1.11),
+    (1.52, 1.55, 0.08), (1.94, 1.0, 0.24), (1.81, 0.79, 0.41), (1.45, 0.25, 1.7),
+    (2.43, 0.54, 0.11), (1.19, 0.46, 1.53), (1.12, 0.24, 1.78), (1.51, 1.6, 0.33),
+    (1.05, 0.39, 1.66), (1.4, 0.0, 1.67), (1.98, 0.03, 1.09), (2.07, 0.09, 1.84),
+    (1.33, 1.73, 0.38), (1.66, 0.27, 1.09), (1.49, 1.9, 0.03), (1.12, 1.92, 0.09),
+)
+
+
+class TestGeneralizedChoiMaps:
+    """Phi[a,b,c] (Cho, Kye & Lee 1992): decomposable iff a >= 3 or
+    bc >= ((3 - a)/2)^2 on a in [1, 3]."""
+
+    @pytest.mark.parametrize("abc", [(2, 0, 1), (1.3, 0.7, 2.1), (0.0, -1.0, 3.5)])
+    def test_map_formula(self, abc, rng):
+        a, b, c = abc
+        x = complex_gaussian(rng, 3, 3)
+        d = np.diag(x)
+        expected = np.diag([a * d[0] + b * d[1] + c * d[2], c * d[0] + a * d[1] + b * d[2],
+                            b * d[0] + c * d[1] + a * d[2]]) - x
+        assert np.max(np.abs(apply_map(generalized_choi_map(a, b, c), x) - expected)) <= 1e-14
+
+    def test_non_finite_coefficients_rejected(self):
+        with pytest.raises(ContractError):
+            generalized_choi_map(2.0, np.nan, 1.0)
+
+    def test_pinned_triples_are_away_from_the_boundary(self):
+        for triples, decomposable in ((CHO_KYE_LEE_DECOMPOSABLE, True), (CHO_KYE_LEE_INDECOMPOSABLE, False)):
+            for a, b, c in triples:
+                assert 1 <= a <= 3 and 0 <= b <= 2 and 0 <= c <= 2 and a + b + c >= 3
+                boundary = ((3 - a) / 2) ** 2
+                assert abs(b * c - boundary) >= 0.02
+                assert (a >= 3 or b * c >= boundary) == decomposable
+
+    def test_verdict_matches_closed_form(self):
+        shape = BipartiteShape(3, 3)
+        wrong = []
+        for triples, expected in ((CHO_KYE_LEE_DECOMPOSABLE, "decomposable"),
+                                  (CHO_KYE_LEE_INDECOMPOSABLE, "not_decomposable")):
+            for abc in triples:
+                report = dual_pairing_test(choi_from_map(generalized_choi_map(*abc)), shape, optimizer=True)
+                if report["verdict"] != expected:
+                    wrong.append((abc, report["verdict"], report["optimizer_lower_bound"],
+                                  report["optimizer_value"]))
+        assert not wrong
 
 
 class TestChoiMap:
@@ -145,6 +250,16 @@ class TestChoiMap:
         assert trace.gap <= 1e-6 and value < 0
         assert trace.lower_bound <= -0.15470053838 <= value
         assert np.trace(minimizer @ choi_map).real < 0
+
+    def test_verdict_hands_back_a_negative_ppt_state(self, choi_map):
+        shape = BipartiteShape(3, 3)
+        report = dual_pairing_test(choi_map, shape, optimizer=True)
+        assert report["verdict"] == "not_decomposable" and report["decomposition"] is None
+        d = report["ppt_state"]
+        assert np.linalg.eigvalsh(d)[0] >= -1e-12
+        assert np.linalg.eigvalsh(hermitize(partial_transpose(d, shape)))[0] >= -1e-12
+        assert np.trace(d).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(d @ choi_map).real < 0
 
     def test_pairing_report_shows_indecomposability(self, choi_map):
         report = dual_pairing_test(choi_map, BipartiteShape(3, 3), samples=20, seed=3, optimizer=True)
