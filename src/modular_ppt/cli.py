@@ -32,12 +32,6 @@ from .io import load_matrix, report_body_text, save_report
 from .linalg import BipartiteShape, hermitize, partial_transpose, require_density
 from .rand import complex_gaussian, generator, random_faithful_density
 
-COMMANDS = (
-    "gns-verify", "cone-check", "choi", "ppt-check", "minimize",
-    "construct", "anticomm", "experiment", "hierarchy",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -235,7 +229,7 @@ def run_anticomm(cfg: RunConfig) -> tuple[dict, bool]:
     return body, bool(body["passed"])
 
 
-def run_experiment(cfg: RunConfig) -> tuple[dict, bool]:
+def run_experiment(cfg: RunConfig) -> tuple[dict, bool, dict]:
     shape = _bipartite(cfg)
     rep = constructions.sqrt_ppt_experiment(shape, samples=cfg.samples, seed=cfg.seed)
     body = {
@@ -247,7 +241,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, bool]:
         "partial_transpose_probe": rep.partial_transpose_probe,
         "passed": rep.control_failures == 0,
     }
-    return body, bool(body["passed"])
+    return body, bool(body["passed"]), rep.dykstra
 
 
 def run_hierarchy(cfg: RunConfig) -> tuple[dict, bool]:
@@ -270,16 +264,17 @@ RUNNERS = {
 
 
 def run_command(cfg: RunConfig) -> tuple[int, dict]:
-    """Execute one command; returns (exit code, full report)."""
+    """Execute one command; returns (exit code, full report).  A runner returns
+    (results, passed) and may add a dict of solver counters for the timing."""
     if cfg.command not in RUNNERS:
         raise ContractError(f"unknown command {cfg.command!r}")
     started = time.time()
-    results, passed = RUNNERS[cfg.command](cfg)
+    results, passed, *counters = RUNNERS[cfg.command](cfg)
     body = {"command": cfg.command, "config": cfg.echo(), "results": results,
             "passed": bool(passed)}
     if not passed:
         body["failure"] = _name_failure(results)
-    report = {"body": body, "timing": {"seconds": time.time() - started}}
+    report = {"body": body, "timing": {"seconds": time.time() - started, **dict(*counters)}}
     if cfg.out_path:
         save_report(report, cfg.out_path)
     return (0 if passed else 1), report
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modular-ppt",
         description="PPT-state toolkit: modular cone geometry, map duality, PPT solvers.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--in", dest="in_path", help="input matrix file (JSON)")
     parser.add_argument("--out", dest="out_path", help="report output path")
     parser.add_argument("--dims", help="N for one system, NxM for a bipartite one")

@@ -19,8 +19,10 @@ sample gives the same bits as when processed alone.  ``duality_check`` and
 ``u_maps_cones`` draw all their samples first, in the order of a
 sample-by-sample loop, and process them as one stack; ``_lmo_product_atom``
 alternates all its random starts as one stack, and a start leaves it at
-the round where it settles.  The public functions check beta and the
-Delta-power range once per call.
+the round where it settles; ``build_composite`` checks its sampled pairs as
+one stack, and ``density_of`` and ``one_otimes_ub`` also take a vector whose
+matrix is a stack.  The public functions check beta and the Delta-power
+range once per call.
 
 The separable (product) cone is bracketed by ``separable_cone_distance``:
 greedy product atoms, each round refitting all atoms jointly by nonlinear
@@ -45,13 +47,13 @@ from .gns import (
     _delta_power,
     _flip,
     _inner,
-    apply_delta_power,
     apply_jm,
     apply_u,
     build_gns,
 )
 from .linalg import (
     BipartiteShape,
+    _kron,
     _mat_sqrt_psd,
     _norms,
     _partial_transpose,
@@ -220,7 +222,7 @@ def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0
 
 def density_of(xi: GnsVector) -> np.ndarray:
     """The density matrix of the vector state omega_xi: mat(xi) mat(xi)^dagger."""
-    return xi.mat @ xi.mat.conj().T
+    return xi.mat @ xi.mat.conj().swapaxes(-1, -2)
 
 
 def state_to_cone_vector(ctx: GnsContext, sigma) -> GnsVector:
@@ -272,33 +274,32 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, check_samples: int = 5
         shape=BipartiteShape(ctx_a.dim, ctx_b.dim),
     )
     rng = generator(seed)
-    worst = 0.0
-    for _ in range(check_samples):
-        ma = complex_gaussian(rng, ctx_a.dim, ctx_a.dim)
-        mb = complex_gaussian(rng, ctx_b.dim, ctx_b.dim)
-        xa, xb = GnsVector(ma, ctx_a), GnsVector(mb, ctx_b)
-        xi = GnsVector(np.kron(ma, mb), joint)
-        jm_joint = apply_jm(joint, xi).mat
-        jm_factored = np.kron(apply_jm(ctx_a, xa).mat, apply_jm(ctx_b, xb).mat)
-        d_joint = apply_delta_power(joint, 1.0, xi).mat
-        d_factored = np.kron(apply_delta_power(ctx_a, 1.0, xa).mat, apply_delta_power(ctx_b, 1.0, xb).mat)
-        for joint_image, factored in ((jm_joint, jm_factored), (d_joint, d_factored)):
-            scale = np.max(np.abs(joint_image))
-            worst = max(worst, float(np.max(np.abs(joint_image - factored)) / scale))
+    ma = np.empty((check_samples, ctx_a.dim, ctx_a.dim), dtype=complex)
+    mb = np.empty((check_samples, ctx_b.dim, ctx_b.dim), dtype=complex)
+    for i in range(check_samples):
+        ma[i], mb[i] = complex_gaussian(rng, ctx_a.dim, ctx_a.dim), complex_gaussian(rng, ctx_b.dim, ctx_b.dim)
+    for ctx in (joint, ctx_a, ctx_b):
+        _check_delta_power(ctx, 1.0)
+    xi = _kron(ma, mb)
+    joint_images = np.stack([apply_jm(joint, GnsVector(xi, joint)).mat, _delta_power(joint, 1.0, xi)])
+    factored = np.stack([_kron(ma.conj().swapaxes(-1, -2), mb.conj().swapaxes(-1, -2)),
+                         _kron(_delta_power(ctx_a, 1.0, ma), _delta_power(ctx_b, 1.0, mb))])
+    worst = float(np.max(np.max(np.abs(joint_images - factored), axis=(-2, -1))
+                         / np.max(np.abs(joint_images), axis=(-2, -1)), initial=0.0))
     if worst > 1e-10:
         raise ConsistencyError(f"composite factorization residual {worst:.3e} > 1e-10 (relative)")
     return comp
 
 
 def one_otimes_ub(comp: CompositeGnsContext, xi: GnsVector) -> GnsVector:
-    """(1 (x) U_B) on the joint GNS space: m -> K_B m^T K_B^dagger on each B block."""
+    """(1 (x) U_B) on the joint GNS space, also on a stack: m -> K_B m^T K_B^dagger on each B block."""
     if xi.ctx is not comp.joint:
         raise ContractError("vector does not belong to the joint GNS context")
     na, nb = comp.shape.dim_a, comp.shape.dim_b
     kb = comp.ctx_b.kernel
-    t = xi.mat.reshape(na, nb, na, nb).transpose(0, 2, 3, 1)
-    out = (kb @ t @ kb.conj().T).transpose(0, 2, 1, 3)
-    return GnsVector(out.reshape(na * nb, na * nb), comp.joint)
+    t = xi.mat.reshape(xi.mat.shape[:-2] + (na, nb, na, nb)).swapaxes(-3, -2).swapaxes(-2, -1)
+    out = (kb @ t @ kb.conj().T).swapaxes(-3, -2)
+    return GnsVector(out.reshape(xi.mat.shape), comp.joint)
 
 
 def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,

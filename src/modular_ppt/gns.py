@@ -18,7 +18,8 @@ kernel (``_delta_power``, ``_flip``, ``_inner``) that takes a matrix or a
 stack of shape (k, n, n) and acts on each matrix of it, with the same bits
 as on the matrix alone.  The public ``apply_delta_power``, ``apply_u``,
 ``transpose_operator`` and ``inner`` check their inputs once and call them;
-``_check_delta_power`` is the Delta-power overflow check.
+``_check_delta_power`` is the Delta-power overflow check.  ``apply_jm`` and
+``apply_u`` also take a vector whose matrix is a stack.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def apply_jm(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """Modular conjugation: a rho^{1/2} -> rho^{1/2} a^dagger, i.e. the adjoint."""
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
-    return GnsVector(xi.mat.conj().T, ctx)
+    return GnsVector(xi.mat.conj().swapaxes(-1, -2), ctx)
 
 
 def apply_j(ctx: GnsContext, xi: GnsVector) -> GnsVector:

@@ -11,9 +11,11 @@ Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
 unchecked kernel of the same name with a leading underscore.  Package code
 working on arrays it made itself calls the kernels directly.
-``hermitize`` and the kernels ``_partial_transpose`` and ``_project_psd``
-also take a stack of shape (k, n, n) and act on each matrix of it;
+``hermitize`` and the kernels ``_partial_transpose``, ``_project_psd``,
+``_mat_sqrt_psd`` and ``_kron`` also take a stack of shape (k, n, n) and
+act on each matrix of it, with the same bits as on the matrix alone;
 ``_norms`` gives the norm of each matrix or vector of a stack.
+``_project_psd`` takes an exactly Hermitian input; ``project_psd`` hermitizes.
 The product basis convention throughout: e_i (x) f_j sits at index
 i * dim_b + j.
 """
@@ -133,6 +135,12 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, or of each pair of two stacks, as one broadcast product."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (p * r, q * s))
+
+
 def partial_transpose(m, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:
     """Transpose one tensor factor of a bipartite operator, blockwise."""
     return _partial_transpose(require_bipartite(m, shape), shape, subsystem)
@@ -244,19 +252,18 @@ def mat_sqrt_psd(m, tol: float = TOL_PSD) -> np.ndarray:
 
 def _mat_sqrt_psd(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
-    if vals[0] < -tol:
-        raise ContractError(f"matrix is not PSD: eigenvalue {vals[0]:.3e} < -{tol:.1e}")
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ vecs.conj().T
+    if np.any(vals[..., 0] < -tol):
+        raise ContractError(f"matrix is not PSD: eigenvalue {np.min(vals[..., 0]):.3e} < -{tol:.1e}")
+    return _spectral(vecs, np.sqrt(np.clip(vals, 0.0, None)))
 
 
 def project_psd(m) -> np.ndarray:
     """Frobenius-nearest PSD matrix (clamp negative eigenvalues)."""
-    return _project_psd(require_hermitian(m))
+    return _project_psd(hermitize(require_hermitian(m)))
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(hermitize(m))
+    vals, vecs = np.linalg.eigh(m)
     return _spectral(vecs, np.clip(vals, 0.0, None))
 
 

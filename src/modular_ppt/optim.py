@@ -21,6 +21,12 @@ one.  Every sample keeps its own stopping rules and its own
 ``project_ppt`` and ``sample_ppt_density`` project a stack of one,
 ``sample_ppt_densities`` projects its samples in stacks of SAMPLE_CHUNK,
 and ``min_trace_over_ppt`` runs all its ADMM starts as one stack.
+
+Dykstra's iterates are exactly Hermitian: after the input is hermitized,
+each is a sum or difference of Hermitian matrices, a partial transpose of
+one, or one plus a real diagonal shift.  Only the outputs of the two PSD
+projections (spectral products) are hermitized; ``feasibility_residual``
+hermitizes at the public boundary.
 """
 
 from __future__ import annotations
@@ -102,17 +108,13 @@ class SolveTrace:
 
 
 def feasibility_residual(d: np.ndarray, spec: PptSetSpec) -> float:
-    return float(_residuals(d[None], spec)[0])
+    return float(_residuals(hermitize(d)[None], spec)[0])
 
 
 def _residuals(x: np.ndarray, spec: PptSetSpec) -> np.ndarray:
-    """Feasibility residual of each matrix of a stack."""
-    gamma = _partial_transpose(x, spec.shape, "B")
-    return np.maximum.reduce([
-        -np.linalg.eigvalsh(hermitize(x))[:, 0],
-        -np.linalg.eigvalsh(hermitize(gamma))[:, 0],
-        np.abs(_trace(x) - spec.trace_target),
-    ])
+    """Feasibility residual of each matrix of an exactly Hermitian stack, from one eigvalsh call."""
+    least = np.linalg.eigvalsh(np.concatenate([x, _partial_transpose(x, spec.shape, "B")]))[:, 0]
+    return np.maximum.reduce([-least[:len(x)], -least[len(x):], np.abs(_trace(x) - spec.trace_target)])
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -128,8 +130,6 @@ def _interior_snap(x: np.ndarray, residual: float, spec: PptSetSpec) -> tuple[np
     """
     n = x.shape[0]
     center = spec.trace_target / n
-    if center <= 0:
-        return x, 0.0
     lam = min(1.0, 1.1 * residual / (residual + center))
     snapped = (1 - lam) * x + lam * center * np.eye(n)
     return snapped, float(np.linalg.norm(snapped - x))
@@ -164,13 +164,16 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
     n = x.shape[-1]
     eye = np.eye(n)
 
+    def proj_psd(y: np.ndarray) -> np.ndarray:
+        return hermitize(_project_psd(y))
+
     def proj_gamma_psd(y: np.ndarray) -> np.ndarray:
-        return _partial_transpose(_project_psd(_partial_transpose(y, spec.shape, "B")), spec.shape, "B")
+        return hermitize(_partial_transpose(_project_psd(_partial_transpose(y, spec.shape, "B")), spec.shape, "B"))
 
     def proj_trace(y: np.ndarray) -> np.ndarray:
         return y + ((spec.trace_target - _trace(y)) / n)[:, None, None] * eye
 
-    projectors = (_project_psd, proj_gamma_psd, proj_trace)
+    projectors = (proj_psd, proj_gamma_psd, proj_trace)
     out = np.empty_like(x)
     traces = [SolveTrace(step_rule="dykstra") for _ in range(len(x))]
     final = np.empty(len(x))
@@ -182,7 +185,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
         prev = x
         for k, proj in enumerate(projectors):
             shifted = x + incr[k]
-            x = hermitize(proj(shifted))
+            x = proj(shifted)
             incr[k] = shifted - x
         residual = _residuals(x, spec)
         done = residual <= spec.tol_feas
@@ -215,33 +218,37 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
     return out, traces
 
 
-def _seedling(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray:
-    """Trace-target Hermitian matrix in a random direction."""
+def _seedlings(rng: np.random.Generator, spec: PptSetSpec, k: int) -> np.ndarray:
+    """A stack of k trace-target Hermitian matrices in random directions."""
     n = spec.shape.dim
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    seedling = hermitize(g)
-    seedling /= np.linalg.norm(seedling)
-    seedling += (spec.trace_target - np.trace(seedling).real) / n * np.eye(n)
-    return seedling
+    seedlings = hermitize(complex_gaussians(rng, k, n, n))
+    seedlings /= _norms(seedlings)[:, None, None]
+    seedlings += ((spec.trace_target - _trace(seedlings)) / n)[:, None, None] * np.eye(n)
+    return seedlings
 
 
 def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray:
     """Random PPT state: Dykstra projection of a trace-one Hermitian sample."""
-    out, _ = project_ppt(_seedling(rng, spec), spec)
+    out, _ = project_ppt(_seedlings(rng, spec, 1)[0], spec)
     return out
 
 
 def sample_ppt_densities(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[np.ndarray]:
     """Yield the k states that k calls to ``sample_ppt_density`` return.
 
-    Seedlings are drawn from ``rng`` in the same order and projected as one
-    stack, SAMPLE_CHUNK at a time, so memory is bounded for any k.  Each
-    chunk is drawn when iteration reaches it: draw nothing else from
-    ``rng`` while iterating.
+    Seedlings are drawn from ``rng`` in the same order, SAMPLE_CHUNK at a
+    time, and each chunk is projected as one stack, so memory is bounded
+    for any k.  Each chunk is drawn when iteration reaches it: draw nothing
+    else from ``rng`` while iterating.
     """
+    for states, _ in _sample_stacks(rng, spec, k):
+        yield from states
+
+
+def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[tuple[np.ndarray, list]]:
+    """The states of ``sample_ppt_densities`` as (stack, traces) pairs, one per chunk."""
     for start in range(0, k, SAMPLE_CHUNK):
-        seedlings = np.stack([_seedling(rng, spec) for _ in range(min(SAMPLE_CHUNK, k - start))])
-        yield from _dykstra(seedlings, spec)[0]
+        yield _dykstra(_seedlings(rng, spec, min(SAMPLE_CHUNK, k - start)), spec)
 
 
 def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5,

@@ -27,14 +27,6 @@ def complex_gaussians(rng: np.random.Generator, count: int, rows: int, cols: int
     return z[:, 0] + 1j * z[:, 1]
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, norm: float | None = 1.0) -> np.ndarray:
-    g = complex_gaussian(rng, dim, dim)
-    h = (g + g.conj().T) / 2
-    if norm is not None:
-        h = h * (norm / max(np.linalg.norm(h), 1e-300))
-    return h
-
-
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """Wishart-style PSD sample G G^dagger, normalized to unit trace."""
     return _unit_trace_gram(complex_gaussian(rng, dim, rank or dim))

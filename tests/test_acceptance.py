@@ -1,7 +1,7 @@
 """Acceptance suite.
 
-One test per criterion, each printing a [PASS]/[FAIL] line (visible with
-pytest -s or via scripts/run_acceptance.py).  Tolerances are pinned here
+One test per criterion, each printing a [PASS]/[FAIL] line, visible with
+``python -m pytest -s tests/test_acceptance.py``.  Tolerances are pinned here
 and nowhere else; every expected value is either trivial, derived from an
 independent oracle in-line, or cross-checked against a frozen closed form.
 """

@@ -225,13 +225,47 @@ class TestComposite:
         ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (3, 3))
         build_composite(ca, cb)
 
-        def perturbed(ctx, beta, xi):
-            out = apply_delta_power(ctx, beta, xi)
-            return gns.GnsVector(out.mat * (1 + 1e-8), ctx) if ctx is ca else out
+        def perturbed(ctx, beta, mats):
+            out = gns._delta_power(ctx, beta, mats)
+            return out * (1 + 1e-8) if ctx is ca else out
 
-        monkeypatch.setattr(cones, "apply_delta_power", perturbed)
+        monkeypatch.setattr(cones, "_delta_power", perturbed)
         with pytest.raises(ConsistencyError, match="composite factorization residual"):
             build_composite(ca, cb)
+
+    def test_factorization_check_catches_relative_error_in_jm(self, monkeypatch):
+        rng = generator(67)
+        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (2, 3))
+        build_composite(ca, cb)
+
+        def perturbed(ctx, xi):
+            return gns.GnsVector(gns.apply_jm(ctx, xi).mat * (1 + 1e-8), ctx)
+
+        monkeypatch.setattr(cones, "apply_jm", perturbed)
+        with pytest.raises(ConsistencyError, match="composite factorization residual"):
+            build_composite(ca, cb)
+
+    def test_delta_overflow_is_checked_once_per_context(self, monkeypatch):
+        rng = generator(70)
+        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (2, 3))
+        with pytest.raises(ConditioningError):
+            build_composite(ca, dataclasses.replace(cb, log_ratio=cb.log_ratio * 1e4))
+        checks = []
+        monkeypatch.setattr(cones, "_check_delta_power", lambda ctx, beta: checks.append((ctx, beta)))
+        comp = build_composite(ca, cb)
+        assert checks == [(comp.joint, 1.0), (ca, 1.0), (cb, 1.0)]
+
+    @shapes
+    def test_one_otimes_ub_and_density_of_act_on_each_vector_of_a_stack(self, dims):
+        comp = composite(*dims)
+        rng = generator(69)
+        stack = np.stack([complex_gaussian(rng, comp.joint.dim, comp.joint.dim) for _ in range(4)])
+        flipped = one_otimes_ub(comp, gns.GnsVector(stack, comp.joint))
+        states = density_of(flipped)
+        for m, out, state in zip(stack, flipped.mat, states):
+            alone = one_otimes_ub(comp, comp.joint.vector(m))
+            assert np.array_equal(out, alone.mat)
+            assert np.array_equal(state, density_of(alone))
 
     @shapes
     def test_one_otimes_ub_involution(self, dims):

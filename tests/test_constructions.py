@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,11 @@ from modular_ppt.constructions import (
     sqrt_ppt_experiment,
     verify_anticommutator_ppt,
 )
+from modular_ppt import optim
 from modular_ppt.cones import build_composite
 from modular_ppt.errors import ContractError
-from modular_ppt.gns import build_gns
-from modular_ppt.linalg import BipartiteShape, kron
+from modular_ppt.gns import apply_u, build_gns, transpose_operator
+from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
 from modular_ppt.rand import generator, random_faithful_density
 
 KINDS = ("product", "block_diag", "herm_offdiag", "antiherm_offdiag")
@@ -150,3 +153,92 @@ class TestSqrtExperiment:
         report = sqrt_ppt_experiment(BipartiteShape(2, 2), samples=10, seed=411)
         probe = report.partial_transpose_probe
         assert probe["max_residual"] >= probe["min_residual"] >= 0.0
+
+
+def _reference_experiment(shape, samples, seed):
+    """The square-root experiment one sample at a time, as it ran before its
+    stacked form: each state projected alone, each probe on one matrix."""
+    rng = generator(seed)
+    ctx_a = build_gns(random_faithful_density(rng, shape.dim_a))
+    ctx_b = build_gns(random_faithful_density(rng, shape.dim_b))
+    comp = build_composite(ctx_a, ctx_b)
+    joint = comp.joint
+    na, nb = shape.dim_a, shape.dim_b
+    kb = comp.ctx_b.kernel
+    eigen_b = np.kron(np.eye(na), kb)
+    spec = optim.PptSetSpec(shape)
+
+    def sqrt_psd(m):
+        vals, vecs = np.linalg.eigh(hermitize(m))
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+    def one_otimes_ub(m):
+        t = m.reshape(na, nb, na, nb).transpose(0, 2, 3, 1)
+        return (kb @ t @ kb.conj().T).transpose(0, 2, 1, 3).reshape(na * nb, na * nb)
+
+    counts = {"ppt_and_sqrt_ppt": 0, "ppt_and_sqrt_npt": 0, "input_not_ppt": 0}
+    counterexamples, traces = [], []
+    control_failures, max_control = 0, 0.0
+    pt_max, pt_min, pt_matches = 0.0, np.inf, 0
+    for _ in range(samples):
+        n = shape.dim
+        seedling = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        seedling /= np.linalg.norm(seedling)
+        seedling += (spec.trace_target - np.trace(seedling).real) / n * np.eye(n)
+        d_raw, trace = optim.project_ppt(seedling, spec)
+        traces.append(trace)
+        vals, vecs = np.linalg.eigh(hermitize(d_raw))
+        d = (vecs * np.clip(vals, 0.0, None)[None, :]) @ vecs.conj().T
+        d = d / np.trace(d).real
+        d_gamma = partial_transpose(d, shape, "B")
+        if float(np.linalg.eigvalsh(hermitize(d_gamma))[0]) < -1e-7:
+            counts["input_not_ppt"] += 1
+            continue
+        root = sqrt_psd(d)
+        root_gamma_min = float(np.linalg.eigvalsh(hermitize(partial_transpose(root, shape, "B")))[0])
+        if root_gamma_min >= -1e-9:
+            counts["ppt_and_sqrt_ppt"] += 1
+        else:
+            counts["ppt_and_sqrt_npt"] += 1
+            if len(counterexamples) < 10:
+                counterexamples.append({"d_re": d.real.tolist(), "d_im": d.imag.tolist(),
+                                        "sqrt_gamma_min_eig": root_gamma_min})
+        flipped = apply_u(joint, joint.vector(root)).mat
+        control = float(np.max(np.abs(flipped @ flipped.conj().T - transpose_operator(joint, d))))
+        max_control = max(max_control, control)
+        control_failures += control > 1e-10
+        zeta = one_otimes_ub(root)
+        probe = float(np.max(np.abs(zeta @ zeta.conj().T - eigen_b @ d_gamma @ eigen_b.conj().T)))
+        pt_max, pt_min = max(pt_max, probe), min(pt_min, probe)
+        pt_matches += probe <= 1e-9
+    sweeps = sorted(t.iterates for t in traces)
+    return {
+        "samples": samples, "dims": shape, "seed": seed, "counts": counts,
+        "counterexamples": counterexamples, "control_failures": control_failures,
+        "max_control_residual": max_control,
+        "partial_transpose_probe": {"max_residual": pt_max, "min_residual": pt_min if pt_min < np.inf else 0.0,
+                                    "matches_at_1e-9": pt_matches},
+        "dykstra": {"dykstra_sweeps": sum(sweeps), "dykstra_sweeps_p90": sweeps[-(-9 * len(sweeps) // 10) - 1],
+                    "dykstra_snaps": sum(t.snapped for t in traces),
+                    "dykstra_unconverged": sum(not t.converged for t in traces)},
+    }
+
+
+class TestStackedSqrtExperiment:
+    """The stacked experiment reports what the per-sample loop reports, float for float."""
+
+    @pytest.mark.parametrize("dims,samples,seed", [
+        ((2, 2), 40, 0),   # 3 counterexamples
+        ((2, 3), 40, 1),   # 1 counterexample
+        ((3, 3), 80, 0),   # 9 counterexamples
+        ((2, 2), optim.SAMPLE_CHUNK + 44, 3),  # two sampler chunks, 14 counterexamples: the first 10 are kept
+    ])
+    def test_fields_equal_the_per_sample_loop(self, dims, samples, seed):
+        shape = BipartiteShape(*dims)
+        report = dataclasses.asdict(sqrt_ppt_experiment(shape, samples=samples, seed=seed))
+        reference = _reference_experiment(shape, samples, seed)
+        report["dims"] = shape  # asdict flattens the shape
+        assert set(report) == set(reference)
+        for key, expected in reference.items():
+            assert report[key] == expected, key
+        assert report["counts"]["ppt_and_sqrt_npt"] > 0

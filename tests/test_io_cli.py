@@ -96,6 +96,16 @@ class TestRunCommand:
         assert saved["body"]["command"] == "choi"
         assert "timing" in saved
 
+    def test_experiment_timing_tallies_the_sampler(self):
+        code, report = run_command(RunConfig(command="experiment", dims=(2, 2), samples=20))
+        timing = report["timing"]
+        assert set(timing) == {"seconds", "dykstra_sweeps", "dykstra_sweeps_p90", "dykstra_snaps",
+                               "dykstra_unconverged"}
+        # every sample takes at least one sweep; the sampler converges without snaps here
+        assert timing["dykstra_sweeps"] >= 20 and timing["dykstra_sweeps_p90"] >= 1
+        assert timing["dykstra_snaps"] == timing["dykstra_unconverged"] == 0
+        assert not any(key.startswith("dykstra") for key in report["body"]["results"])
+
     def test_shape_read_from_file(self, tmp_path, singlet):
         path = str(tmp_path / "singlet.json")
         save_matrix(singlet, path, kind="density", shape=BipartiteShape(2, 2))

@@ -243,14 +243,14 @@ class TestStackedDykstra:
     def test_stack_equals_one_by_one(self, dims):
         spec = PptSetSpec(BipartiteShape(*dims))
         rng = generator(300 + dims[0] * dims[1])
-        stack = np.stack([optim._seedling(rng, spec) for _ in range(50)])
+        stack = optim._seedlings(rng, spec, 50)
         traces = self.assert_matches_one_by_one(stack, spec)
         assert len({t.iterates for t in traces}) > 1  # samples left the stack at different sweeps
 
     def test_converged_and_snapped_samples_in_one_stack(self):
         spec = PptSetSpec(BipartiteShape(2, 2), max_iters=5)
         rng = generator(310)
-        stack = np.stack([optim._seedling(rng, spec) for _ in range(50)])
+        stack = optim._seedlings(rng, spec, 50)
         traces = self.assert_matches_one_by_one(stack, spec)
         snapped = [t.snapped for t in traces]
         assert any(snapped) and not all(snapped)
@@ -266,6 +266,109 @@ class TestStackedDykstra:
         assert all(np.array_equal(a, b) for a, b in zip(stacked, single))
         # both generators are left in the same state
         assert np.array_equal(stacked_rng.integers(0, 2**62, 8), single_rng.integers(0, 2**62, 8))
+
+
+def _reference_dykstra(m, spec):
+    """The Dykstra loop as it ran with a hermitize after every step and in
+    every residual, kept to pin the lean sweep's bits."""
+    def residuals(x):
+        return np.maximum.reduce([
+            -np.linalg.eigvalsh(hermitize(x))[:, 0],
+            -np.linalg.eigvalsh(hermitize(optim._partial_transpose(x, spec.shape, "B")))[:, 0],
+            np.abs(optim._trace(x) - spec.trace_target),
+        ])
+
+    def proj_psd(y):
+        vals, vecs = np.linalg.eigh(hermitize(y))
+        return optim._spectral(vecs, np.clip(vals, 0.0, None))
+
+    def proj_gamma_psd(y):
+        return optim._partial_transpose(proj_psd(optim._partial_transpose(y, spec.shape, "B")), spec.shape, "B")
+
+    def proj_trace(y):
+        return y + ((spec.trace_target - optim._trace(y)) / n)[:, None, None] * np.eye(n)
+
+    x = hermitize(m)
+    n = x.shape[-1]
+    projectors = (proj_psd, proj_gamma_psd, proj_trace)
+    out = np.empty_like(x)
+    traces = [optim.SolveTrace(step_rule="dykstra") for _ in range(len(x))]
+    final = np.empty(len(x))
+    live = np.arange(len(x))
+    incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
+    checkpoint = np.full(len(x), np.inf)
+    stall = np.zeros(len(x), dtype=int)
+    for sweep in range(1, spec.max_iters + 1):
+        prev = x
+        for k, proj in enumerate(projectors):
+            shifted = x + incr[k]
+            x = hermitize(proj(shifted))
+            incr[k] = shifted - x
+        residual = residuals(x)
+        done = residual <= spec.tol_feas
+        if sweep % 100 == 0:
+            if sweep >= 200:
+                done |= residual > 0.5 * checkpoint
+            checkpoint = residual
+        stall = np.where(np.max(np.abs(x - prev), axis=(1, 2)) < 1e-12, stall + 1, 0)
+        done |= stall >= 50
+        if sweep == spec.max_iters:
+            done[:] = True
+        if done.any():
+            finished = live[done]
+            for i in finished:
+                traces[i].iterates = sweep
+            out[finished] = x[done]
+            final[finished] = residual[done]
+            keep = ~done
+            live, x, incr = live[keep], x[keep], incr[:, keep]
+            checkpoint, stall = checkpoint[keep], stall[keep]
+            if not live.size:
+                break
+    for i in np.flatnonzero(final > spec.tol_feas):
+        out[i], traces[i].snap_distance = optim._interior_snap(out[i], final[i], spec)
+        final[i] = residuals(out[i][None])[0]
+        traces[i].snapped = True
+    for trace, residual in zip(traces, final):
+        trace.feasibility_residual = float(residual)
+        trace.converged = bool(residual <= spec.tol_feas)
+    return out, traces
+
+
+def _reference_seedling(rng, spec):
+    """One sampler seedling, drawn and normalized on its own."""
+    n = spec.shape.dim
+    seedling = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    seedling /= np.linalg.norm(seedling)
+    seedling += (spec.trace_target - np.trace(seedling).real) / n * np.eye(n)
+    return seedling
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_seedling_stack_equals_single_draws(dims):
+    spec = PptSetSpec(BipartiteShape(*dims))
+    stacked_rng, single_rng = generator(330), generator(330)
+    stack = optim._seedlings(stacked_rng, spec, 30)
+    assert all(np.array_equal(s, _reference_seedling(single_rng, spec)) for s in stack)
+    assert np.array_equal(stacked_rng.integers(0, 2**62, 8), single_rng.integers(0, 2**62, 8))
+
+
+class TestLeanDykstraSweep:
+    """Dropping the hermitize calls that act on exactly Hermitian iterates changes no bit."""
+
+    @pytest.mark.parametrize("dims,max_iters", [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5)])
+    def test_same_bits_as_the_hermitizing_sweep(self, dims, max_iters):
+        spec = PptSetSpec(BipartiteShape(*dims), max_iters=max_iters)
+        rng = generator(320 + dims[0] * dims[1])
+        stack = np.concatenate([optim._seedlings(rng, spec, 40)]
+                               + [hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))[None]
+                                  for _ in range(10)])
+        out, traces = optim._dykstra(stack, spec)
+        expected, expected_traces = _reference_dykstra(stack, spec)
+        assert np.array_equal(out, expected)
+        assert traces == expected_traces
+        if max_iters == 5:
+            assert any(t.snapped for t in traces) and not all(t.snapped for t in traces)
 
 
 class TestStackedRestarts:
