@@ -28,9 +28,10 @@ CONFIGS = (
     ("construct", "--dims", "2x3"),
     ("construct", "--dims", "3x3"),
     ("hierarchy", "--dims", "2x2"),
+    ("hierarchy", "--dims", "2x3"),
     ("choi", "--dims", "2x2"),
     *(("cone-check", "--dims", d) for d in ("2", "3", "6")),
-    ("gns-verify", "--dims", "4"),
+    *(("gns-verify", "--dims", d) for d in ("2", "4", "9")),
     ("minimize", "--in", "swap.json", "--dims", "2x2"),
     ("minimize", "--in", "swap.json", "--dims", "2x2", "--iters", "300"),
     ("minimize", "--in", "choi_map.json", "--dims", "3x3"),

@@ -9,8 +9,12 @@ certified bracket of ``optim.min_trace_over_ppt``: it hands back either the
 decomposition H = h1 + h2^Gamma read off the solver's dual, or a PPT state
 that pairs negatively with H, or says that the bracket left it undecided.
 Its sampling route (Dykstra-sampled PPT states) can only exhibit negative
-pairings.  The generalized Choi maps of Cho, Kye & Lee (1992), whose
-positivity and decomposability are known in closed form, pin both sides.
+pairings.  That route and ``stormer_block_test`` take each chunk of
+``optim._sample_stacks`` as one stack (one product and one spectrum call
+per chunk), and the positivity report of ``lemma_fi_functional`` draws its
+PSD samples as one stack.  The generalized Choi maps of Cho, Kye & Lee
+(1992), whose positivity and decomposability are known in closed form, pin
+both sides.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-from .optim import PptSetSpec, min_trace_over_ppt, sample_ppt_densities
-from .rand import generator, random_product_density, random_psd
+from .optim import PptSetSpec, _sample_stacks, min_trace_over_ppt
+from .rand import _unit_trace_gram, complex_gaussians, generator, random_product_density, random_psd
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's optimizer verdicts: lower bound >= -tol, or value < -tol
 
@@ -99,18 +103,16 @@ def apply_map(t: MapTable, a) -> np.ndarray:
 
 
 def identity_map_table(n: int) -> MapTable:
+    i = np.arange(n)
     blocks = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            blocks[i, j, i, j] = 1.0
+    blocks[i[:, None], i, i[:, None], i] = 1.0  # E_ij -> E_ij
     return MapTable(n, n, blocks)
 
 
 def transposition_map_table(n: int) -> MapTable:
+    i = np.arange(n)
     blocks = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            blocks[i, j, j, i] = 1.0
+    blocks[i[:, None], i, i, i[:, None]] = 1.0  # E_ij -> E_ji
     return MapTable(n, n, blocks)
 
 
@@ -173,8 +175,8 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     if not optimizer:
         rng = generator(seed)
         best = np.inf
-        for d in sample_ppt_densities(rng, spec, samples):
-            best = min(best, float(np.trace(d @ h).real))
+        for d, _ in _sample_stacks(rng, spec, samples):
+            best = min(best, float(np.min(np.trace(d @ h, axis1=-2, axis2=-1).real)))
         return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
                 "min_pairing": float(best)}
     value, minimizer, trace = min_trace_over_ppt(h, spec, iters=opt_iters, restarts=opt_restarts, seed=seed)
@@ -207,10 +209,10 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     # inputs sampled one decade tighter than the -1e-8 output verdict
     in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
     min_eig = np.inf
-    for a in sample_ppt_densities(rng, in_spec, samples):
-        out = np.einsum("sirj,ijkl->skrl", a.reshape(k, n, k, n), t.blocks)
-        w = np.linalg.eigvalsh(hermitize(out.reshape(k * m, k * m)))
-        min_eig = min(min_eig, float(w[0]))
+    for a, _ in _sample_stacks(rng, in_spec, samples):
+        out = np.einsum("xsirj,ijkl->xskrl", a.reshape(-1, k, n, k, n), t.blocks)
+        w = np.linalg.eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))
+        min_eig = min(min_eig, float(np.min(w[:, 0])))
     return {"k": k, "samples": samples, "min_output_eigenvalue": float(min_eig),
             "passed": bool(min_eig >= -1e-8)}
 
@@ -256,14 +258,9 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list,
 
 def _check_functional_positivity(psi: np.ndarray, shape: BipartiteShape,
                                  samples: int, seed: int) -> dict:
-    rng = generator(seed)
-    worst = np.inf
-    worst_tau = np.inf
-    for _ in range(samples):
-        c = random_psd(rng, shape.dim)
-        worst = min(worst, float(np.trace(psi @ c).real))
-        c_tau = _partial_transpose(c, shape, "A")
-        worst_tau = min(worst_tau, float(np.trace(psi @ c_tau).real))
+    c = _unit_trace_gram(complex_gaussians(generator(seed), samples, shape.dim, shape.dim))
+    worst, worst_tau = (float(np.min(np.trace(psi @ x, axis1=-2, axis2=-1).real, initial=np.inf))
+                        for x in (c, _partial_transpose(c, shape, "A")))
     defect = herm_defect(psi)
     return {
         "min_functional_value": float(worst),

@@ -29,8 +29,8 @@ import numpy as np
 from . import choi, cones, constructions, gns, optim
 from .errors import ConditioningError, ConsistencyError, ContractError, DimensionLimitError, ShapeError
 from .io import load_matrix, report_body_text, save_report
-from .linalg import BipartiteShape, hermitize, partial_transpose, require_density
-from .rand import complex_gaussian, generator, random_faithful_density
+from .linalg import BipartiteShape, _norms, hermitize, partial_transpose, require_density
+from .rand import complex_gaussian, complex_gaussians, generator, random_faithful_density
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -88,19 +88,16 @@ def run_gns_verify(cfg: RunConfig) -> tuple[dict, bool]:
     ctx = _context_for(cfg, _single_dim(cfg))
     report = gns.verify_modular_identities(ctx, samples=cfg.samples, seed=cfg.seed)
     rng = generator(cfg.seed, stream=1)
-    polar = 0.0
-    transp = 0.0
-    for _ in range(cfg.samples):
-        a = complex_gaussian(rng, ctx.dim, ctx.dim)
-        a /= np.linalg.norm(a)
-        xi = ctx.vector_for_operator(a)
-        polar = max(polar, float(np.max(np.abs(
-            gns.apply_tau(ctx, xi).mat
-            - gns.apply_u(ctx, gns.apply_delta_power(ctx, 0.5, xi)).mat))))
-        zeta = ctx.vector(complex_gaussian(rng, ctx.dim, ctx.dim))
-        lhs = gns.transpose_operator(ctx, a) @ zeta.mat
-        rhs = gns.apply_j(ctx, ctx.vector(a.conj().T @ gns.apply_j(ctx, zeta).mat)).mat
-        transp = max(transp, float(np.max(np.abs(lhs - rhs))))
+    n = ctx.dim
+    draws = complex_gaussians(rng, 2 * cfg.samples, n, n).reshape(cfg.samples, 2, n, n)
+    a = draws[:, 0] / _norms(draws[:, 0])[:, None, None]
+    zeta = gns.GnsVector(draws[:, 1], ctx)
+    xi = gns.GnsVector(a @ ctx.sqrt_rho, ctx)
+    polar = float(np.max(np.abs(
+        gns.apply_tau(ctx, xi).mat - gns.apply_u(ctx, gns.apply_delta_power(ctx, 0.5, xi)).mat)))
+    lhs = gns._flip(ctx, a) @ zeta.mat
+    rhs = gns.apply_j(ctx, gns.GnsVector(a.conj().swapaxes(-1, -2) @ gns.apply_j(ctx, zeta).mat, ctx)).mat
+    transp = float(np.max(np.abs(lhs - rhs)))
     report["polar_decomposition"] = polar
     report["operator_transpose_via_j"] = transp
     passed = report["passed"] and polar <= 1e-10 and transp <= 1e-10
@@ -320,6 +317,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             tol[key] = float(val)
         except ValueError:
             raise ContractError(f"--tol {key} expects a number, got {val!r}") from None
+    if args.samples < 1:
+        raise ContractError(f"--samples must be >= 1, got {args.samples}")
     dims = _parse_dims(args.dims) if args.dims else None
     return RunConfig(
         command=args.command, seed=args.seed, dims=dims, samples=args.samples,

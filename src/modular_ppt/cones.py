@@ -21,8 +21,10 @@ sample-by-sample loop, and process them as one stack; ``_lmo_product_atom``
 alternates all its random starts as one stack, and a start leaves it at
 the round where it settles; ``build_composite`` checks its sampled pairs as
 one stack, and ``density_of`` and ``one_otimes_ub`` also take a vector whose
-matrix is a stack.  The public functions check beta and the Delta-power
-range once per call.
+matrix is a stack.  ``commutant_cone_check`` draws its factors in the same
+order and checks them as one stack: ``_natural_cone_generator`` and
+``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
+The public functions check beta and the Delta-power range once per call.
 
 The separable (product) cone is bracketed by ``separable_cone_distance``:
 greedy product atoms, each round refitting all atoms jointly by nonlinear
@@ -343,13 +345,14 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
     )
 
 
-def _natural_cone_generator(comp: CompositeGnsContext, ops_a, ops_b) -> np.ndarray:
-    """(sum a_k (x) b_k) j_m(sum a_l (x) b_l) Omega  =  T rho^{1/2} T^dagger."""
-    t_op = sum(np.kron(a, b) for a, b in zip(ops_a, ops_b))
-    return t_op @ comp.joint.sqrt_rho @ t_op.conj().T
+def _natural_cone_generator(comp: CompositeGnsContext, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """(sum a_k (x) b_k) j_m(sum a_l (x) b_l) Omega  =  T rho^{1/2} T^dagger,
+    for (samples, terms, ., .) stacks of the factors a_k and b_k."""
+    t_op = _kron(ops_a, ops_b).sum(axis=1)
+    return t_op @ comp.joint.sqrt_rho @ t_op.conj().swapaxes(-1, -2)
 
 
-def _commutant_cone_generator(comp: CompositeGnsContext, ops_a, ops_b) -> np.ndarray:
+def _commutant_cone_generator(comp: CompositeGnsContext, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
     """Same expression with each b_k replaced by alpha(b_k) = U_B b_k U_B.
 
     alpha(b) is right multiplication by c = b^t (transpose in rho_B's
@@ -357,10 +360,10 @@ def _commutant_cone_generator(comp: CompositeGnsContext, ops_a, ops_b) -> np.nda
     sum_k (a_k (x) 1) [sum_l (a_l (x) 1) Omega (1 (x) c_l)]^dagger (1 (x) c_k).
     """
     na, nb = comp.shape.dim_a, comp.shape.dim_b
-    lefts = [np.kron(a, np.eye(nb)) for a in ops_a]
-    rights = [np.kron(np.eye(na), gns_mod.transpose_operator(comp.ctx_b, b)) for b in ops_b]
-    half = sum(left @ comp.joint.sqrt_rho @ right for left, right in zip(lefts, rights))
-    return sum(left @ half.conj().T @ right for left, right in zip(lefts, rights))
+    lefts = _kron(ops_a, np.eye(nb))
+    rights = _kron(np.eye(na), _flip(comp.ctx_b, ops_b))
+    half = (lefts @ comp.joint.sqrt_rho @ rights).sum(axis=1)
+    return (lefts @ half[:, None].conj().swapaxes(-1, -2) @ rights).sum(axis=1)
 
 
 def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int = 0,
@@ -371,28 +374,28 @@ def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int
     (1 (x) U_B)[(Σ a_k (x) b_k) j_m(Σ a_l (x) b_l) Ω]
         = (Σ a_k (x) α(b_k)) j_m(Σ a_l (x) α(b_l)) Ω,
     then cross-pairs samples of the two cones, which must be nonnegative
-    by self-duality.
+    by self-duality.  The samples are drawn in the order of a
+    sample-by-sample loop (the ``terms`` a_k, then the ``terms`` b_k) and
+    checked as one stack; the cross pairings take samples^2 products.
     """
     if samples < 1:
         raise ContractError("samples must be >= 1")
+    if terms < 1:
+        raise ContractError("terms must be >= 1")
     rng = generator(seed)
     na, nb = comp.ctx_a.dim, comp.ctx_b.dim
-    worst_residual = 0.0
-    flipped_p: list[np.ndarray] = []
-    commutant_gen: list[np.ndarray] = []
-    for _ in range(samples):
-        ops_a = [complex_gaussian(rng, na, na) / np.sqrt(na) for _ in range(terms)]
-        ops_b = [complex_gaussian(rng, nb, nb) / np.sqrt(nb) for _ in range(terms)]
-        plain = _natural_cone_generator(comp, ops_a, ops_b)
-        lhs = one_otimes_ub(comp, GnsVector(plain, comp.joint)).mat
-        rhs = _commutant_cone_generator(comp, ops_a, ops_b)
-        worst_residual = max(worst_residual, float(np.max(np.abs(lhs - rhs))))
-        flipped_p.append(lhs / np.linalg.norm(lhs))
-        commutant_gen.append(rhs / np.linalg.norm(rhs))
-    min_pairing = np.inf
-    for x in flipped_p:
-        for y in commutant_gen:
-            min_pairing = min(min_pairing, np.trace(x.conj().T @ y).real)
+    cut = 2 * terms * na * na  # each sample draws its a_k, then its b_k
+    z = rng.standard_normal((samples, cut + 2 * terms * nb * nb))
+    z_a = z[:, :cut].reshape(samples, terms, 2, na, na)
+    z_b = z[:, cut:].reshape(samples, terms, 2, nb, nb)
+    ops_a = (z_a[:, :, 0] + 1j * z_a[:, :, 1]) / np.sqrt(na)
+    ops_b = (z_b[:, :, 0] + 1j * z_b[:, :, 1]) / np.sqrt(nb)
+    lhs = one_otimes_ub(comp, GnsVector(_natural_cone_generator(comp, ops_a, ops_b), comp.joint)).mat
+    rhs = _commutant_cone_generator(comp, ops_a, ops_b)
+    worst_residual = float(np.max(np.abs(lhs - rhs)))
+    flipped_p = lhs / _norms(lhs)[:, None, None]
+    commutant_gen = rhs / _norms(rhs)[:, None, None]
+    min_pairing = np.min(_inner(flipped_p[:, None], commutant_gen[None, :]).real)
     return {
         "generator_identity_residual": worst_residual,
         "min_cross_pairing": float(min_pairing),

@@ -136,9 +136,11 @@ def kron(a, b) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, or of each pair of two stacks, as one broadcast product."""
+    """Kronecker product of two matrices, or of each pair of two stacks (a
+    matrix pairs with every entry of a stack), as one broadcast product."""
     (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (p * r, q * s))
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
 def partial_transpose(m, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:

@@ -19,8 +19,8 @@ independent problems of shape (k, n, n); a single matrix is a stack of
 one.  Every sample keeps its own stopping rules and its own
 ``SolveTrace``, and gives the same bits as when projected alone.
 ``project_ppt`` and ``sample_ppt_density`` project a stack of one,
-``sample_ppt_densities`` projects its samples in stacks of SAMPLE_CHUNK,
-and ``min_trace_over_ppt`` runs all its ADMM starts as one stack.
+``_sample_stacks`` projects its samples in stacks of SAMPLE_CHUNK, and
+``min_trace_over_ppt`` runs all its ADMM starts as one stack.
 
 Dykstra's iterates are exactly Hermitian: after the input is hermitized,
 each is a sum or difference of Hermitian matrices, a partial transpose of
@@ -60,10 +60,9 @@ __all__ = [
     "min_trace_over_ppt",
     "npt_witness",
     "sample_ppt_density",
-    "sample_ppt_densities",
 ]
 
-SAMPLE_CHUNK = 256  # samples projected together by sample_ppt_densities
+SAMPLE_CHUNK = 256  # samples projected together by _sample_stacks
 GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * target * ||h||_F
 CHECK_EVERY = 5  # ADMM iterations between certificate checks
 RHO_BALANCE = 10.0  # rho is rebalanced when one ADMM residual exceeds the other by this factor
@@ -233,20 +232,15 @@ def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray
     return out
 
 
-def sample_ppt_densities(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[np.ndarray]:
-    """Yield the k states that k calls to ``sample_ppt_density`` return.
+def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[tuple[np.ndarray, list]]:
+    """The k states that k calls to ``sample_ppt_density`` return, as
+    (stack, traces) pairs, one per chunk.
 
     Seedlings are drawn from ``rng`` in the same order, SAMPLE_CHUNK at a
     time, and each chunk is projected as one stack, so memory is bounded
     for any k.  Each chunk is drawn when iteration reaches it: draw nothing
     else from ``rng`` while iterating.
     """
-    for states, _ in _sample_stacks(rng, spec, k):
-        yield from states
-
-
-def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[tuple[np.ndarray, list]]:
-    """The states of ``sample_ppt_densities`` as (stack, traces) pairs, one per chunk."""
     for start in range(0, k, SAMPLE_CHUNK):
         yield _dykstra(_seedlings(rng, spec, min(SAMPLE_CHUNK, k - start)), spec)
 

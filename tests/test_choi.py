@@ -285,6 +285,82 @@ class TestStormerBlock:
                 assert report["passed"], report
 
 
+def reference_stormer_block_test(t, k, samples, seed):
+    """stormer_block_test as a loop over one sampled state at a time."""
+    rng = generator(seed)
+    n, m = t.dim_in, t.dim_out
+    in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
+    min_eig = np.inf
+    for _ in range(samples):
+        a = sample_ppt_density(rng, in_spec)
+        out = np.einsum("sirj,ijkl->skrl", a.reshape(k, n, k, n), t.blocks)
+        w = np.linalg.eigvalsh(hermitize(out.reshape(k * m, k * m)))
+        min_eig = min(min_eig, float(w[0]))
+    return {"k": k, "samples": samples, "min_output_eigenvalue": float(min_eig),
+            "passed": bool(min_eig >= -1e-8)}
+
+
+def reference_sampled_pairing(h, shape, samples, seed):
+    """The sampling route of dual_pairing_test, one sampled state at a time."""
+    rng = generator(seed)
+    spec = PptSetSpec(shape)
+    best = np.inf
+    for _ in range(samples):
+        best = min(best, float(np.trace(sample_ppt_density(rng, spec) @ h).real))
+    return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
+            "min_pairing": float(best)}
+
+
+class TestStackedSampleConsumers:
+    """The Størmer test and the sampling route take the sampler's chunks as
+    stacks and report what a loop over single draws reports."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+    def test_stormer_equals_reference_loop(self, dims):
+        shape = BipartiteShape(*dims)
+        t = map_from_choi(random_decomposable(shape, seed=dims[1]).h, shape)
+        for k, samples in ((1, 5), (2, 30), (3, 12)):
+            assert stormer_block_test(t, k=k, samples=samples, seed=k) == \
+                reference_stormer_block_test(t, k, samples, k)
+
+    def test_stormer_across_a_chunk(self):
+        assert 300 > optim.SAMPLE_CHUNK
+        t = transposition_map_table(2)
+        assert stormer_block_test(t, k=2, samples=300, seed=6) == reference_stormer_block_test(t, 2, 300, 6)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+    def test_sampling_route_equals_reference_loop(self, dims):
+        shape = BipartiteShape(*dims)
+        h = hermitize(complex_gaussian(generator(dims[1]), shape.dim, shape.dim))
+        for seed, samples in ((0, 0), (1, 1), (2, 40)):
+            assert dual_pairing_test(h, shape, samples=samples, seed=seed) == \
+                reference_sampled_pairing(h, shape, samples, seed)
+
+    def test_sampling_route_across_a_chunk(self, shape22):
+        h = hermitize(complex_gaussian(generator(7), 4, 4))
+        assert dual_pairing_test(h, shape22, samples=300, seed=7) == reference_sampled_pairing(h, shape22, 300, 7)
+
+
+def reference_functional_positivity(psi, shape, samples, seed):
+    """The positivity report of lemma_fi_functional, one PSD sample at a time."""
+    rng = generator(seed)
+    n, m = shape.dim_a, shape.dim_b
+    worst = worst_tau = np.inf
+    for _ in range(samples):
+        g = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+        p = g @ g.conj().T
+        c = p / np.trace(p).real
+        worst = min(worst, float(np.trace(psi @ c).real))
+        c_tau = c.reshape(n, m, n, m).swapaxes(0, 2).reshape(n * m, n * m)
+        worst_tau = min(worst_tau, float(np.trace(psi @ c_tau).real))
+    return {
+        "min_functional_value": float(worst),
+        "min_functional_value_after_transpose": float(worst_tau),
+        "kernel_herm_defect": float(np.max(np.abs(psi - psi.conj().T))),
+        "passed": bool(worst >= -1e-9 and worst_tau >= -1e-9),
+    }
+
+
 class TestLemmaFi:
     def test_scalar_case(self):
         a = np.array([[1.0]])
@@ -311,6 +387,16 @@ class TestLemmaFi:
                                               check_samples=100, seed=8)
             assert report["min_functional_value"] >= -1e-9
             assert report["min_functional_value_after_transpose"] >= -1e-9
+
+    @pytest.mark.parametrize("k,n,m", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)])
+    def test_report_equals_reference_loop(self, k, n, m):
+        rng = generator(302 + n * m)
+        a = sample_ppt_density(rng, PptSetSpec(BipartiteShape(k, n)))
+        xs = [random_unit_vector(rng, m) for _ in range(k)]
+        hs = [random_unit_vector(rng, k) for _ in range(k)]
+        for samples in (0, 1, 40):
+            psi, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs, check_samples=samples, seed=samples)
+            assert report == reference_functional_positivity(psi, BipartiteShape(n, m), samples, samples)
 
     def test_npt_input_rejected(self, singlet):
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

@@ -23,7 +23,8 @@ from modular_ppt.cones import (
 from modular_ppt.errors import ConditioningError, ConsistencyError, ContractError
 from modular_ppt.gns import apply_delta_power, apply_u, build_gns, inner, transpose_operator
 from modular_ppt.linalg import hermitize, kron, partial_transpose
-from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density, sample_ppt_densities
+from modular_ppt import optim
+from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density
 from modular_ppt.rand import complex_gaussian, generator, random_faithful_density, random_psd
 
 
@@ -331,10 +332,11 @@ class TestPnIntersection:
 class TestCommutantCone:
     def test_single_term_trivial(self, comp22):
         rng = generator(62)
-        a1 = complex_gaussian(rng, 2, 2)
-        plain = cones._natural_cone_generator(comp22, [a1], [np.eye(2, dtype=complex)])
+        ops_a = complex_gaussian(rng, 2, 2)[None, None]
+        ops_b = np.eye(2, dtype=complex)[None, None]
+        plain = cones._natural_cone_generator(comp22, ops_a, ops_b)[0]
         lhs = one_otimes_ub(comp22, comp22.joint.vector(plain)).mat
-        rhs = cones._commutant_cone_generator(comp22, [a1], [np.eye(2, dtype=complex)])
+        rhs = cones._commutant_cone_generator(comp22, ops_a, ops_b)[0]
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     @shapes
@@ -349,11 +351,8 @@ class TestCommutantCone:
         # generators; a vector in P but outside P^tau is separated by an
         # exhibited element of the flipped cone
         rng = generator(64)
-        gens = []
-        for _ in range(12):
-            ops_a = [complex_gaussian(rng, 2, 2) for _ in range(2)]
-            ops_b = [complex_gaussian(rng, 2, 2) for _ in range(2)]
-            gens.append(cones._commutant_cone_generator(comp22, ops_a, ops_b))
+        ops = np.stack([[complex_gaussian(rng, 2, 2) for _ in range(4)] for _ in range(12)])
+        gens = cones._commutant_cone_generator(comp22, ops[:, :2], ops[:, 2:])
         spec = PptSetSpec(comp22.shape)
         joint = comp22.joint
         for _ in range(5):
@@ -376,6 +375,10 @@ class TestCommutantCone:
             np.outer(vecs[:, 0], vecs[:, 0].conj())))
         separator = one_otimes_ub(comp22, eta)
         assert inner(separator, xi_bad).real < -1e-6
+
+    def test_terms_must_be_positive(self, comp22):
+        with pytest.raises(ContractError):
+            commutant_cone_check(comp22, samples=3, terms=0)
 
 
 def pure_product_mixture(rng, na, nb, terms):
@@ -454,7 +457,8 @@ class TestSeparableDistance:
         # only to tol_feas, so a 1e-6 blend with the identity makes each state PPT
         comp = composite(*dims)
         n = comp.shape.dim
-        for d in sample_ppt_densities(generator(74), PptSetSpec(comp.shape), 3):
+        [(states, _)] = optim._sample_stacks(generator(74), PptSetSpec(comp.shape), 3)
+        for d in states:
             d = (1 - 1e-6) * d + 1e-6 * np.eye(n) / n
             bound, approx, info = separable_cone_distance(comp, unit_vector_of(comp, d), seed=75)
             assert bound <= 1e-9
@@ -624,6 +628,46 @@ def reference_lmo_starts(residual, na, nb, rng, rounds=25, starts=3):
     return out
 
 
+def ref_one_otimes_ub(comp, m):
+    """(1 (x) U_B) on one matrix: m -> K_B m^T K_B^dagger on each B block."""
+    na, nb = comp.shape.dim_a, comp.shape.dim_b
+    kb = comp.ctx_b.kernel
+    t = m.reshape(na, nb, na, nb).swapaxes(-3, -2).swapaxes(-2, -1)
+    return (kb @ t @ kb.conj().T).swapaxes(-3, -2).reshape(m.shape)
+
+
+def reference_commutant_cone_check(comp, samples, seed, terms, tol=1e-10):
+    """commutant_cone_check as a numpy loop over one sample at a time."""
+    rng = generator(seed)
+    na, nb = comp.ctx_a.dim, comp.ctx_b.dim
+    sqrt_rho = comp.joint.sqrt_rho
+    worst_residual = 0.0
+    flipped_p, commutant_gen = [], []
+    for _ in range(samples):
+        ops_a = [(rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na))) / np.sqrt(na)
+                 for _ in range(terms)]
+        ops_b = [(rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))) / np.sqrt(nb)
+                 for _ in range(terms)]
+        t_op = sum(np.kron(a, b) for a, b in zip(ops_a, ops_b))
+        lhs = ref_one_otimes_ub(comp, t_op @ sqrt_rho @ t_op.conj().T)
+        lefts = [np.kron(a, np.eye(nb)) for a in ops_a]
+        rights = [np.kron(np.eye(na), ref_flip(comp.ctx_b, b)) for b in ops_b]
+        half = sum(left @ sqrt_rho @ right for left, right in zip(lefts, rights))
+        rhs = sum(left @ half.conj().T @ right for left, right in zip(lefts, rights))
+        worst_residual = max(worst_residual, float(np.max(np.abs(lhs - rhs))))
+        flipped_p.append(lhs / np.linalg.norm(lhs))
+        commutant_gen.append(rhs / np.linalg.norm(rhs))
+    min_pairing = np.inf
+    for x in flipped_p:
+        for y in commutant_gen:
+            min_pairing = min(min_pairing, np.trace(x.conj().T @ y).real)
+    return {
+        "generator_identity_residual": worst_residual,
+        "min_cross_pairing": float(min_pairing),
+        "passed": bool(worst_residual <= 1e-10 and min_pairing >= -tol),
+    }
+
+
 class TestStackedConeLayer:
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_duality_and_flip_equal_reference_loops(self, dim):
@@ -668,6 +712,14 @@ class TestStackedConeLayer:
             assert np.max(np.abs(atom - ref_atom)) <= 1e-12
             assert np.trace(atom.conj().T @ residual).real == pytest.approx(ref_val, abs=1e-12)
         assert picked_other_than_first > 0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=["2x2", "2x3", "3x2", "3x3"])
+    @pytest.mark.parametrize("terms", [1, 3])
+    def test_commutant_check_equals_reference_loop(self, dims, terms):
+        comp = composite(*dims)
+        for seed, samples in ((0, 1), (1, 7), (2, 20)):
+            assert commutant_cone_check(comp, samples=samples, seed=seed, terms=terms) == \
+                reference_commutant_cone_check(comp, samples, seed, terms)
 
     def test_delta_overflow_raises_once_per_call(self, ctx3, monkeypatch):
         # no faithful state overflows at |beta| <= 1/2, so stretch the eigenvalue ratios

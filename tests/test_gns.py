@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modular_ppt import gns
+from modular_ppt.cli import RunConfig, run_gns_verify
 from modular_ppt.errors import ConditioningError, ContractError, FaithfulnessError
 from modular_ppt.gns import (
     apply_delta_power,
@@ -229,3 +230,102 @@ class TestIdentitySuite:
     def test_requires_samples(self, ctx_diag):
         with pytest.raises(ContractError):
             verify_modular_identities(ctx_diag, samples=0)
+
+
+# --- stacked identity suite against per-sample reference loops ---------------
+
+def ref_delta(ctx, beta, m):
+    """Delta^beta on one matrix, in numpy alone."""
+    coords = ctx.eigvecs.conj().T @ m @ ctx.eigvecs * np.exp(beta * ctx.log_ratio)
+    return ctx.eigvecs @ coords @ ctx.eigvecs.conj().T
+
+
+def ref_u(ctx, m):
+    return ctx.kernel @ m.T @ ctx.kernel.conj().T
+
+
+def ref_j(ctx, m):
+    return ctx.kernel @ m.conj() @ ctx.kernel.conj().T
+
+
+def ref_gaussian(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def reference_identities(ctx, samples, seed):
+    """verify_modular_identities as a numpy loop over one sample at a time."""
+    rng = generator(seed)
+    res = dict.fromkeys(("u_squared", "u_selfadjoint", "j_eq_u_jm", "commute_j_jm", "commute_j_u",
+                         "commute_jm_u", "delta_half_j", "u_delta_flip", "commutant"), 0.0)
+
+    def bump(key, x, y):
+        res[key] = max(res[key], float(np.max(np.abs(x - y))))
+
+    vecs = []
+    for _ in range(samples):
+        g = ref_gaussian(rng, ctx.dim)
+        vecs.append(g / np.linalg.norm(g))
+    for xi in vecs:
+        u_xi = ref_u(ctx, xi)
+        bump("u_squared", ref_u(ctx, u_xi), xi)
+        bump("j_eq_u_jm", ref_j(ctx, xi), ref_u(ctx, xi.conj().T))
+        bump("commute_j_jm", ref_j(ctx, xi.conj().T), ref_j(ctx, xi).conj().T)
+        bump("commute_j_u", ref_j(ctx, u_xi), ref_u(ctx, ref_j(ctx, xi)))
+        bump("commute_jm_u", u_xi.conj().T, ref_u(ctx, xi.conj().T))
+        bump("delta_half_j", ref_j(ctx, ref_delta(ctx, 0.5, xi)), ref_delta(ctx, 0.5, ref_j(ctx, xi)))
+        bump("u_delta_flip", ref_u(ctx, ref_delta(ctx, 1.0, xi)), ref_delta(ctx, -1.0, u_xi))
+    for xi, eta in zip(vecs, vecs[1:] + vecs[:1]):
+        skew = complex(np.trace(xi.conj().T @ ref_u(ctx, eta))) - complex(np.trace(ref_u(ctx, xi).conj().T @ eta))
+        res["u_selfadjoint"] = max(res["u_selfadjoint"], abs(skew))
+    for xi in vecs:
+        a = ref_gaussian(rng, ctx.dim)
+        b = ref_gaussian(rng, ctx.dim)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        bump("commutant", ref_u(ctx, a @ ref_u(ctx, b @ xi)), b @ ref_u(ctx, a @ ref_u(ctx, xi)))
+    res["max_residual"] = max(res.values())
+    res["condition_warning"] = ctx.eigvals[-1] / ctx.eigvals[0] < gns.CONDITION_RATIO_WARN
+    res["passed"] = res["max_residual"] <= 1e-10
+    return res
+
+
+def reference_gns_verify_checks(ctx, samples, seed):
+    """The polar-decomposition and transpose-via-J checks of ``gns-verify``,
+    one sample at a time."""
+    rng = generator(seed, stream=1)
+    polar = transp = 0.0
+    for _ in range(samples):
+        a = ref_gaussian(rng, ctx.dim)
+        a /= np.linalg.norm(a)
+        xi = a @ ctx.sqrt_rho
+        tau = ref_u(ctx, xi @ ctx.inv_sqrt_rho) @ ctx.sqrt_rho
+        polar = max(polar, float(np.max(np.abs(tau - ref_u(ctx, ref_delta(ctx, 0.5, xi))))))
+        zeta = ref_gaussian(rng, ctx.dim)
+        lhs = ref_u(ctx, a) @ zeta
+        rhs = ref_j(ctx, a.conj().T @ ref_j(ctx, zeta))
+        transp = max(transp, float(np.max(np.abs(lhs - rhs))))
+    return polar, transp
+
+
+class TestStackedIdentitySuite:
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_equals_reference_loop(self, dim):
+        for k in range(5):
+            ctx = build_gns(random_faithful_density(generator(120 + 10 * dim + k), dim))
+            assert verify_modular_identities(ctx, samples=30, seed=k) == reference_identities(ctx, 30, k)
+
+    def test_degenerate_state(self):
+        ctx = build_gns(np.eye(2) / 2)
+        for samples in (1, 2, 30):
+            assert verify_modular_identities(ctx, samples=samples, seed=3) == \
+                reference_identities(ctx, samples, 3)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 9])
+    def test_cli_checks_equal_reference_loop(self, dim):
+        for seed in range(6):
+            cfg = RunConfig(command="gns-verify", seed=seed, dims=dim, samples=25)
+            results, _ = run_gns_verify(cfg)
+            ctx = build_gns(random_faithful_density(generator(seed), dim))
+            polar, transp = reference_gns_verify_checks(ctx, 25, seed)
+            assert results["residuals"]["polar_decomposition"] == polar
+            assert results["residuals"]["operator_transpose_via_j"] == transp

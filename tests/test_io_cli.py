@@ -177,6 +177,18 @@ class TestCliMain:
         assert main(["experiment", *argv]) == 2
         assert json.loads(capsys.readouterr().out)["kind"] == "ContractError"
 
+    @pytest.mark.parametrize("argv", [
+        ["cone-check", "--dims", "2", "--samples", "-1"],
+        ["cone-check", "--dims", "2", "--samples", "0"],
+        ["anticomm", "--dims", "2x2", "--samples", "0"],
+        ["hierarchy", "--dims", "2x2", "--samples", "0"],
+        ["gns-verify", "--dims", "2", "--samples", "-1"],
+    ], ids=["cone-check-negative", "cone-check-zero", "anticomm-zero", "hierarchy-zero", "gns-verify-negative"])
+    def test_exit_two_on_samples_below_one(self, argv, capsys):
+        assert main(argv) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and "--samples" in diagnostic["error"]
+
     def test_exit_three_on_lapack_failure(self, capsys, monkeypatch):
         from modular_ppt import cli as cli_mod
 

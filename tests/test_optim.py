@@ -11,7 +11,6 @@ from modular_ppt.optim import (
     npt_witness,
     project_ppt,
     project_psd,
-    sample_ppt_densities,
     sample_ppt_density,
 )
 from modular_ppt.rand import complex_gaussian, generator, random_density, random_psd
@@ -151,7 +150,7 @@ class TestMinTrace:
         assert_feasible_state(minimizer, spec)
         # sampled states are feasible to tol_feas, so they may undercut the bound by that much
         slack = spec.tol_feas * spec.shape.dim * np.linalg.norm(h)
-        pairings = [np.trace(d @ h).real for d in sample_ppt_densities(rng, spec, 200)]
+        pairings = [np.trace(d @ h).real for states, _ in optim._sample_stacks(rng, spec, 200) for d in states]
         assert min(pairings) >= trace.lower_bound - slack
 
     def test_value_is_scale_invariant(self, spec22):
@@ -260,7 +259,7 @@ class TestStackedDykstra:
         spec = PptSetSpec(BipartiteShape(2, 2))
         k = optim.SAMPLE_CHUNK + 3
         stacked_rng, single_rng = generator(311), generator(311)
-        stacked = list(sample_ppt_densities(stacked_rng, spec, k))
+        stacked = [d for states, _ in optim._sample_stacks(stacked_rng, spec, k) for d in states]
         single = [sample_ppt_density(single_rng, spec) for _ in range(k)]
         assert len(stacked) == k
         assert all(np.array_equal(a, b) for a, b in zip(stacked, single))
