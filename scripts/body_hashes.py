@@ -35,11 +35,15 @@ CONFIGS = (
     ("minimize", "--in", "swap.json", "--dims", "2x2"),
     ("minimize", "--in", "swap.json", "--dims", "2x2", "--iters", "300"),
     ("minimize", "--in", "choi_map.json", "--dims", "3x3"),
+    ("anticomm", "--dims", "2x2"),
+    ("anticomm", "--dims", "2x3"),
+    ("ppt-check", "--in", "singlet.json", "--dims", "2x2"),
 )
 
-# the 2x2 swap, and the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
-# Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3
+# the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
+# Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, and the 2x2 singlet density
 WRITE_INPUTS = (
+    "import numpy as np\n"
     "from modular_ppt.choi import choi_from_map, generalized_choi_map, transposition_map_table\n"
     "from modular_ppt.io import save_matrix\n"
     "from modular_ppt.linalg import BipartiteShape\n"
@@ -47,6 +51,8 @@ WRITE_INPUTS = (
     " shape=BipartiteShape(2, 2))\n"
     "save_matrix(choi_from_map(generalized_choi_map(2, 0, 1)), 'choi_map.json', kind='hermitian',"
     " shape=BipartiteShape(3, 3))\n"
+    "psi = np.array([0, 1, -1, 0]) / np.sqrt(2)\n"
+    "save_matrix(np.outer(psi, psi), 'singlet.json', kind='density', shape=BipartiteShape(2, 2))\n"
 )
 
 

@@ -38,6 +38,8 @@ from .optim import PptSetSpec, _sample_stacks, min_trace_over_ppt
 from .rand import _unit_trace_gram, complex_gaussians, generator, random_product_density, random_psd
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's optimizer verdicts: lower bound >= -tol, or value < -tol
+OPT_ITERS = 300  # ADMM iterations of dual_pairing_test's optimizer route
+OPT_RESTARTS = 2  # and its ADMM starts, run as one stack
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,7 @@ def random_decomposable(shape: BipartiteShape, seed: int = 0) -> DecomposableWit
 
 
 def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 0,
-                      optimizer: bool = False, opt_iters: int = 300,
-                      opt_restarts: int = 2) -> dict:
+                      optimizer: bool = False) -> dict:
     """Does h pair nonnegatively with every PPT state, i.e. is S_h decomposable?
 
     Sampling route (default): ``min_sampled_pairing`` (also ``min_pairing``)
@@ -154,10 +155,11 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     decomposable inputs must stay >= -1e-8, but no value proves it.
 
     Optimizer route (``optimizer``): the verdict comes from the certified
-    bracket of ``min_trace_over_ppt`` alone (``opt_restarts`` starts run as
-    one stack); no state is sampled, ``samples`` is not read and the report
-    reads ``samples: 0``.  ``min_pairing`` is ``optimizer_value``, next to
-    ``optimizer_lower_bound`` and ``optimizer_gap``.  ``verdict`` is
+    bracket of ``min_trace_over_ppt`` alone, run for OPT_ITERS iterations
+    from OPT_RESTARTS starts; no state is sampled, ``samples`` is not read
+    and the report reads ``samples: 0``.  ``min_pairing`` is
+    ``optimizer_value``, next to ``optimizer_lower_bound`` and
+    ``optimizer_gap``.  ``verdict`` is
 
     - "decomposable" when the lower bound s >= -VERDICT_TOL.  ``decomposition``
       is DecomposableWitness(h1 = h - Q^Gamma, h2 = Q^T) from the solver's
@@ -165,7 +167,7 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
       so its ``.h`` reproduces h;
     - "not_decomposable" when the value < -VERDICT_TOL.  ``ppt_state`` is the
       solver's minimizer D, a PPT state with Tr(D h) < 0;
-    - "undecided" otherwise: the gap did not close within ``opt_iters``.
+    - "undecided" otherwise: the gap did not close in OPT_ITERS iterations.
 
     The one of ``decomposition`` and ``ppt_state`` that the verdict does not
     name is None.
@@ -179,7 +181,7 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
             best = min(best, float(np.min(np.trace(d @ h, axis1=-2, axis2=-1).real)))
         return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
                 "min_pairing": float(best)}
-    value, minimizer, trace = min_trace_over_ppt(h, spec, iters=opt_iters, restarts=opt_restarts, seed=seed)
+    value, minimizer, trace = min_trace_over_ppt(h, spec, iters=OPT_ITERS, restarts=OPT_RESTARTS, seed=seed)
     report = {"samples": 0, "optimizer_used": True, "optimizer_value": float(value),
               "optimizer_lower_bound": trace.lower_bound, "optimizer_gap": trace.gap,
               "min_pairing": float(value), "verdict": "undecided", "decomposition": None,
@@ -245,13 +247,10 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list,
     if any(x.size != m for x in xs):
         raise ShapeError("all x_i must have equal dimension")
 
-    a4 = a.reshape(k, n, k, n)
+    hs, xs = np.stack(hs), np.stack(xs)  # rows h_i and x_i
     # psi[(r,u),(p,v)] = sum_ij <h_i (x) e_p, A h_j (x) e_r> x_j[u] conj(x_i[v])
-    psi = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            weight_ij = np.einsum("s,sptr,t->pr", hs[i].conj(), a4, hs[j])
-            psi += np.einsum("pr,u,v->rupv", weight_ij, xs[j], xs[i].conj()).reshape(n * m, n * m)
+    psi = np.einsum("is,sptr,jt,ju,iv->rupv", hs.conj(), a.reshape(k, n, k, n), hs, xs, xs.conj())
+    psi = psi.reshape(n * m, n * m)
     report = _check_functional_positivity(psi, BipartiteShape(n, m), check_samples, seed)
     return psi, report
 

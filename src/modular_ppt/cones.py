@@ -19,11 +19,11 @@ sample gives the same bits as when processed alone.  ``duality_check`` and
 ``u_maps_cones`` draw all their samples first, in the order of a
 sample-by-sample loop, and process them as one stack; ``_lmo_product_atom``
 alternates all its random starts as one stack, and a start leaves it at
-the round where it settles; ``build_composite`` checks its sampled pairs as
-one stack, and ``density_of`` and ``one_otimes_ub`` also take a vector whose
-matrix is a stack.  ``commutant_cone_check`` draws its factors in the same
-order and checks them as one stack: ``_natural_cone_generator`` and
-``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
+the round where it settles; ``density_of`` and ``one_otimes_ub`` also take
+a vector whose matrix is a stack.  ``build_composite`` and
+``commutant_cone_check`` draw their factors in the same order with one
+``_factor_draws`` call and check them as one stack: ``_natural_cone_generator``
+and ``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
 The public functions check beta and the Delta-power range once per call.
 
 The separable (product) cone is bracketed by ``separable_cone_distance``:
@@ -64,9 +64,12 @@ from .linalg import (
     kron,
     require_density,
 )
-from .rand import _unit_trace_gram, complex_gaussian, complex_gaussians, generator, random_psd
+from .rand import _unit_trace_gram, complex_gaussians, generator, random_psd
 
 DEFAULT_TOL = 1e-10
+COMPOSITE_CHECKS = 50  # sampled product pairs on which build_composite checks the factorization
+LMO_ROUNDS = 25       # alternation rounds of each start of the product-atom search
+LMO_STARTS = 3        # random starts of the product-atom search
 POLISH_NFEV = 60      # residual evaluations per joint polish of the separable bound
 STALL_ROUNDS = 3      # rounds in which the separable bound must halve
 
@@ -90,6 +93,7 @@ class MembershipVerdict:
     route: str
     herm_defect: float = 0.0
     detail: dict = field(default_factory=dict)
+    witness: np.ndarray | None = field(default=None, compare=False, repr=False)  # the matrix certified PSD
 
 
 def _v_beta_certificate(ctx: GnsContext, beta: float, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +115,7 @@ def v_beta_membership(ctx: GnsContext, q: ConeQuery, xi: GnsVector) -> Membershi
         certificate=cert,
         route=f"v_beta({q.beta})",
         herm_defect=herm_defect(a),
+        witness=a,
     )
 
 
@@ -136,6 +141,7 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
         route="natural(v_beta+spectral)",
         herm_defect=max(via_beta.herm_defect, herm_defect(xi.mat)),
         detail={"spectral_certificate": spectral_cert, "vbeta_certificate": via_beta.certificate},
+        witness=via_beta.witness,
     )
 
 
@@ -250,6 +256,17 @@ def transpose_state_vector(ctx: GnsContext, xi: GnsVector,
     return out, {"density_transpose_residual": residual, "passed": residual <= 1e-10}
 
 
+def _factor_draws(rng: np.random.Generator, samples: int, terms: int,
+                  na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, terms, ., .) stacks of a- and b-factors, the ``complex_gaussian`` draws of a loop
+    over samples (terms a-factors, then terms b-factors), as one row per sample cut at the a block."""
+    cut = 2 * terms * na * na
+    z = rng.standard_normal((samples, cut + 2 * terms * nb * nb))
+    z_a = z[:, :cut].reshape(samples, terms, 2, na, na)
+    z_b = z[:, cut:].reshape(samples, terms, 2, nb, nb)
+    return z_a[:, :, 0] + 1j * z_a[:, :, 1], z_b[:, :, 0] + 1j * z_b[:, :, 1]
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeGnsContext:
     """GNS data of a product state, kept alongside its factors."""
@@ -260,26 +277,22 @@ class CompositeGnsContext:
     shape: BipartiteShape
 
 
-def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, check_samples: int = 50,
-                    seed: int = 0) -> CompositeGnsContext:
+def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, seed: int = 0) -> CompositeGnsContext:
     """Joint GNS context of rho_A (x) rho_B, with factorization checks.
 
     The modular conjugation and modular operator of the joint context must
-    factor as J_A (x) J_B and Delta_A (x) Delta_B on sampled product
-    vectors, to 1e-10 relative to the largest entry of each joint image
-    (the Delta images scale with the eigenvalue ratios of the states, and
-    so does their rounding); a violation indicates a kernel bug and raises.
+    factor as J_A (x) J_B and Delta_A (x) Delta_B on COMPOSITE_CHECKS
+    sampled product vectors, to 1e-10 relative to the largest entry of each
+    joint image (the Delta images scale with the eigenvalue ratios of the
+    states, and so does their rounding); a violation indicates a kernel bug
+    and raises.
     """
     joint = build_gns(kron(ctx_a.rho, ctx_b.rho))
     comp = CompositeGnsContext(
         ctx_a=ctx_a, ctx_b=ctx_b, joint=joint,
         shape=BipartiteShape(ctx_a.dim, ctx_b.dim),
     )
-    rng = generator(seed)
-    ma = np.empty((check_samples, ctx_a.dim, ctx_a.dim), dtype=complex)
-    mb = np.empty((check_samples, ctx_b.dim, ctx_b.dim), dtype=complex)
-    for i in range(check_samples):
-        ma[i], mb[i] = complex_gaussian(rng, ctx_a.dim, ctx_a.dim), complex_gaussian(rng, ctx_b.dim, ctx_b.dim)
+    ma, mb = (m[:, 0] for m in _factor_draws(generator(seed), COMPOSITE_CHECKS, 1, ctx_a.dim, ctx_b.dim))
     for ctx in (joint, ctx_a, ctx_b):
         _check_delta_power(ctx, 1.0)
     xi = _kron(ma, mb)
@@ -310,8 +323,10 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
 
     Route one: xi and (1 (x) U_B) xi both lie in the natural cone of the
     joint context.  Route two: a = rho^{-1/4} mat(xi) rho^{-1/4} and its
-    partial transpose are both PSD.  The two certificate pairs coincide up
-    to rounding; verdict disagreement away from the boundary raises.
+    partial transpose are both PSD.  Both share lambda_min(a), xi's own
+    V_{1/4} certificate, so the independent comparison is (1 (x) U_B) xi's
+    certificate against lambda_min(a^Gamma), whose difference is
+    ``certificate_gap``; verdict disagreement away from the boundary raises.
     """
     joint = comp.joint
     if xi.ctx is not joint:
@@ -320,11 +335,8 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
     m2 = natural_cone_membership(joint, one_otimes_ub(comp, xi), tol)
     cert_route1 = min(m1.certificate, m2.certificate)
 
-    a, cert_a = _v_beta_certificate(joint, 0.25, xi.mat)
-    cert_a = float(cert_a)
-    a_gamma = _partial_transpose(a, comp.shape, "B")
-    cert_gamma = float(np.linalg.eigvalsh(hermitize(a_gamma))[0])
-    cert_route2 = min(cert_a, cert_gamma)
+    cert_gamma = float(np.linalg.eigvalsh(hermitize(_partial_transpose(m1.witness, comp.shape, "B")))[0])
+    cert_route2 = min(m1.certificate, cert_gamma)
 
     inside1 = cert_route1 >= -tol
     inside2 = cert_route2 >= -tol
@@ -336,11 +348,11 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
         inside=inside2,
         certificate=cert_route2,
         route="pn_intersection",
-        herm_defect=max(herm_defect(a), m1.herm_defect),
+        herm_defect=m1.herm_defect,
         detail={
             "cone_certificates": (m1.certificate, m2.certificate),
-            "matrix_certificates": (cert_a, cert_gamma),
-            "certificate_gap": float(max(abs(m1.certificate - cert_a), abs(m2.certificate - cert_gamma))),
+            "matrix_certificates": (m1.certificate, cert_gamma),
+            "certificate_gap": abs(m2.certificate - cert_gamma),
         },
     )
 
@@ -382,14 +394,9 @@ def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int
         raise ContractError("samples must be >= 1")
     if terms < 1:
         raise ContractError("terms must be >= 1")
-    rng = generator(seed)
     na, nb = comp.ctx_a.dim, comp.ctx_b.dim
-    cut = 2 * terms * na * na  # each sample draws its a_k, then its b_k
-    z = rng.standard_normal((samples, cut + 2 * terms * nb * nb))
-    z_a = z[:, :cut].reshape(samples, terms, 2, na, na)
-    z_b = z[:, cut:].reshape(samples, terms, 2, nb, nb)
-    ops_a = (z_a[:, :, 0] + 1j * z_a[:, :, 1]) / np.sqrt(na)
-    ops_b = (z_b[:, :, 0] + 1j * z_b[:, :, 1]) / np.sqrt(nb)
+    ops_a, ops_b = _factor_draws(generator(seed), samples, terms, na, nb)
+    ops_a, ops_b = ops_a / np.sqrt(na), ops_b / np.sqrt(nb)
     lhs = one_otimes_ub(comp, GnsVector(_natural_cone_generator(comp, ops_a, ops_b), comp.joint)).mat
     rhs = _commutant_cone_generator(comp, ops_a, ops_b)
     worst_residual = float(np.max(np.abs(lhs - rhs)))
@@ -409,21 +416,21 @@ def _gram(f: np.ndarray) -> np.ndarray:
 
 
 def _lmo_product_atom(residual: np.ndarray, na: int, nb: int,
-                      rng: np.random.Generator, rounds: int = 25,
-                      starts: int = 3) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Best pure (x) pure atom for Re<u u* (x) v v*, residual>, by alternation.
 
-    The starts alternate as one stack; a start leaves it at the round where
-    its v v* settles, and the first start of the largest value wins.
+    LMO_STARTS random starts alternate as one stack for at most LMO_ROUNDS
+    rounds; a start leaves it at the round where its v v* settles, and the
+    first start of the largest value wins.
     """
     t = residual.reshape(na, nb, na, nb)
-    v = complex_gaussians(rng, starts, 1, nb)[:, 0]
+    v = complex_gaussians(rng, LMO_STARTS, 1, nb)[:, 0]
     v = v / _norms(v)[:, None]
-    u_out = np.empty((starts, na), dtype=complex)
+    u_out = np.empty((LMO_STARTS, na), dtype=complex)
     v_out = np.empty_like(v)
-    val = np.empty(starts)
-    live = np.arange(starts)
-    for _ in range(rounds):
+    val = np.empty(LMO_STARTS)
+    live = np.arange(LMO_STARTS)
+    for _ in range(LMO_ROUNDS):
         q = _gram(v)
         u = np.linalg.eigh(hermitize(np.einsum("prqs,krs->kpq", t, q.conj())))[1][:, :, -1]
         vals_b, vecs_b = np.linalg.eigh(hermitize(np.einsum("prqs,kpq->krs", t, _gram(u).conj())))

@@ -32,6 +32,8 @@ from .rand import complex_gaussian, generator, random_faithful_density
 
 SOLUTION_SV_THRESHOLD = 1e-9
 RESIDUAL_TOL = 1e-9
+SEPARABLE_ROUNDS = 120  # rounds of construct_ppt_from_cone's separable bound
+CANDIDATE_BOUND = 0.05  # a PPT vector whose separable bound exceeds this is flagged as a candidate
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,15 @@ def _compressed_block_loop(rho: np.ndarray, f: np.ndarray, a_op: np.ndarray, m: 
     return out
 
 
-def find_anticommutator_solution(rho, f, sv_threshold: float = SOLUTION_SV_THRESHOLD) -> np.ndarray | None:
+def find_anticommutator_solution(rho, f) -> np.ndarray | None:
     """Hermitian A on C^2, acting nontrivially on f, with
     <f (x) y, {A (x) 1, rho} f (x) y> = 0 for all y.
 
     The condition is the vanishing of one m x m Hermitian block, linear in
     A; with the vacuous f-annihilating direction removed it is a
     homogeneous real system in three parameters.  Returns None when that
-    system's nullspace is trivial (smallest singular value >= threshold),
-    which is the generic situation.
+    system's nullspace is trivial (smallest singular value at least
+    SOLUTION_SV_THRESHOLD), which is the generic situation.
     """
     rho = require_density(rho)
     if rho.shape[0] % 2 != 0:
@@ -117,7 +119,7 @@ def find_anticommutator_solution(rho, f, sv_threshold: float = SOLUTION_SV_THRES
         columns.append(np.concatenate([block.real.ravel(), block.imag.ravel()]))
     system = np.stack(columns, axis=1)
     svals = np.linalg.svd(system, compute_uv=False)
-    if svals[-1] >= sv_threshold:
+    if svals[-1] >= SOLUTION_SV_THRESHOLD:
         return None
     _, _, vt = np.linalg.svd(system)
     coeffs = vt[-1]
@@ -182,19 +184,20 @@ def random_anticommutator_instance(rng: np.random.Generator, m: int,
     return make_instance(rho, f)
 
 
-def verify_anticommutator_ppt(inst: AnticommutatorInstance, tol: float = RESIDUAL_TOL) -> dict:
+def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     """The criterion's conclusion: the block transpose of rho stays positive.
 
-    Any violation beyond tolerance is a falsification event and ships the
-    serialized instance in the report.
+    An instance residual above RESIDUAL_TOL is a contract error.  A block
+    transpose eigenvalue below -RESIDUAL_TOL is a falsification event and
+    ships the serialized instance in the report.
     """
-    if inst.residual > tol:
-        raise ContractError(f"instance residual {inst.residual:.3e} exceeds {tol:.1e}")
+    if inst.residual > RESIDUAL_TOL:
+        raise ContractError(f"instance residual {inst.residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     m = inst.rho.shape[0] // 2
     shape = BipartiteShape(2, m)
     gamma = hermitize(partial_transpose(inst.rho, shape, "A"))
     min_eig = float(np.linalg.eigvalsh(gamma)[0])
-    falsified = min_eig < -tol
+    falsified = min_eig < -RESIDUAL_TOL
     report = {"min_gamma_eig": min_eig, "falsified": bool(falsified)}
     if falsified:
         report["instance"] = {
@@ -208,9 +211,7 @@ def verify_anticommutator_ppt(inst: AnticommutatorInstance, tol: float = RESIDUA
     return report
 
 
-def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
-                            distance_iters: int = 120,
-                            candidate_threshold: float = 0.05) -> tuple[np.ndarray, dict]:
+def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0) -> tuple[np.ndarray, dict]:
     """State construction from a vector in the PPT cone intersection.
 
     Projects a random Hermitian onto the PPT set, forms xi = Delta^{1/4} a
@@ -219,9 +220,10 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
     be PPT; that relation is exactly what the square-root experiment
     probes -- and (iii) a bracket on the distance from xi to the product
     cone: the upper bound ``separable_bound`` (distance to an exhibited
-    sum of ``separable_terms`` products) and ``separable_lower_bound``
-    (distance to the PSD and partial-transpose constraints, so 0 on PPT
-    vectors up to their feasibility slack).  A large upper bound flags the
+    sum of ``separable_terms`` products, after at most SEPARABLE_ROUNDS
+    rounds) and ``separable_lower_bound`` (distance to the PSD and
+    partial-transpose constraints, so 0 on PPT vectors up to their
+    feasibility slack).  An upper bound above CANDIDATE_BOUND flags the
     vector as a candidate for PPT-but-not-separable; nothing stronger is
     claimed.
     """
@@ -238,7 +240,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
     dens = density_of(xi)
     dens = dens / np.trace(dens).real
     gamma_min = float(np.linalg.eigvalsh(hermitize(_partial_transpose(dens, comp.shape, "B")))[0])
-    bound, _, info = cones_mod.separable_cone_distance(comp, xi, iters=distance_iters, seed=seed)
+    bound, _, info = cones_mod.separable_cone_distance(comp, xi, iters=SEPARABLE_ROUNDS, seed=seed)
     report = {
         "xi_certificate": verdict.certificate,
         "xi_inside": verdict.inside,
@@ -248,7 +250,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0,
         "separable_bound": float(bound),
         "separable_lower_bound": info["lower_bound"],
         "separable_terms": info["terms"],
-        "candidate_ppt_not_separable": bool(verdict.inside and bound > candidate_threshold),
+        "candidate_ppt_not_separable": bool(verdict.inside and bound > CANDIDATE_BOUND),
     }
     return dens, report
 

@@ -105,13 +105,14 @@ class GnsContext:
         return self.eigvecs @ coords @ self.eigvecs.conj().T
 
 
-def build_gns(rho, eps_faithful: float = EPS_FAITHFUL) -> GnsContext:
-    """GNS context for the state a -> Tr(rho a); rho must be faithful."""
-    rho = require_density(rho, faithful=True, eps_faithful=eps_faithful)
+def build_gns(rho) -> GnsContext:
+    """GNS context for the state a -> Tr(rho a); rho must be faithful, with
+    every eigenvalue at least EPS_FAITHFUL."""
+    rho = require_density(rho)
     vals, vecs = linalg.herm_eig(rho)
-    if vals[-1] < eps_faithful:
+    if vals[-1] < EPS_FAITHFUL:
         raise FaithfulnessError(
-            f"state is not faithful: eigenvalue {vals[-1]:.3e} < {eps_faithful:.1e}"
+            f"state is not faithful: eigenvalue {vals[-1]:.3e} < {EPS_FAITHFUL:.1e}"
         )
     root = np.sqrt(vals)
     sqrt_rho = (vecs * root) @ vecs.conj().T

@@ -34,7 +34,6 @@ TOL_HERM = 1e-10
 TOL_PSD = 1e-10
 TOL_TRACE = 1e-10
 EPS_FAITHFUL = 1e-12
-RECON_TOL = 1e-9
 DEGENERACY_GAP = 1e-9
 
 DEFAULT_MAX_DIM = 4096
@@ -94,27 +93,22 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(dots[:, 0, 0])
 
 
-def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     m = require_square(m)
     defect = herm_defect(m)
-    if defect > tol:
-        raise ContractError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.1e}")
+    if defect > TOL_HERM:
+        raise ContractError(f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {TOL_HERM:.1e}")
     return m
 
 
-def require_density(m, tol_psd: float = TOL_PSD, tol_tr: float = TOL_TRACE,
-                    faithful: bool = False, eps_faithful: float = EPS_FAITHFUL) -> np.ndarray:
+def require_density(m, tol_psd: float = TOL_PSD) -> np.ndarray:
     m = require_hermitian(m)
     w = np.linalg.eigvalsh(hermitize(m))
     if w[0] < -tol_psd:
         raise ContractError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     tr = np.trace(m).real
-    if abs(tr - 1.0) > tol_tr:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise ContractError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    if faithful and w[0] < eps_faithful:
-        from .errors import FaithfulnessError
-
-        raise FaithfulnessError(f"state is not faithful: smallest eigenvalue {w[0]:.3e} < {eps_faithful:.1e}")
     return m
 
 
@@ -213,14 +207,14 @@ def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-def herm_eig(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition with descending values and a deterministic basis.
 
     Within a degenerate cluster (gap < 1e-9) the eigenvectors are re-spanned
     from canonical unit vectors; every vector's largest-magnitude entry is
     made real positive (ties broken by lowest index).
     """
-    m = require_hermitian(m, tol)
+    m = require_hermitian(m)
     vals, vecs = np.linalg.eigh(hermitize(m))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
@@ -242,20 +236,20 @@ def psd_check(m, tol: float = TOL_PSD) -> tuple[bool, float]:
     return min_eig >= -tol, min_eig
 
 
-def mat_sqrt_psd(m, tol: float = TOL_PSD) -> np.ndarray:
-    """PSD square root; eigenvalues in [-tol, 0) are clamped to zero.
+def mat_sqrt_psd(m) -> np.ndarray:
+    """PSD square root; eigenvalues in [-TOL_PSD, 0) are clamped to zero.
 
     The root is basis-independent, so this uses the raw eigensolver output
     rather than the deterministic-basis convention of ``herm_eig`` (whose
     cluster re-spanning would cost accuracy near degenerate eigenvalues).
     """
-    return _mat_sqrt_psd(require_hermitian(m), tol)
+    return _mat_sqrt_psd(require_hermitian(m))
 
 
-def _mat_sqrt_psd(m: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
+def _mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(hermitize(m))
-    if np.any(vals[..., 0] < -tol):
-        raise ContractError(f"matrix is not PSD: eigenvalue {np.min(vals[..., 0]):.3e} < -{tol:.1e}")
+    if np.any(vals[..., 0] < -TOL_PSD):
+        raise ContractError(f"matrix is not PSD: eigenvalue {np.min(vals[..., 0]):.3e} < -{TOL_PSD:.1e}")
     return _spectral(vecs, np.sqrt(np.clip(vals, 0.0, None)))
 
 

@@ -63,7 +63,8 @@ __all__ = [
 ]
 
 SAMPLE_CHUNK = 256  # samples projected together by _sample_stacks
-GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * target * ||h||_F
+MAX_SWEEPS = 5000  # Dykstra sweeps before a sample stops (and is snapped if still infeasible)
+GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * ||h||_F
 CHECK_EVERY = 5  # ADMM iterations between certificate checks
 RHO_BALANCE = 10.0  # rho is rebalanced when one ADMM residual exceeds the other by this factor
 RHO_STEP = 2.0  # and is then multiplied or divided by this factor
@@ -71,22 +72,16 @@ RHO_STEP = 2.0  # and is then multiplied or divided by this factor
 
 @dataclass(frozen=True)
 class PptSetSpec:
-    """Feasible-set description and solver thresholds.
-
-    The feasible set is nonempty for positive trace targets (it contains
-    (target/nm) I, which is its own partial transpose).
-    """
+    """The PPT states {D >= 0, D^Gamma >= 0, Tr D = 1} on ``shape``, and the
+    solvers' feasibility tolerance.  The set contains I/nm, its own partial
+    transpose."""
 
     shape: BipartiteShape
-    trace_target: float = 1.0
     tol_feas: float = 1e-8
-    max_iters: int = 5000
 
     def __post_init__(self):
-        if self.trace_target <= 0:
-            raise ContractError(f"trace target must be positive, got {self.trace_target}")
-        if self.tol_feas <= 0 or self.max_iters < 1:
-            raise ContractError("tol_feas must be positive and max_iters >= 1")
+        if self.tol_feas <= 0:
+            raise ContractError(f"tol_feas must be positive, got {self.tol_feas}")
         if self.shape.dim > max_dim():
             raise DimensionLimitError(f"PPT set dimension {self.shape.dim} exceeds cap {max_dim()}")
 
@@ -102,7 +97,7 @@ class SolveTrace:
     lower_bound: float | None = None  # certified bracket of min_trace_over_ppt
     gap: float | None = None
     # min_trace_over_ppt's PSD dual Q = -rho U, kept from the check that set
-    # lower_bound: h - Q^Gamma - (lower_bound / target) I is PSD
+    # lower_bound: h - Q^Gamma - lower_bound I is PSD
     dual: np.ndarray | None = None
 
 
@@ -113,22 +108,22 @@ def feasibility_residual(d: np.ndarray, spec: PptSetSpec) -> float:
 def _residuals(x: np.ndarray, spec: PptSetSpec) -> np.ndarray:
     """Feasibility residual of each matrix of an exactly Hermitian stack, from one eigvalsh call."""
     least = np.linalg.eigvalsh(np.concatenate([x, _partial_transpose(x, spec.shape, "B")]))[:, 0]
-    return np.maximum.reduce([-least[:len(x)], -least[len(x):], np.abs(_trace(x) - spec.trace_target)])
+    return np.maximum.reduce([-least[:len(x)], -least[len(x):], np.abs(_trace(x) - 1.0)])
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
     return np.trace(x, axis1=-2, axis2=-1).real
 
 
-def _interior_snap(x: np.ndarray, residual: float, spec: PptSetSpec) -> tuple[np.ndarray, float]:
-    """Minimal blend toward the strictly interior point (target/n) I.
+def _interior_snap(x: np.ndarray, residual: float) -> tuple[np.ndarray, float]:
+    """Minimal blend toward the strictly interior point I/n.
 
     That point is invariant under the partial transpose, so one blend
     coefficient repairs both PSD constraints at once while the trace stays
     put; the move is O(n * residual), recorded on the solve trace.
     """
     n = x.shape[0]
-    center = spec.trace_target / n
+    center = 1 / n
     lam = min(1.0, 1.1 * residual / (residual + center))
     snapped = (1 - lam) * x + lam * center * np.eye(n)
     return snapped, float(np.linalg.norm(snapped - x))
@@ -144,7 +139,7 @@ def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
     correction terms have not converged by then.  A member of the set is
     returned unchanged by the first sweep.  On the rare tangential
     instances where the residual stalls above tol_feas, the iterate is
-    blended minimally toward the interior point (target/n) I so that the
+    blended minimally toward the interior point I/n so that the
     output is always feasible; the blend distance is recorded on the
     trace.  Non-convergence is reported, never raised.
     """
@@ -170,7 +165,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
         return hermitize(_partial_transpose(_project_psd(_partial_transpose(y, spec.shape, "B")), spec.shape, "B"))
 
     def proj_trace(y: np.ndarray) -> np.ndarray:
-        return y + ((spec.trace_target - _trace(y)) / n)[:, None, None] * eye
+        return y + ((1.0 - _trace(y)) / n)[:, None, None] * eye
 
     projectors = (proj_psd, proj_gamma_psd, proj_trace)
     out = np.empty_like(x)
@@ -180,7 +175,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
     checkpoint = np.full(len(x), np.inf)  # residual at the last multiple of 100 sweeps; first read at 200
     stall = np.zeros(len(x), dtype=int)
-    for sweep in range(1, spec.max_iters + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         prev = x
         for k, proj in enumerate(projectors):
             shifted = x + incr[k]
@@ -194,7 +189,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
             checkpoint = residual
         stall = np.where(np.max(np.abs(x - prev), axis=(1, 2)) < 1e-12, stall + 1, 0)
         done |= stall >= 50
-        if sweep == spec.max_iters:
+        if sweep == MAX_SWEEPS:
             done[:] = True
         if done.any():
             finished = live[done]
@@ -208,7 +203,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
             if not live.size:
                 break
     for i in np.flatnonzero(final > spec.tol_feas):
-        out[i], traces[i].snap_distance = _interior_snap(out[i], final[i], spec)
+        out[i], traces[i].snap_distance = _interior_snap(out[i], final[i])
         final[i] = feasibility_residual(out[i], spec)
         traces[i].snapped = True
     for trace, residual in zip(traces, final):
@@ -218,11 +213,11 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
 
 
 def _seedlings(rng: np.random.Generator, spec: PptSetSpec, k: int) -> np.ndarray:
-    """A stack of k trace-target Hermitian matrices in random directions."""
+    """A stack of k trace-one Hermitian matrices in random directions."""
     n = spec.shape.dim
     seedlings = hermitize(complex_gaussians(rng, k, n, n))
     seedlings /= _norms(seedlings)[:, None, None]
-    seedlings += ((spec.trace_target - _trace(seedlings)) / n)[:, None, None] * np.eye(n)
+    seedlings += ((1.0 - _trace(seedlings)) / n)[:, None, None] * np.eye(n)
     return seedlings
 
 
@@ -249,36 +244,36 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
                        seed: int = 0) -> tuple[float, np.ndarray, SolveTrace]:
     """min Tr(D h) over the PPT set, bracketed by a certified gap.
 
-    One scaled-form ADMM loop over the split D = X, D^Gamma = Y, with X in
-    {X >= 0, Tr X = target} and Y >= 0 (Wen, Goldfarb & Yin 2010):
+    One scaled-form ADMM loop over the split D = X, D^Gamma = Y, with X a
+    density matrix and Y >= 0 (Wen, Goldfarb & Yin 2010):
 
         X <- Pi_Delta((Y - U)^Gamma - h/rho)   one eigh and a simplex projection
         Y <- Pi_+(X^Gamma + U)                 one eigh
         U <- U + X^Gamma - Y                   the negative part of X^Gamma + U
 
-    rho starts at ||h||_F / target and is rebalanced between the primal and
-    dual residuals.  Every CHECK_EVERY iterations both sides of the bracket
-    are certified.  The upper bound is Tr(D h) at the feasible point
-    D = (1 - lam) X + lam (target/n) I, the least blend toward the centre
-    that makes D^Gamma PSD; D is the returned minimizer.  The lower bound is
-    target * lambda_min(h - Q^Gamma) with Q = -rho U, which is PSD: for any
-    PSD Q and feasible D, Tr(D h) = Tr(D (h - Q^Gamma)) + Tr(D^Gamma Q)
-    >= target * lambda_min(h - Q^Gamma).  The value is the least upper
-    bound, ``trace.lower_bound`` the greatest lower bound, and the loop stops
-    once their gap is below GAP_TOL * target * ||h||_F (``trace.converged``)
+    rho starts at ||h||_F and is rebalanced between the primal and dual
+    residuals.  Every CHECK_EVERY iterations both sides of the bracket are
+    certified.  The upper bound is Tr(D h) at the feasible point
+    D = (1 - lam) X + lam I/n, the least blend toward the centre that makes
+    D^Gamma PSD; D is the returned minimizer.  The lower bound is
+    lambda_min(h - Q^Gamma) with Q = -rho U, which is PSD: for any PSD Q and
+    PPT state D, Tr(D h) = Tr(D (h - Q^Gamma)) + Tr(D^Gamma Q)
+    >= lambda_min(h - Q^Gamma).  The value is the least upper bound,
+    ``trace.lower_bound`` the greatest lower bound, and the loop stops once
+    their gap is below GAP_TOL * ||h||_F (``trace.converged``)
     or after ``iters`` iterations.  ``trace.dual`` is the Q of the greatest
     lower bound, so h = (h - Q^Gamma) + Q^Gamma is the decomposition that
     bound certifies.
 
     ``restarts`` is the number of ADMM starts, run as one stack: start 0
-    at (target/n) I, the others at random densities from stream 17 of
+    at I/n, the others at random densities from stream 17 of
     ``seed``.  The bracket combines all starts.
     """
     h = hermitize(require_bipartite(require_hermitian(h), spec.shape))
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
-    n, target = spec.shape.dim, spec.trace_target
-    center = np.eye(n, dtype=complex) * (target / n)
+    n = spec.shape.dim
+    center = np.eye(n, dtype=complex) / n
     nrm = float(np.linalg.norm(h))
     if nrm == 0:
         return 0.0, center, SolveTrace(step_rule="admm", lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
@@ -288,33 +283,33 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
 
     x = np.empty((restarts, n, n), dtype=complex)
     x[0] = center
-    x[1:] = _unit_trace_gram(complex_gaussians(generator(seed, stream=17), restarts - 1, n, n)) * target
+    x[1:] = _unit_trace_gram(complex_gaussians(generator(seed, stream=17), restarts - 1, n, n))
     x_gamma = y = pt(x)
     u = np.zeros_like(x)
-    rho = np.full(restarts, nrm / target)
+    rho = np.full(restarts, nrm)
     upper, lower, minimizer, q = np.inf, -np.inf, center, np.zeros_like(h)
     for it in range(iters + 1):
         if it:
             y_prev = y
             w, v = np.linalg.eigh(pt(y - u) - h / rho[:, None, None])
-            x = _spectral(v, _simplex(w, target))
+            x = _spectral(v, _simplex(w))
             x_gamma = pt(x)
             w, v = np.linalg.eigh(x_gamma + u)
             y, u = _spectral(v, np.maximum(w, 0.0)), _spectral(v, np.minimum(w, 0.0))
         if it % CHECK_EVERY and it != iters:
             continue
         eps = np.maximum(0.0, -np.linalg.eigvalsh(x_gamma)[:, 0])
-        lam = (eps / (eps + target / n))[:, None, None]
+        lam = (eps / (eps + 1 / n))[:, None, None]
         d = (1 - lam) * x + lam * center
         values = _trace(d @ h)
         best = int(np.argmin(values))
         if values[best] < upper:
             upper, minimizer = float(values[best]), d[best]
-        bounds = target * np.linalg.eigvalsh(h + rho[:, None, None] * pt(u))[:, 0]
+        bounds = np.linalg.eigvalsh(h + rho[:, None, None] * pt(u))[:, 0]
         top = int(np.argmax(bounds))
         if bounds[top] > lower:
             lower, q = float(bounds[top]), -rho[top] * u[top]
-        if upper - lower <= GAP_TOL * target * nrm:
+        if upper - lower <= GAP_TOL * nrm:
             break
         if it:
             primal = _norms(x_gamma - y)
@@ -329,7 +324,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
         iterates=it,
         feasibility_residual=feasibility_residual(minimizer, spec),
         step_rule="admm",
-        converged=bool(gap <= GAP_TOL * target * nrm),
+        converged=bool(gap <= GAP_TOL * nrm),
         lower_bound=lower,
         gap=gap,
         dual=q,
@@ -337,11 +332,11 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     return upper, minimizer, trace
 
 
-def _simplex(w: np.ndarray, total: float) -> np.ndarray:
+def _simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of w, sorted ascending (as eigh
-    returns eigenvalues), onto {l >= 0, sum l = total}."""
+    returns eigenvalues), onto the simplex {l >= 0, sum l = 1}."""
     desc = w[:, ::-1]
-    excess = np.cumsum(desc, axis=1) - total
+    excess = np.cumsum(desc, axis=1) - 1.0
     kept = np.count_nonzero(desc - excess / np.arange(1, w.shape[1] + 1) > 0, axis=1)
     theta = excess[np.arange(len(w)), kept - 1] / kept
     return np.maximum(w - theta[:, None], 0.0)

@@ -27,9 +27,9 @@ def complex_gaussians(rng: np.random.Generator, count: int, rows: int, cols: int
     return z[:, 0] + 1j * z[:, 1]
 
 
-def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Wishart-style PSD sample G G^dagger, normalized to unit trace."""
-    return _unit_trace_gram(complex_gaussian(rng, dim, rank or dim))
+    return _unit_trace_gram(complex_gaussian(rng, dim, dim))
 
 
 def _unit_trace_gram(g: np.ndarray) -> np.ndarray:
@@ -38,13 +38,9 @@ def _unit_trace_gram(g: np.ndarray) -> np.ndarray:
     return p / np.trace(p, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return random_psd(rng, dim)
-
-
-def random_faithful_density(rng: np.random.Generator, dim: int, floor: float = 0.1) -> np.ndarray:
-    """Trace-one PSD sample with min eigenvalue >= floor/dim (well-conditioned)."""
-    return (1 - floor) * random_psd(rng, dim) + floor * np.eye(dim) / dim
+def random_faithful_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Trace-one PSD sample with min eigenvalue >= 0.1/dim (well-conditioned)."""
+    return 0.9 * random_psd(rng, dim) + 0.1 * np.eye(dim) / dim
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from modular_ppt.choi import (
     transposition_map_table,
 )
 from modular_ppt.errors import ContractError, ShapeError
-from modular_ppt import optim
+from modular_ppt import choi, optim
 from modular_ppt.linalg import BipartiteShape, hermitize, partial_transpose
 from modular_ppt.optim import PptSetSpec, min_trace_over_ppt, sample_ppt_density
 from modular_ppt.rand import complex_gaussian, generator, random_psd, random_unit_vector
@@ -104,9 +104,10 @@ class TestDecomposable:
         report = dual_pairing_test(np.eye(4), shape22, samples=30, seed=1)
         assert report["min_pairing"] == pytest.approx(1.0, abs=1e-8)
 
-    def test_swap_pairing_reaches_zero(self, swap22, shape22):
-        report = dual_pairing_test(swap22, shape22, samples=40, seed=2, optimizer=True,
-                                   opt_iters=600, opt_restarts=3)
+    def test_swap_pairing_reaches_zero(self, monkeypatch, swap22, shape22):
+        monkeypatch.setattr(choi, "OPT_ITERS", 600)
+        monkeypatch.setattr(choi, "OPT_RESTARTS", 3)
+        report = dual_pairing_test(swap22, shape22, samples=40, seed=2, optimizer=True)
         assert report["min_pairing"] >= -1e-8
         assert report["optimizer_value"] == pytest.approx(0.0, abs=1e-4)
         assert report["optimizer_lower_bound"] <= 0.0 <= report["optimizer_value"] + 1e-12
@@ -123,12 +124,13 @@ class TestDecomposable:
             report = dual_pairing_test(w.h, shape22, samples=60, seed=seed)
             assert report["min_pairing"] >= -1e-8
 
-    def test_decomposable_forward_direction_dense_sampling(self, shape22):
+    def test_decomposable_forward_direction_dense_sampling(self, monkeypatch, shape22):
         w = random_decomposable(shape22, seed=77)
         report = dual_pairing_test(w.h, shape22, samples=500, seed=78)
         assert report["min_pairing"] >= -1e-8
         # the certified lower bound shows the pairing is nonnegative on every PPT state
-        report = dual_pairing_test(w.h, shape22, seed=78, optimizer=True, opt_iters=200, opt_restarts=2)
+        monkeypatch.setattr(choi, "OPT_ITERS", 200)
+        report = dual_pairing_test(w.h, shape22, seed=78, optimizer=True)
         assert report["verdict"] == "decomposable"
         assert report["optimizer_lower_bound"] >= -1e-6
 
@@ -159,8 +161,9 @@ class TestPairingVerdicts:
     def test_swap_decomposition_round_trip(self, swap22, shape22):
         self.assert_reproduces(dual_pairing_test(swap22, shape22, optimizer=True), swap22)
 
-    def test_swap_without_iterations_is_undecided(self, swap22, shape22):
-        report = dual_pairing_test(swap22, shape22, optimizer=True, opt_iters=0)
+    def test_swap_without_iterations_is_undecided(self, monkeypatch, swap22, shape22):
+        monkeypatch.setattr(choi, "OPT_ITERS", 0)
+        report = dual_pairing_test(swap22, shape22, optimizer=True)
         assert report["verdict"] == "undecided"
         assert report["optimizer_value"] == pytest.approx(0.5, abs=1e-12)
         assert report["optimizer_lower_bound"] == pytest.approx(-1.0, abs=1e-12)

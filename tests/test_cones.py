@@ -25,7 +25,7 @@ from modular_ppt.gns import apply_delta_power, apply_u, build_gns, inner, transp
 from modular_ppt.linalg import hermitize, kron, partial_transpose
 from modular_ppt import optim
 from modular_ppt.optim import PptSetSpec, npt_witness, sample_ppt_density
-from modular_ppt.rand import complex_gaussian, generator, random_faithful_density, random_psd
+from modular_ppt.rand import _unit_trace_gram, complex_gaussian, generator, random_faithful_density, random_psd
 
 
 @pytest.fixture
@@ -246,6 +246,33 @@ class TestComposite:
         with pytest.raises(ConsistencyError, match="composite factorization residual"):
             build_composite(ca, cb)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+    def test_checked_pairs_equal_the_reference_loop(self, monkeypatch, dims):
+        # reference: the pairs a loop of two complex_gaussian calls per pair draws
+        rng = generator(71)
+        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in dims)
+        ref_rng = generator(12)
+        pairs = [(complex_gaussian(ref_rng, dims[0], dims[0]), complex_gaussian(ref_rng, dims[1], dims[1]))
+                 for _ in range(cones.COMPOSITE_CHECKS)]
+        made, kron_args, real_kron = [], [], cones._kron
+
+        def recording_generator(seed):
+            made.append(generator(seed))
+            return made[-1]
+
+        def recording_kron(a, b):
+            kron_args.append((a, b))
+            return real_kron(a, b)
+
+        monkeypatch.setattr(cones, "generator", recording_generator)
+        monkeypatch.setattr(cones, "_kron", recording_kron)
+        build_composite(ca, cb, seed=12)
+        ma, mb = kron_args[0]  # the checked product vectors are ma (x) mb
+        assert np.array_equal(ma, np.stack([a for a, _ in pairs]))
+        assert np.array_equal(mb, np.stack([b for _, b in pairs]))
+        # the generator is left where the loop leaves it
+        assert np.array_equal(made[0].standard_normal(8), ref_rng.standard_normal(8))
+
     def test_delta_overflow_is_checked_once_per_context(self, monkeypatch):
         rng = generator(70)
         ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (2, 3))
@@ -386,7 +413,8 @@ def pure_product_mixture(rng, na, nb, terms):
     and of rank at most ``terms``."""
     out = np.zeros((na * nb, na * nb), dtype=complex)
     for w in rng.dirichlet(np.ones(terms)):
-        out += w * kron(random_psd(rng, na, rank=1), random_psd(rng, nb, rank=1))
+        u, v = _unit_trace_gram(complex_gaussian(rng, na, 1)), _unit_trace_gram(complex_gaussian(rng, nb, 1))
+        out += w * kron(u, v)
     return out
 
 

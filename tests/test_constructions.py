@@ -184,7 +184,7 @@ def _reference_experiment(shape, samples, seed):
         n = shape.dim
         seedling = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         seedling /= np.linalg.norm(seedling)
-        seedling += (spec.trace_target - np.trace(seedling).real) / n * np.eye(n)
+        seedling += (1.0 - np.trace(seedling).real) / n * np.eye(n)
         d_raw, trace = optim.project_ppt(seedling, spec)
         traces.append(trace)
         vals, vecs = np.linalg.eigh(hermitize(d_raw))

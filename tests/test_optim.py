@@ -13,7 +13,7 @@ from modular_ppt.optim import (
     project_psd,
     sample_ppt_density,
 )
-from modular_ppt.rand import complex_gaussian, generator, random_density, random_psd
+from modular_ppt.rand import complex_gaussian, generator, random_psd
 
 
 @pytest.fixture
@@ -106,7 +106,7 @@ CLOSED_FORMS = [
 def assert_feasible_state(d, spec):
     assert np.linalg.eigvalsh(hermitize(d))[0] >= -1e-12
     assert np.linalg.eigvalsh(hermitize(partial_transpose(d, spec.shape, "B")))[0] >= -1e-12
-    assert abs(np.trace(d).real - spec.trace_target) <= 1e-12
+    assert abs(np.trace(d).real - 1.0) <= 1e-12
 
 
 class TestMinTrace:
@@ -246,8 +246,9 @@ class TestStackedDykstra:
         traces = self.assert_matches_one_by_one(stack, spec)
         assert len({t.iterates for t in traces}) > 1  # samples left the stack at different sweeps
 
-    def test_converged_and_snapped_samples_in_one_stack(self):
-        spec = PptSetSpec(BipartiteShape(2, 2), max_iters=5)
+    def test_converged_and_snapped_samples_in_one_stack(self, monkeypatch):
+        monkeypatch.setattr(optim, "MAX_SWEEPS", 5)
+        spec = PptSetSpec(BipartiteShape(2, 2))
         rng = generator(310)
         stack = optim._seedlings(rng, spec, 50)
         traces = self.assert_matches_one_by_one(stack, spec)
@@ -274,7 +275,7 @@ def _reference_dykstra(m, spec):
         return np.maximum.reduce([
             -np.linalg.eigvalsh(hermitize(x))[:, 0],
             -np.linalg.eigvalsh(hermitize(optim._partial_transpose(x, spec.shape, "B")))[:, 0],
-            np.abs(optim._trace(x) - spec.trace_target),
+            np.abs(optim._trace(x) - 1.0),
         ])
 
     def proj_psd(y):
@@ -285,7 +286,7 @@ def _reference_dykstra(m, spec):
         return optim._partial_transpose(proj_psd(optim._partial_transpose(y, spec.shape, "B")), spec.shape, "B")
 
     def proj_trace(y):
-        return y + ((spec.trace_target - optim._trace(y)) / n)[:, None, None] * np.eye(n)
+        return y + ((1.0 - optim._trace(y)) / n)[:, None, None] * np.eye(n)
 
     x = hermitize(m)
     n = x.shape[-1]
@@ -297,7 +298,7 @@ def _reference_dykstra(m, spec):
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
     checkpoint = np.full(len(x), np.inf)
     stall = np.zeros(len(x), dtype=int)
-    for sweep in range(1, spec.max_iters + 1):
+    for sweep in range(1, optim.MAX_SWEEPS + 1):
         prev = x
         for k, proj in enumerate(projectors):
             shifted = x + incr[k]
@@ -311,7 +312,7 @@ def _reference_dykstra(m, spec):
             checkpoint = residual
         stall = np.where(np.max(np.abs(x - prev), axis=(1, 2)) < 1e-12, stall + 1, 0)
         done |= stall >= 50
-        if sweep == spec.max_iters:
+        if sweep == optim.MAX_SWEEPS:
             done[:] = True
         if done.any():
             finished = live[done]
@@ -325,7 +326,7 @@ def _reference_dykstra(m, spec):
             if not live.size:
                 break
     for i in np.flatnonzero(final > spec.tol_feas):
-        out[i], traces[i].snap_distance = optim._interior_snap(out[i], final[i], spec)
+        out[i], traces[i].snap_distance = optim._interior_snap(out[i], final[i])
         final[i] = residuals(out[i][None])[0]
         traces[i].snapped = True
     for trace, residual in zip(traces, final):
@@ -339,7 +340,7 @@ def _reference_seedling(rng, spec):
     n = spec.shape.dim
     seedling = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     seedling /= np.linalg.norm(seedling)
-    seedling += (spec.trace_target - np.trace(seedling).real) / n * np.eye(n)
+    seedling += (1.0 - np.trace(seedling).real) / n * np.eye(n)
     return seedling
 
 
@@ -356,8 +357,9 @@ class TestLeanDykstraSweep:
     """Dropping the hermitize calls that act on exactly Hermitian iterates changes no bit."""
 
     @pytest.mark.parametrize("dims,max_iters", [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5)])
-    def test_same_bits_as_the_hermitizing_sweep(self, dims, max_iters):
-        spec = PptSetSpec(BipartiteShape(*dims), max_iters=max_iters)
+    def test_same_bits_as_the_hermitizing_sweep(self, monkeypatch, dims, max_iters):
+        monkeypatch.setattr(optim, "MAX_SWEEPS", max_iters)
+        spec = PptSetSpec(BipartiteShape(*dims))
         rng = generator(320 + dims[0] * dims[1])
         stack = np.concatenate([optim._seedlings(rng, spec, 40)]
                                + [hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))[None]
@@ -378,7 +380,7 @@ class TestStackedRestarts:
         h = hermitize(complex_gaussian(generator(313), 6, 6))
         value, minimizer, trace = min_trace_over_ppt(h, spec, iters=0, restarts=restarts, seed=5)
         rng = generator(5, stream=17)
-        starts = [np.eye(6) / 6] + [random_density(rng, 6) for _ in range(1, restarts)]
+        starts = [np.eye(6) / 6] + [random_psd(rng, 6) for _ in range(1, restarts)]
         # each start is blended toward I/6 until its partial transpose is PSD
         eps = [max(0.0, -np.linalg.eigvalsh(partial_transpose(x, spec.shape, "B"))[0]) for x in starts]
         feasible = [(1 - e / (e + 1 / 6)) * x + e / (e + 1 / 6) * np.eye(6) / 6 for x, e in zip(starts, eps)]
