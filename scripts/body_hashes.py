@@ -27,6 +27,7 @@ CONFIGS = (
     ("construct", "--dims", "2x2"),
     ("construct", "--dims", "2x3"),
     ("construct", "--dims", "3x3"),
+    *(("construct", "--dims", "3x3", "--seed", str(s)) for s in range(1, 5)),
     ("hierarchy", "--dims", "2x2"),
     ("hierarchy", "--dims", "2x3"),
     ("choi", "--dims", "2x2"),

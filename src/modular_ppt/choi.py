@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .linalg import (
     BipartiteShape,
+    _kron,
     _partial_transpose,
     herm_defect,
     hermitize,
@@ -35,7 +36,7 @@ from .linalg import (
     require_square,
 )
 from .optim import PptSetSpec, _sample_stacks, min_trace_over_ppt
-from .rand import _unit_trace_gram, complex_gaussians, generator, random_product_density, random_psd
+from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, random_psd
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's optimizer verdicts: lower bound >= -tol, or value < -tol
 OPT_ITERS = 300  # ADMM iterations of dual_pairing_test's optimizer route
@@ -282,6 +283,8 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
         Tr(D C) < 0, which is therefore entangled (the bracket and verdict
         are reported).
     """
+    if separable_samples < 1:
+        raise ContractError("separable_samples must be >= 1")
     rng = generator(seed)
     n = shape.dim_a
     swap_like = choi_from_map(transposition_map_table(n))
@@ -289,11 +292,16 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     cp_h = random_psd(rng, shape.dim)
     cp_table = map_from_choi(cp_h, shape)
     block = stormer_block_test(cp_table, k=2, samples=25, seed=seed + 1)
-    min_sep_gamma = np.inf
+    # per mixture: its term count, its Dirichlet weights, then each term's a- and b-factor
+    weights, factors = [], []
     for _ in range(separable_samples):
-        d = random_product_density(rng, shape.dim_a, shape.dim_b, terms=int(rng.integers(1, 11)))
-        gamma = _partial_transpose(d, shape, "B")
-        min_sep_gamma = min(min_sep_gamma, float(np.linalg.eigvalsh(hermitize(gamma))[0]))
+        terms = int(rng.integers(1, 11))
+        weights.append(rng.dirichlet(np.ones(terms)) if terms > 1 else np.ones(1))
+        factors.append(_factor_draws(rng, terms, 1, shape.dim_a, shape.dim_b))
+    a, b = (_unit_trace_gram(np.concatenate(f)[:, 0]) for f in zip(*factors))
+    starts = np.cumsum([0] + [w.size for w in weights[:-1]])
+    mixtures = np.add.reduceat(np.concatenate(weights)[:, None, None] * _kron(a, b), starts)  # in term order
+    min_sep_gamma = np.min(np.linalg.eigvalsh(hermitize(_partial_transpose(mixtures, shape, "B")))[:, 0])
     psi = np.zeros(4, dtype=complex)
     psi[1], psi[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     singlet = np.outer(psi, psi.conj())

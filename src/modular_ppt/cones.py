@@ -27,10 +27,11 @@ and ``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
 The public functions check beta and the Delta-power range once per call.
 
 The separable (product) cone is bracketed by ``separable_cone_distance``:
-greedy product atoms, each round refitting all atoms jointly by nonlinear
-least squares over their unnormalized factors, give the distance to an
-exhibited sum of products (upper bound); the distance to the PPT cone's
-PSD and partial-transpose constraints gives the lower bound.
+greedy product atoms, each round refitting all atoms jointly over their
+unnormalized factors by Levenberg-Marquardt steps in the row space of the
+Jacobian (so each atom's phase and scale gauge needs no fixing), give the
+distance to an exhibited sum of products (upper bound); the distance to
+the PPT cone's PSD and partial-transpose constraints gives the lower bound.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import gns as gns_mod
 from .errors import ConsistencyError, ContractError
@@ -64,13 +64,13 @@ from .linalg import (
     kron,
     require_density,
 )
-from .rand import _unit_trace_gram, complex_gaussians, generator, random_psd
+from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, random_psd
 
 DEFAULT_TOL = 1e-10
 COMPOSITE_CHECKS = 50  # sampled product pairs on which build_composite checks the factorization
 LMO_ROUNDS = 25       # alternation rounds of each start of the product-atom search
 LMO_STARTS = 3        # random starts of the product-atom search
-POLISH_NFEV = 60      # residual evaluations per joint polish of the separable bound
+POLISH_NFEV = 60      # Levenberg-Marquardt iterations per joint polish of the separable bound
 STALL_ROUNDS = 3      # rounds in which the separable bound must halve
 
 
@@ -254,17 +254,6 @@ def transpose_state_vector(ctx: GnsContext, xi: GnsVector,
         density_of(out) - gns_mod.transpose_operator(ctx, density_of(xi))
     )))
     return out, {"density_transpose_residual": residual, "passed": residual <= 1e-10}
-
-
-def _factor_draws(rng: np.random.Generator, samples: int, terms: int,
-                  na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """(samples, terms, ., .) stacks of a- and b-factors, the ``complex_gaussian`` draws of a loop
-    over samples (terms a-factors, then terms b-factors), as one row per sample cut at the a block."""
-    cut = 2 * terms * na * na
-    z = rng.standard_normal((samples, cut + 2 * terms * nb * nb))
-    z_a = z[:, :cut].reshape(samples, terms, 2, na, na)
-    z_b = z[:, cut:].reshape(samples, terms, 2, nb, nb)
-    return z_a[:, :, 0] + 1j * z_a[:, :, 1], z_b[:, :, 0] + 1j * z_b[:, :, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,10 +450,15 @@ def _product_sum(f: np.ndarray, na: int) -> np.ndarray:
 def _polish(f: np.ndarray, target: np.ndarray, na: int) -> np.ndarray:
     """Refit all factors jointly: least squares on ||sum_k A_k (x) B_k - target||
     over the real and imaginary parts of every a_k, b_k, at most
-    ``POLISH_NFEV`` evaluations.  The approximant is Hermitian, so the
+    ``POLISH_NFEV`` iterations.  The approximant is Hermitian, so the
     residual is taken against the Hermitian part of the target, in the
     coordinates of the upper triangle (off-diagonal entries weighted by
-    sqrt 2, so the sum of squares is the squared Frobenius norm)."""
+    sqrt 2, so the sum of squares is the squared Frobenius norm).
+    Levenberg-Marquardt, the step solved in the row space of the Jacobian
+    J: dx = -J^T (J J^T + mu I)^{-1} r, one n^2 x n^2 solve for any number
+    of atoms.  This least-norm step has no component in the null space of
+    J, which holds each atom's three gauge directions (the phases of a_k
+    and b_k, the scale between them), so they need no fixing."""
     k, m = f.shape
     nb = m - na
     n = na * nb
@@ -492,10 +486,23 @@ def _polish(f: np.ndarray, target: np.ndarray, na: int) -> np.ndarray:
                              axis=2).reshape(2 * k * m, -1)
         return coordinates(jac).T
 
-    x0 = np.concatenate([f.real.ravel(), f.imag.ravel()])
-    fit = least_squares(residual, x0, jac=jacobian, method="trf", max_nfev=POLISH_NFEV,
-                        ftol=1e-15, xtol=1e-15, gtol=1e-15)
-    return unpack(fit.x)
+    x = np.concatenate([f.real.ravel(), f.imag.ravel()])
+    r = residual(x)
+    if not r.any():   # an exact fit, where the damped system below is singular
+        return f
+    mu = 1e-3 * (r @ r)
+    jac = jacobian(x)
+    for _ in range(POLISH_NFEV):
+        step = -jac.T @ np.linalg.solve(jac @ jac.T + mu * np.eye(r.size), r)
+        trial = residual(x + step)
+        if trial @ trial < r @ r:
+            x, r, mu = x + step, trial, mu / 3
+            jac = jacobian(x)
+        else:
+            mu *= 4
+        if np.linalg.norm(step) <= 1e-15 * (1 + np.linalg.norm(x)):
+            break
+    return unpack(x)
 
 
 def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int = 200,

@@ -79,21 +79,6 @@ def _compressed_block(rho: np.ndarray, f: np.ndarray, a_op: np.ndarray, m: int) 
     return np.einsum("i,irjs,j->rs", f.conj(), blocks, f)
 
 
-def _compressed_block_loop(rho: np.ndarray, f: np.ndarray, a_op: np.ndarray, m: int) -> np.ndarray:
-    """Same block entrywise, by explicit matrix-vector products (cross-check)."""
-    out = np.zeros((m, m), dtype=complex)
-    for q in range(m):
-        v = np.zeros((2, m), dtype=complex)
-        v[:, q] = f
-        vec = v.ravel()
-        av = (a_op @ (rho @ vec).reshape(2, m)).ravel() + (rho @ (a_op @ vec.reshape(2, m)).ravel())
-        for p in range(m):
-            w = np.zeros((2, m), dtype=complex)
-            w[:, p] = f
-            out[p, q] = w.ravel().conj() @ av
-    return out
-
-
 def find_anticommutator_solution(rho, f) -> np.ndarray | None:
     """Hermitian A on C^2, acting nontrivially on f, with
     <f (x) y, {A (x) 1, rho} f (x) y> = 0 for all y.
@@ -128,12 +113,10 @@ def find_anticommutator_solution(rho, f) -> np.ndarray | None:
     return a_op
 
 
-def instance_residual(rho, f, a_op, loop: bool = False) -> float:
-    m = rho.shape[0] // 2
+def instance_residual(rho, f, a_op) -> float:
     f = np.asarray(f, dtype=complex).ravel()
     f = f / np.linalg.norm(f)
-    block = _compressed_block_loop(rho, f, a_op, m) if loop else _compressed_block(rho, f, a_op, m)
-    return float(np.max(np.abs(block)))
+    return float(np.max(np.abs(_compressed_block(rho, f, a_op, rho.shape[0] // 2))))
 
 
 def make_instance(rho, f) -> AnticommutatorInstance | None:

@@ -27,6 +27,17 @@ def complex_gaussians(rng: np.random.Generator, count: int, rows: int, cols: int
     return z[:, 0] + 1j * z[:, 1]
 
 
+def _factor_draws(rng: np.random.Generator, samples: int, terms: int,
+                  na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, terms, ., .) stacks of a- and b-factors, the ``complex_gaussian`` draws of a loop
+    over samples (terms a-factors, then terms b-factors), as one row per sample cut at the a block."""
+    cut = 2 * terms * na * na
+    z = rng.standard_normal((samples, cut + 2 * terms * nb * nb))
+    z_a = z[:, :cut].reshape(samples, terms, 2, na, na)
+    z_b = z[:, cut:].reshape(samples, terms, 2, nb, nb)
+    return z_a[:, :, 0] + 1j * z_a[:, :, 1], z_b[:, :, 0] + 1j * z_b[:, :, 1]
+
+
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Wishart-style PSD sample G G^dagger, normalized to unit trace."""
     return _unit_trace_gram(complex_gaussian(rng, dim, dim))
@@ -46,12 +57,3 @@ def random_faithful_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_product_density(rng: np.random.Generator, dim_a: int, dim_b: int, terms: int = 1) -> np.ndarray:
-    """Convex mixture of ``terms`` product states on the given bipartite shape."""
-    out = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    weights = rng.dirichlet(np.ones(terms)) if terms > 1 else [1.0]
-    for w in weights:
-        out = out + w * np.kron(random_psd(rng, dim_a), random_psd(rng, dim_b))
-    return out

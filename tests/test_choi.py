@@ -429,7 +429,35 @@ class TestLemmaFi:
         assert abs(np.trace(psi @ c) - direct) <= 1e-10
 
 
+def reference_separable_rung(rng, shape, samples):
+    """The separable rung of hierarchy_report one mixture at a time, as it ran
+    before its stacked form: the least eigenvalue of each mixture's partial transpose."""
+    worst = np.inf
+    for _ in range(samples):
+        terms = int(rng.integers(1, 11))
+        d = np.zeros((shape.dim, shape.dim), dtype=complex)
+        for w in (rng.dirichlet(np.ones(terms)) if terms > 1 else [1.0]):
+            d = d + w * np.kron(random_psd(rng, shape.dim_a), random_psd(rng, shape.dim_b))
+        worst = min(worst, float(np.linalg.eigvalsh(hermitize(partial_transpose(d, shape, "B")))[0]))
+    return worst
+
+
 class TestHierarchy:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_separable_rung_equals_the_per_mixture_loop(self, dims, monkeypatch):
+        shape = BipartiteShape(*dims)
+        made = []
+        monkeypatch.setattr(choi, "generator", lambda seed: made.append(generator(seed)) or made[-1])
+        report = hierarchy_report(shape, seed=10, separable_samples=100)
+        rng = generator(10)
+        random_psd(rng, shape.dim)  # the CP map's operator is drawn first
+        assert report["separable_min_gamma_eig"] == reference_separable_rung(rng, shape, 100)
+        assert np.array_equal(made[0].standard_normal(8), rng.standard_normal(8))  # same stream position
+
+    def test_separable_samples_must_be_positive(self):
+        with pytest.raises(ContractError):
+            hierarchy_report(BipartiteShape(2, 2), separable_samples=0)
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
     def test_all_items(self, dims):
         report = hierarchy_report(BipartiteShape(*dims), seed=10, separable_samples=100)

@@ -438,6 +438,14 @@ class TestSeparableDistance:
         assert bound <= 1e-8
         assert_bracket(bound, approx, info)
 
+    def test_exact_product_fit(self, comp22):
+        # the first atom reproduces a product of basis projectors exactly: a zero residual
+        target = np.zeros((4, 4), dtype=complex)
+        target[0, 0] = 1.0
+        bound, approx, info = separable_cone_distance(comp22, comp22.joint.vector(target), seed=66)
+        assert bound == 0.0 and info["terms"] == 1
+        assert np.array_equal(approx.mat, target)
+
     def test_singlet_stays_far(self, comp22, singlet):
         xi = state_to_cone_vector(comp22.joint, singlet)
         bound, approx, info = separable_cone_distance(comp22, xi, iters=500, seed=67)

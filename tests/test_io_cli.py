@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modular_ppt
 from modular_ppt.cli import RunConfig, config_from_args, build_parser, main, run_command
 from modular_ppt.io import (
     MatrixFileError,
@@ -225,3 +229,13 @@ class TestCliMain:
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert abs(body["results"]["value"]) <= 1e-4
+
+
+class TestImport:
+    def test_no_scipy_module_is_loaded(self):
+        # numpy is the only runtime dependency, so a fresh import of the package and its CLI loads no scipy
+        src = str(Path(modular_ppt.__file__).resolve().parents[1])
+        code = "import sys, modular_ppt, modular_ppt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
