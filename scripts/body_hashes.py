@@ -24,12 +24,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = (
     *(("experiment", "--dims", "2x2", "--seed", str(s)) for s in range(5)),
     *(("experiment", "--dims", dims, "--seed", str(s)) for dims in ("2x3", "3x3") for s in range(2)),
+    *(("experiment", "--dims", "3x3", "--seed", str(s)) for s in range(2, 5)),
     ("construct", "--dims", "2x2"),
     ("construct", "--dims", "2x3"),
     ("construct", "--dims", "3x3"),
     *(("construct", "--dims", "3x3", "--seed", str(s)) for s in range(1, 5)),
     ("hierarchy", "--dims", "2x2"),
     ("hierarchy", "--dims", "2x3"),
+    ("hierarchy", "--dims", "3x3"),
     ("choi", "--dims", "2x2"),
     *(("cone-check", "--dims", d) for d in ("2", "3", "6")),
     *(("gns-verify", "--dims", d) for d in ("2", "4", "9")),
@@ -38,6 +40,7 @@ CONFIGS = (
     ("minimize", "--in", "choi_map.json", "--dims", "3x3"),
     ("anticomm", "--dims", "2x2"),
     ("anticomm", "--dims", "2x3"),
+    ("anticomm", "--dims", "2x4"),
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2"),
 )
 

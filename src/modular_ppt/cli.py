@@ -171,7 +171,7 @@ def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
     shape = _bipartite(cfg) if cfg.dims is not None else meta.get("shape")
     if shape is None:
         raise ContractError("minimize needs --dims NxM (or a shape field in the file)")
-    spec = optim.PptSetSpec(shape, tol_feas=cfg.tol.get("feas", 1e-8))
+    spec = optim.PptSetSpec(shape)
     value, minimizer, trace = optim.min_trace_over_ppt(
         h, spec, iters=cfg.iters or 1500, restarts=5, seed=cfg.seed)
     body = {
@@ -258,6 +258,7 @@ RUNNERS = {
     "experiment": run_experiment,
     "hierarchy": run_hierarchy,
 }
+TOL_KEYS = {"cone-check": ("membership",), "ppt-check": ("psd",)}  # the --tol keys each command reads
 
 
 def run_command(cfg: RunConfig) -> tuple[int, dict]:
@@ -265,6 +266,10 @@ def run_command(cfg: RunConfig) -> tuple[int, dict]:
     (results, passed) and may add a dict of solver counters for the timing."""
     if cfg.command not in RUNNERS:
         raise ContractError(f"unknown command {cfg.command!r}")
+    known = TOL_KEYS.get(cfg.command, ())
+    for key in cfg.tol:
+        if key not in known:
+            raise ContractError(f"--tol {key} is not read by {cfg.command!r} (it reads: {', '.join(known) or 'none'})")
     started = time.time()
     results, passed, *counters = RUNNERS[cfg.command](cfg)
     body = {"command": cfg.command, "config": cfg.echo(), "results": results,
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--iters", type=int, default=None)
     parser.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
-                        help="tolerance override, e.g. --tol feas=1e-9")
+                        help="tolerance override, e.g. --tol psd=1e-11")
     return parser
 
 

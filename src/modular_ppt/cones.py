@@ -24,7 +24,11 @@ a vector whose matrix is a stack.  ``build_composite`` and
 ``commutant_cone_check`` draw their factors in the same order with one
 ``_factor_draws`` call and check them as one stack: ``_natural_cone_generator``
 and ``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
-The public functions check beta and the Delta-power range once per call.
+The public functions check beta once per call.  The Delta-power overflow
+check lives in ``gns.apply_delta_power``, where the caller picks the power:
+every context comes from ``build_gns``, whose eigenvalues lie in
+[EPS_FAITHFUL, 1 + TOL_TRACE], so the fixed powers |beta| <= 1 used here
+keep every |beta log(lambda_i/lambda_j)| below 28.
 
 The separable (product) cone is bracketed by ``separable_cone_distance``:
 greedy product atoms, each round refitting all atoms jointly over their
@@ -45,7 +49,6 @@ from .errors import ConsistencyError, ContractError
 from .gns import (
     GnsContext,
     GnsVector,
-    _check_delta_power,
     _delta_power,
     _flip,
     _inner,
@@ -59,7 +62,6 @@ from .linalg import (
     _mat_sqrt_psd,
     _norms,
     _partial_transpose,
-    herm_defect,
     hermitize,
     kron,
     require_density,
@@ -74,24 +76,15 @@ POLISH_NFEV = 60      # Levenberg-Marquardt iterations per joint polish of the s
 STALL_ROUNDS = 3      # rounds in which the separable bound must halve
 
 
-@dataclass(frozen=True)
-class ConeQuery:
-    """Which V_beta to test, and the PSD certificate tolerance."""
-
-    beta: float
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 0.5:
-            raise ContractError(f"beta must lie in [0, 1/2], got {self.beta}")
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 0.5:
+        raise ContractError(f"beta must lie in [0, 1/2], got {beta}")
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
     inside: bool
     certificate: float       # min eigenvalue of the witnessing matrix
-    route: str
-    herm_defect: float = 0.0
     detail: dict = field(default_factory=dict)
     witness: np.ndarray | None = field(default=None, compare=False, repr=False)  # the matrix certified PSD
 
@@ -103,20 +96,14 @@ def _v_beta_certificate(ctx: GnsContext, beta: float, mats: np.ndarray) -> tuple
     return a, np.linalg.eigvalsh(hermitize(a))[..., 0]
 
 
-def v_beta_membership(ctx: GnsContext, q: ConeQuery, xi: GnsVector) -> MembershipVerdict:
+def v_beta_membership(ctx: GnsContext, beta: float, xi: GnsVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """xi in V_beta  iff  a = mat(Delta^{-beta} xi) rho^{-1/2} is PSD."""
+    _check_beta(beta)
     if xi.ctx is not ctx:
         raise ContractError("vector does not belong to this GNS context")
-    _check_delta_power(ctx, -q.beta)
-    a, cert = _v_beta_certificate(ctx, q.beta, xi.mat)
+    a, cert = _v_beta_certificate(ctx, beta, xi.mat)
     cert = float(cert)
-    return MembershipVerdict(
-        inside=cert >= -q.tol,
-        certificate=cert,
-        route=f"v_beta({q.beta})",
-        herm_defect=herm_defect(a),
-        witness=a,
-    )
+    return MembershipVerdict(inside=cert >= -tol, certificate=cert, witness=a)
 
 
 def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -127,7 +114,7 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
     A sign disagreement with both certificates clear of the boundary is an
     internal error.
     """
-    via_beta = v_beta_membership(ctx, ConeQuery(0.25, tol), xi)
+    via_beta = v_beta_membership(ctx, 0.25, xi, tol)
     spectral_cert = float(np.linalg.eigvalsh(hermitize(xi.mat))[0])
     spectral_inside = spectral_cert >= -tol
     if via_beta.inside != spectral_inside and min(abs(via_beta.certificate), abs(spectral_cert)) > 10 * tol:
@@ -138,8 +125,6 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
     return MembershipVerdict(
         inside=via_beta.inside,
         certificate=via_beta.certificate,
-        route="natural(v_beta+spectral)",
-        herm_defect=max(via_beta.herm_defect, herm_defect(xi.mat)),
         detail={"spectral_certificate": spectral_cert, "vbeta_certificate": via_beta.certificate},
         witness=via_beta.witness,
     )
@@ -153,8 +138,7 @@ def _cone_elements(ctx: GnsContext, beta: float, psd: np.ndarray) -> np.ndarray:
 
 def sample_cone_element(ctx: GnsContext, beta: float, rng: np.random.Generator) -> GnsVector:
     """Constructive V_beta sample Delta^beta a Omega with a random PSD a."""
-    ConeQuery(beta)  # checks beta
-    _check_delta_power(ctx, beta)
+    _check_beta(beta)
     return GnsVector(_cone_elements(ctx, beta, random_psd(rng, ctx.dim)[None])[0], ctx)
 
 
@@ -177,9 +161,7 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     for random vectors failing the beta membership test a separating
     element of V_{1/2-beta} is produced from the witness eigenvector.
     """
-    ConeQuery(beta, tol)  # checks beta
-    for power in (beta, 0.5 - beta):
-        _check_delta_power(ctx, power)
+    _check_beta(beta)
     rng = generator(seed)
     n = ctx.dim
     psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
@@ -208,9 +190,7 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
 def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL) -> dict:
     """U carries V_beta into V_{1/2-beta}; U Delta^{1/2} fixes V_0."""
-    ConeQuery(beta, tol)  # checks beta
-    for power in (beta, 0.5 - beta, 0.5):
-        _check_delta_power(ctx, power)
+    _check_beta(beta)
     rng = generator(seed)
     n = ctx.dim
     psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
@@ -282,8 +262,6 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, seed: int = 0) -> Comp
         shape=BipartiteShape(ctx_a.dim, ctx_b.dim),
     )
     ma, mb = (m[:, 0] for m in _factor_draws(generator(seed), COMPOSITE_CHECKS, 1, ctx_a.dim, ctx_b.dim))
-    for ctx in (joint, ctx_a, ctx_b):
-        _check_delta_power(ctx, 1.0)
     xi = _kron(ma, mb)
     joint_images = np.stack([apply_jm(joint, GnsVector(xi, joint)).mat, _delta_power(joint, 1.0, xi)])
     factored = np.stack([_kron(ma.conj().swapaxes(-1, -2), mb.conj().swapaxes(-1, -2)),
@@ -336,8 +314,6 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
     return MembershipVerdict(
         inside=inside2,
         certificate=cert_route2,
-        route="pn_intersection",
-        herm_defect=m1.herm_defect,
         detail={
             "cone_certificates": (m1.certificate, m2.certificate),
             "matrix_certificates": (m1.certificate, cert_gamma),
@@ -506,7 +482,7 @@ def _polish(f: np.ndarray, target: np.ndarray, na: int) -> np.ndarray:
 
 
 def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int = 200,
-                            seed: int = 0, max_terms: int | None = None) -> tuple[float, GnsVector, dict]:
+                            seed: int = 0) -> tuple[float, GnsVector, dict]:
     """Certified upper bound on the distance from xi to the cone of
     products of factor-cone elements, with a lower bound beside it.
 
@@ -518,7 +494,7 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
     point, never a claim about the true distance.  ``info["history"]``
     holds the bound after each round, decreasing, and ``info["terms"]``
     the number of atoms.  It stops at a bound <= 1e-9 (``converged``),
-    after ``iters`` rounds, at ``max_terms`` atoms (default dim^2), when no
+    after ``iters`` rounds, at (na nb)^2 atoms, when no
     product atom pairs above 1e-15 with the residual, when a round does not
     lower the bound, or on a stall: a bound that has not halved over the
     last ``STALL_ROUNDS`` rounds, which bounds the work on inputs outside
@@ -533,7 +509,6 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
     if xi.ctx is not joint:
         raise ContractError("vector does not belong to the joint GNS context")
     na, nb = comp.ctx_a.dim, comp.ctx_b.dim
-    cap = max_terms or (na * nb) ** 2
     target = xi.mat
     rng = generator(seed)
 
@@ -542,7 +517,7 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
     bound = float(np.linalg.norm(target))
     history: list[float] = []
     for _ in range(iters):
-        if bound <= 1e-9 or len(factors) >= cap:
+        if bound <= 1e-9 or len(factors) >= (na * nb) ** 2:
             break
         if len(history) > STALL_ROUNDS and bound > 0.5 * history[-1 - STALL_ROUNDS]:
             break

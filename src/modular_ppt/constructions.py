@@ -103,10 +103,9 @@ def find_anticommutator_solution(rho, f) -> np.ndarray | None:
         block = _compressed_block(rho, f, basis_a, m)
         columns.append(np.concatenate([block.real.ravel(), block.imag.ravel()]))
     system = np.stack(columns, axis=1)
-    svals = np.linalg.svd(system, compute_uv=False)
+    _, svals, vt = np.linalg.svd(system)
     if svals[-1] >= SOLUTION_SV_THRESHOLD:
         return None
-    _, _, vt = np.linalg.svd(system)
     coeffs = vt[-1]
     a_op = sum(c * b for c, b in zip(coeffs, basis))
     a_op = a_op / np.linalg.norm(a_op)

@@ -138,7 +138,7 @@ def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
     and near m, but it is not the Frobenius-nearest point: Dykstra's
     correction terms have not converged by then.  A member of the set is
     returned unchanged by the first sweep.  On the rare tangential
-    instances where the residual stalls above tol_feas, the iterate is
+    instances where the residual stays above tol_feas, the iterate is
     blended minimally toward the interior point I/n so that the
     output is always feasible; the blend distance is recorded on the
     trace.  Non-convergence is reported, never raised.
@@ -152,7 +152,10 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
 
     Every sample keeps its own stopping rules and trace, and leaves the
     stack at the sweep where it stops, so the sweeps left run only on the
-    samples still moving.
+    samples still moving.  A sample stops when feasible, when its residual
+    has not halved over the last 100 sweeps (checked at each multiple of
+    100 from 200 on, which also stops an iterate that no longer moves), or
+    after MAX_SWEEPS.
     """
     x = hermitize(m)
     n = x.shape[-1]
@@ -174,9 +177,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
     live = np.arange(len(x))
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
     checkpoint = np.full(len(x), np.inf)  # residual at the last multiple of 100 sweeps; first read at 200
-    stall = np.zeros(len(x), dtype=int)
     for sweep in range(1, MAX_SWEEPS + 1):
-        prev = x
         for k, proj in enumerate(projectors):
             shifted = x + incr[k]
             x = proj(shifted)
@@ -185,10 +186,8 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
         done = residual <= spec.tol_feas
         if sweep % 100 == 0:
             if sweep >= 200:
-                done |= residual > 0.5 * checkpoint  # tangential stall: decay slower than 2x per 100 sweeps
+                done |= residual > 0.5 * checkpoint  # tangential: decay slower than 2x per 100 sweeps
             checkpoint = residual
-        stall = np.where(np.max(np.abs(x - prev), axis=(1, 2)) < 1e-12, stall + 1, 0)
-        done |= stall >= 50
         if sweep == MAX_SWEEPS:
             done[:] = True
         if done.any():
@@ -199,7 +198,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
             final[finished] = residual[done]
             keep = ~done
             live, x, incr = live[keep], x[keep], incr[:, keep]
-            checkpoint, stall = checkpoint[keep], stall[keep]
+            checkpoint = checkpoint[keep]
             if not live.size:
                 break
     for i in np.flatnonzero(final > spec.tol_feas):

@@ -222,6 +222,26 @@ class TestCliMain:
         cfg = config_from_args(args)
         assert cfg.tol == {"feas": 1e-9, "psd": 1e-11}
 
+    def test_tol_key_the_command_does_not_read_exits_two(self, tmp_path, swap22, capsys):
+        path = str(tmp_path / "swap.json")
+        save_matrix(swap22, path, kind="hermitian", shape=BipartiteShape(2, 2))
+        assert main(["minimize", "--in", path, "--dims", "2x2", "--tol", "feas=1e-9"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and "feas" in diagnostic["error"]
+        assert main(["cone-check", "--dims", "2", "--tol", "psd=1e-11"]) == 2
+        assert "psd" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_ppt_check_reads_its_psd_tolerance(self, tmp_path, singlet, capsys):
+        # a Werner state whose partial transpose has least eigenvalue -5e-11
+        p = 1 / 3 + 4 / 3 * 5e-11
+        path = str(tmp_path / "werner.json")
+        save_matrix(p * singlet + (1 - p) * np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        verdicts = []
+        for tol in ([], ["--tol", "psd=1e-11"]):
+            assert main(["ppt-check", "--in", path, "--dims", "2x2", *tol]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out)["results"]["ppt"])
+        assert verdicts == [True, False]
+
     def test_minimize_swap_value(self, tmp_path, swap22, capsys):
         path = str(tmp_path / "swap.json")
         save_matrix(swap22, path, kind="hermitian", shape=BipartiteShape(2, 2))

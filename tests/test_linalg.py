@@ -180,6 +180,24 @@ class TestHermEig:
         with pytest.raises(ContractError):
             herm_eig(complex_gaussian(rng, 3, 3))
 
+    @pytest.mark.parametrize("aligned", [False, True], ids=["generic", "coordinate"])
+    def test_cluster_basis_always_spans_the_cluster(self, aligned):
+        # the Gram-Schmidt over the columns of V V^dagger never ends short of k vectors;
+        # coordinate-aligned clusters make most of those columns exactly zero
+        rng = generator(90 + aligned)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            k = int(rng.integers(1, n + 1))
+            mix = np.linalg.qr(complex_gaussian(rng, k, k))[0]
+            if aligned:
+                v = np.eye(n)[:, rng.permutation(n)[:k]] @ mix
+            else:
+                v = np.linalg.qr(complex_gaussian(rng, n, k))[0]
+            q = linalg._canonical_cluster_basis(v)
+            assert q.shape == (n, k)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 1e-12
+            assert np.linalg.norm(q @ q.conj().T - v @ v.conj().T) <= 1e-12
+
 
 class TestPsdCheck:
     def test_identity(self):

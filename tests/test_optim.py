@@ -297,9 +297,7 @@ def _reference_dykstra(m, spec):
     live = np.arange(len(x))
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
     checkpoint = np.full(len(x), np.inf)
-    stall = np.zeros(len(x), dtype=int)
     for sweep in range(1, optim.MAX_SWEEPS + 1):
-        prev = x
         for k, proj in enumerate(projectors):
             shifted = x + incr[k]
             x = hermitize(proj(shifted))
@@ -310,8 +308,6 @@ def _reference_dykstra(m, spec):
             if sweep >= 200:
                 done |= residual > 0.5 * checkpoint
             checkpoint = residual
-        stall = np.where(np.max(np.abs(x - prev), axis=(1, 2)) < 1e-12, stall + 1, 0)
-        done |= stall >= 50
         if sweep == optim.MAX_SWEEPS:
             done[:] = True
         if done.any():
@@ -322,7 +318,7 @@ def _reference_dykstra(m, spec):
             final[finished] = residual[done]
             keep = ~done
             live, x, incr = live[keep], x[keep], incr[:, keep]
-            checkpoint, stall = checkpoint[keep], stall[keep]
+            checkpoint = checkpoint[keep]
             if not live.size:
                 break
     for i in np.flatnonzero(final > spec.tol_feas):
