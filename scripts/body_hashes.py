@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Print a short hash of the report body of each pinned CLI configuration.
+"""Print short hashes of the report body and timing counters of each
+pinned CLI configuration.
 
 Each configuration runs in its own process with OPENBLAS_NUM_THREADS=1,
-against the ``src`` tree next to this script; one line is printed per
-run: ``command args sha256[:16]`` of the printed body.  Run it in two
-checkouts and diff the outputs to check that a change keeps report bodies
-byte-identical:
+against the ``src`` tree next to this script, and writes its report with
+``--out`` (which the body does not echo).  One line is printed per run:
+``command args body timing``, where ``body`` is sha256[:16] of the printed
+body and ``timing`` that of the saved report's ``timing`` without its
+``seconds`` (the solver counters, such as ``experiment``'s ``dykstra_*``
+tallies).  Run it in two checkouts and diff the outputs to check that a
+change keeps report bodies byte-identical and the counters unchanged:
 
     python scripts/body_hashes.py > after.txt
 """
@@ -13,6 +17,7 @@ byte-identical:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -65,12 +70,23 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         # the body echoes the --in path, so it is the same relative name everywhere
         subprocess.run([sys.executable, "-c", WRITE_INPUTS], cwd=work, env=env, check=True)
+        report = Path(work) / "report.json"
         for args in CONFIGS:
-            run = subprocess.run([sys.executable, "-m", "modular_ppt.cli", *args], cwd=work, env=env,
-                                 capture_output=True, check=False)
-            digest = hashlib.sha256(run.stdout).hexdigest()[:16]
-            print(" ".join(args), digest if run.returncode in (0, 1) else f"exit {run.returncode}")
+            report.unlink(missing_ok=True)
+            run = subprocess.run([sys.executable, "-m", "modular_ppt.cli", *args, "--out", report.name],
+                                 cwd=work, env=env, capture_output=True, check=False)
+            if run.returncode not in (0, 1):
+                print(" ".join(args), f"exit {run.returncode}")
+                continue
+            timing = json.loads(report.read_text())["timing"]
+            timing.pop("seconds")
+            counters = json.dumps(timing, sort_keys=True).encode()
+            print(" ".join(args), _digest(run.stdout), _digest(counters))
     return 0
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 if __name__ == "__main__":

@@ -178,7 +178,7 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     if not optimizer:
         rng = generator(seed)
         best = np.inf
-        for d, _ in _sample_stacks(rng, spec, samples):
+        for d, *_ in _sample_stacks(rng, spec, samples):
             best = min(best, float(np.min(np.trace(d @ h, axis1=-2, axis2=-1).real)))
         return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
                 "min_pairing": float(best)}
@@ -212,7 +212,7 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     # inputs sampled one decade tighter than the -1e-8 output verdict
     in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
     min_eig = np.inf
-    for a, _ in _sample_stacks(rng, in_spec, samples):
+    for a, *_ in _sample_stacks(rng, in_spec, samples):
         out = np.einsum("xsirj,ijkl->xskrl", a.reshape(-1, k, n, k, n), t.blocks)
         w = np.linalg.eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))
         min_eig = min(min_eig, float(np.min(w[:, 0])))

@@ -79,9 +79,8 @@ def _single_dim(cfg: RunConfig) -> int:
     return cfg.dims
 
 
-def _context_for(cfg: RunConfig, dim: int, stream: int = 0) -> gns.GnsContext:
-    rng = generator(cfg.seed, stream=stream)
-    return gns.build_gns(random_faithful_density(rng, dim))
+def _context_for(cfg: RunConfig, dim: int) -> gns.GnsContext:
+    return gns.build_gns(random_faithful_density(generator(cfg.seed), dim))
 
 
 def run_gns_verify(cfg: RunConfig) -> tuple[dict, bool]:
@@ -227,18 +226,8 @@ def run_anticomm(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_experiment(cfg: RunConfig) -> tuple[dict, bool, dict]:
-    shape = _bipartite(cfg)
-    rep = constructions.sqrt_ppt_experiment(shape, samples=cfg.samples, seed=cfg.seed)
-    body = {
-        "samples": rep.samples,
-        "counts": rep.counts,
-        "counterexamples": rep.counterexamples,
-        "control_failures": rep.control_failures,
-        "max_control_residual": rep.max_control_residual,
-        "partial_transpose_probe": rep.partial_transpose_probe,
-        "passed": rep.control_failures == 0,
-    }
-    return body, bool(body["passed"]), rep.dykstra
+    body, tallies = constructions.sqrt_ppt_experiment(_bipartite(cfg), samples=cfg.samples, seed=cfg.seed)
+    return body, body["passed"], tallies
 
 
 def run_hierarchy(cfg: RunConfig) -> tuple[dict, bool]:
@@ -259,6 +248,7 @@ RUNNERS = {
     "hierarchy": run_hierarchy,
 }
 TOL_KEYS = {"cone-check": ("membership",), "ppt-check": ("psd",)}  # the --tol keys each command reads
+FLAG_READERS = {"--in": ("minimize", "ppt-check"), "--iters": ("minimize",)}  # the commands that read each flag
 
 
 def run_command(cfg: RunConfig) -> tuple[int, dict]:
@@ -270,6 +260,9 @@ def run_command(cfg: RunConfig) -> tuple[int, dict]:
     for key in cfg.tol:
         if key not in known:
             raise ContractError(f"--tol {key} is not read by {cfg.command!r} (it reads: {', '.join(known) or 'none'})")
+    for flag, value in (("--in", cfg.in_path), ("--iters", cfg.iters)):
+        if value is not None and cfg.command not in FLAG_READERS[flag]:
+            raise ContractError(f"{flag} is not read by {cfg.command!r} (only by: {', '.join(FLAG_READERS[flag])})")
     started = time.time()
     results, passed, *counters = RUNNERS[cfg.command](cfg)
     body = {"command": cfg.command, "config": cfg.echo(), "results": results,

@@ -10,7 +10,7 @@ and reports; it never asserts an answer to the open correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +42,6 @@ class AnticommutatorInstance:
     f: np.ndarray          # unit vector in C^2
     a_op: np.ndarray       # Hermitian 2x2, nonzero
     residual: float        # max |compressed anticommutator block|
-
-
-@dataclass
-class ExperimentReport:
-    samples: int
-    dims: BipartiteShape
-    counts: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
-    seed: int = 0
-    control_failures: int = 0
-    max_control_residual: float = 0.0
-    partial_transpose_probe: dict = field(default_factory=dict)
-    dykstra: dict = field(default_factory=dict)  # sampler trace tallies, kept out of report bodies
 
 
 def _adapted_hermitian_basis(f: np.ndarray) -> list[np.ndarray]:
@@ -237,7 +224,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0) -> tuple[n
     return dens, report
 
 
-def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0) -> ExperimentReport:
+def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0) -> tuple[dict, dict]:
     """Probe: does PPT-ness of a state transfer to its square root?
 
     For Dykstra-sampled PPT states D the harness tallies the PPT verdict
@@ -246,6 +233,10 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     (1 (x) U_B) acts like a partial transpose on the state of the cone
     vector of D.  Only tallies and residuals are reported; each chunk of
     sampled states runs as one stack.
+
+    Returns (report, tallies): ``report`` is the ``experiment`` command's
+    results, ``tallies`` the sampler's ``dykstra_*`` counters, which stay
+    out of report bodies.
     """
     if samples < 1:
         raise ContractError("samples must be >= 1")
@@ -255,12 +246,14 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     comp = build_composite(ctx_a, ctx_b)
     joint = comp.joint
     eigen_b = np.kron(np.eye(shape.dim_a), comp.ctx_b.kernel)
+    spec = PptSetSpec(shape)
 
     counts = {"ppt_and_sqrt_ppt": 0, "ppt_and_sqrt_npt": 0, "input_not_ppt": 0}
-    report = ExperimentReport(samples=samples, dims=shape, counts=counts, seed=seed)
-    probes, traces = [], []
-    for d_raw, chunk_traces in _sample_stacks(rng, PptSetSpec(shape), samples):
-        traces += chunk_traces
+    counterexamples = []
+    control_failures, max_control = 0, 0.0
+    probes, chunks = [], []
+    for d_raw, *chunk in _sample_stacks(rng, spec, samples):
+        chunks.append(chunk)
         d = _project_psd(d_raw)
         d = d / np.trace(d, axis1=-2, axis2=-1).real[:, None, None]
         d_gamma = _partial_transpose(d, shape, "B")
@@ -272,29 +265,37 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
         npt = root_gamma_min < -RESIDUAL_TOL
         counts["ppt_and_sqrt_ppt"] += int(np.sum(~npt))
         counts["ppt_and_sqrt_npt"] += int(np.sum(npt))
-        for i in np.flatnonzero(npt)[:10 - len(report.counterexamples)]:
-            report.counterexamples.append({"d_re": d[i].real.tolist(), "d_im": d[i].imag.tolist(),
-                                           "sqrt_gamma_min_eig": float(root_gamma_min[i])})
+        for i in np.flatnonzero(npt)[:10 - len(counterexamples)]:
+            counterexamples.append({"d_re": d[i].real.tolist(), "d_im": d[i].imag.tolist(),
+                                    "sqrt_gamma_min_eig": float(root_gamma_min[i])})
         xi = GnsVector(root, joint)  # the natural-cone vector of each d is its PSD root
         control = np.max(np.abs(density_of(apply_u(joint, xi)) - _flip(joint, d)), axis=(1, 2))
-        report.max_control_residual = max(report.max_control_residual, float(np.max(control, initial=0.0)))
-        report.control_failures += int(np.sum(control > 1e-10))
+        max_control = max(max_control, float(np.max(control, initial=0.0)))
+        control_failures += int(np.sum(control > 1e-10))
         eigen_pt = eigen_b @ d_gamma @ eigen_b.conj().T
         probes.append(np.max(np.abs(density_of(one_otimes_ub(comp, xi)) - eigen_pt), axis=(1, 2)))
     probes = np.concatenate(probes)
-    report.partial_transpose_probe = {
-        "max_residual": float(np.max(probes, initial=0.0)),
-        "min_residual": float(np.min(probes) if probes.size else 0.0),
-        "matches_at_1e-9": int(np.sum(probes <= 1e-9)),
+    report = {
+        "samples": samples,
+        "counts": counts,
+        "counterexamples": counterexamples,
+        "control_failures": control_failures,
+        "max_control_residual": max_control,
+        "partial_transpose_probe": {
+            "max_residual": float(np.max(probes, initial=0.0)),
+            "min_residual": float(np.min(probes) if probes.size else 0.0),
+            "matches_at_1e-9": int(np.sum(probes <= 1e-9)),
+        },
+        "passed": control_failures == 0,
     }
-    sweeps = np.array([t.iterates for t in traces])
-    report.dykstra = {
+    sweeps, snapped, residual = (np.concatenate(a) for a in zip(*chunks))
+    tallies = {
         "dykstra_sweeps": int(np.sum(sweeps)),
         "dykstra_sweeps_p90": int(np.percentile(sweeps, 90, method="inverted_cdf")),  # nearest rank
-        "dykstra_snaps": sum(t.snapped for t in traces),
-        "dykstra_unconverged": sum(not t.converged for t in traces),
+        "dykstra_snaps": int(np.count_nonzero(snapped)),
+        "dykstra_unconverged": int(np.count_nonzero(residual > spec.tol_feas)),
     }
-    return report
+    return report, tallies
 
 
 def reverify_counterexample(entry: dict, shape: BipartiteShape) -> float:

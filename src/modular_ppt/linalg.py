@@ -23,7 +23,6 @@ i * dim_b + j.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +35,7 @@ TOL_TRACE = 1e-10
 EPS_FAITHFUL = 1e-12
 DEGENERACY_GAP = 1e-9
 
-DEFAULT_MAX_DIM = 4096
-
-
-def max_dim() -> int:
-    """Dense-dimension cap; override with MODULAR_PPT_MAX_DIM."""
-    return int(os.environ.get("MODULAR_PPT_MAX_DIM", DEFAULT_MAX_DIM))
+MAX_DIM = 4096  # dense-dimension cap
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,9 @@ def require_bipartite(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > max_dim() or a.shape[1] * b.shape[1] > max_dim():
+    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
         raise DimensionLimitError(
-            f"kron product dimension {a.shape[0] * b.shape[0]} exceeds cap {max_dim()}"
+            f"kron product dimension {a.shape[0] * b.shape[0]} exceeds cap {MAX_DIM}"
         )
     return np.kron(a, b)
 
@@ -188,7 +182,7 @@ def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:
     = Tr P - Tr Q_j = k - j >= 1.  A column's residual only shrinks as more
     vectors are chosen, so if the loop ended short, every column would have
     a residual <= 1e-6 against the final Q_j, and the sum would be at most
-    n * 1e-12, below 1 for any n < 10^12 (the dense cap ``max_dim`` is 4096).
+    n * 1e-12, below 1 for any n < 10^12 (the dense cap ``MAX_DIM`` is 4096).
     """
     n, k = vecs.shape
     proj = vecs @ vecs.conj().T

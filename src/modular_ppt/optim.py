@@ -16,11 +16,12 @@ the dual-cone pairing test.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
-one.  Every sample keeps its own stopping rules and its own
-``SolveTrace``, and gives the same bits as when projected alone.
-``project_ppt`` and ``sample_ppt_density`` project a stack of one,
-``_sample_stacks`` projects its samples in stacks of SAMPLE_CHUNK, and
-``min_trace_over_ppt`` runs all its ADMM starts as one stack.
+one.  Every sample keeps its own stopping rules, its own entry in the
+sweep, snap and residual arrays returned with the stack, and the same
+bits as when projected alone.  ``project_ppt`` and ``sample_ppt_density``
+project a stack of one, ``_sample_stacks`` projects its samples in stacks
+of SAMPLE_CHUNK, and ``min_trace_over_ppt`` runs all its ADMM starts as
+one stack.
 
 Dykstra's iterates are exactly Hermitian: after the input is hermitized,
 each is a sum or difference of Hermitian matrices, a partial transpose of
@@ -38,13 +39,13 @@ import numpy as np
 
 from .errors import ContractError, DimensionLimitError
 from .linalg import (
+    MAX_DIM,
     BipartiteShape,
     _norms,
     _partial_transpose,
     _project_psd,
     _spectral,
     hermitize,
-    max_dim,
     project_psd,
     require_bipartite,
     require_density,
@@ -82,18 +83,16 @@ class PptSetSpec:
     def __post_init__(self):
         if self.tol_feas <= 0:
             raise ContractError(f"tol_feas must be positive, got {self.tol_feas}")
-        if self.shape.dim > max_dim():
-            raise DimensionLimitError(f"PPT set dimension {self.shape.dim} exceeds cap {max_dim()}")
+        if self.shape.dim > MAX_DIM:
+            raise DimensionLimitError(f"PPT set dimension {self.shape.dim} exceeds cap {MAX_DIM}")
 
 
 @dataclass
 class SolveTrace:
     iterates: int = 0
     feasibility_residual: float = 0.0
-    step_rule: str = ""
     converged: bool = True
     snapped: bool = False
-    snap_distance: float = 0.0
     lower_bound: float | None = None  # certified bracket of min_trace_over_ppt
     gap: float | None = None
     # min_trace_over_ppt's PSD dual Q = -rho U, kept from the check that set
@@ -115,18 +114,17 @@ def _trace(x: np.ndarray) -> np.ndarray:
     return np.trace(x, axis1=-2, axis2=-1).real
 
 
-def _interior_snap(x: np.ndarray, residual: float) -> tuple[np.ndarray, float]:
-    """Minimal blend toward the strictly interior point I/n.
+def _interior_snap(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Minimal blend of each matrix of a stack toward the strictly interior point I/n.
 
     That point is invariant under the partial transpose, so one blend
-    coefficient repairs both PSD constraints at once while the trace stays
-    put; the move is O(n * residual), recorded on the solve trace.
+    coefficient per matrix repairs both PSD constraints at once while the
+    trace stays put; the move is O(n * residual).
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     center = 1 / n
-    lam = min(1.0, 1.1 * residual / (residual + center))
-    snapped = (1 - lam) * x + lam * center * np.eye(n)
-    return snapped, float(np.linalg.norm(snapped - x))
+    lam = np.minimum(1.0, 1.1 * residual / (residual + center))[:, None, None]
+    return (1 - lam) * x + lam * center * np.eye(n)
 
 
 def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
@@ -140,22 +138,26 @@ def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
     returned unchanged by the first sweep.  On the rare tangential
     instances where the residual stays above tol_feas, the iterate is
     blended minimally toward the interior point I/n so that the
-    output is always feasible; the blend distance is recorded on the
-    trace.  Non-convergence is reported, never raised.
+    output is always feasible; the trace records the blend as ``snapped``.
+    Non-convergence is reported, never raised.
     """
-    x, traces = _dykstra(require_bipartite(require_hermitian(m), spec.shape)[None], spec)
-    return x[0], traces[0]
+    x, sweeps, snapped, residual = _dykstra(require_bipartite(require_hermitian(m), spec.shape)[None], spec)
+    return x[0], SolveTrace(iterates=int(sweeps[0]), feasibility_residual=float(residual[0]),
+                            converged=bool(residual[0] <= spec.tol_feas), snapped=bool(snapped[0]))
 
 
-def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTrace]]:
+def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Dykstra projections of a (k, n, n) stack of independent problems.
 
-    Every sample keeps its own stopping rules and trace, and leaves the
-    stack at the sweep where it stops, so the sweeps left run only on the
-    samples still moving.  A sample stops when feasible, when its residual
-    has not halved over the last 100 sweeps (checked at each multiple of
-    100 from 200 on, which also stops an iterate that no longer moves), or
-    after MAX_SWEEPS.
+    Returns (stack, sweeps, snapped, residual), each indexed by sample: the
+    projected matrices, the sweep at which each stopped, whether it was
+    blended toward I/n (see ``_interior_snap``) because it stopped
+    infeasible, and its final feasibility residual.  Every sample keeps its
+    own stopping rules and leaves the stack at the sweep where it stops, so
+    the sweeps left run only on the samples still moving.  A sample stops
+    when feasible, when its residual has not halved over the last 100
+    sweeps (checked at each multiple of 100 from 200 on, which also stops
+    an iterate that no longer moves), or after MAX_SWEEPS.
     """
     x = hermitize(m)
     n = x.shape[-1]
@@ -172,7 +174,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
 
     projectors = (proj_psd, proj_gamma_psd, proj_trace)
     out = np.empty_like(x)
-    traces = [SolveTrace(step_rule="dykstra") for _ in range(len(x))]
+    sweeps = np.zeros(len(x), dtype=int)
     final = np.empty(len(x))
     live = np.arange(len(x))
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
@@ -192,8 +194,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
             done[:] = True
         if done.any():
             finished = live[done]
-            for i in finished:
-                traces[i].iterates = sweep
+            sweeps[finished] = sweep
             out[finished] = x[done]
             final[finished] = residual[done]
             keep = ~done
@@ -201,14 +202,11 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, list[SolveTra
             checkpoint = checkpoint[keep]
             if not live.size:
                 break
-    for i in np.flatnonzero(final > spec.tol_feas):
-        out[i], traces[i].snap_distance = _interior_snap(out[i], final[i])
-        final[i] = feasibility_residual(out[i], spec)
-        traces[i].snapped = True
-    for trace, residual in zip(traces, final):
-        trace.feasibility_residual = float(residual)
-        trace.converged = bool(residual <= spec.tol_feas)
-    return out, traces
+    snapped = final > spec.tol_feas
+    if snapped.any():
+        out[snapped] = _interior_snap(out[snapped], final[snapped])
+        final[snapped] = _residuals(out[snapped], spec)
+    return out, sweeps, snapped, final
 
 
 def _seedlings(rng: np.random.Generator, spec: PptSetSpec, k: int) -> np.ndarray:
@@ -226,9 +224,10 @@ def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray
     return out
 
 
-def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[tuple[np.ndarray, list]]:
-    """The k states that k calls to ``sample_ppt_density`` return, as
-    (stack, traces) pairs, one per chunk.
+def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The k states that k calls to ``sample_ppt_density`` return, one
+    chunk at a time, each as the ``_dykstra`` tuple (stack, sweeps,
+    snapped, residual).
 
     Seedlings are drawn from ``rng`` in the same order, SAMPLE_CHUNK at a
     time, and each chunk is projected as one stack, so memory is bounded
@@ -275,7 +274,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     center = np.eye(n, dtype=complex) / n
     nrm = float(np.linalg.norm(h))
     if nrm == 0:
-        return 0.0, center, SolveTrace(step_rule="admm", lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
+        return 0.0, center, SolveTrace(lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _partial_transpose(m, spec.shape, "B")
@@ -322,7 +321,6 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     trace = SolveTrace(
         iterates=it,
         feasibility_residual=feasibility_residual(minimizer, spec),
-        step_rule="admm",
         converged=bool(gap <= GAP_TOL * nrm),
         lower_bound=lower,
         gap=gap,

@@ -210,17 +210,17 @@ def test_criterion_11_sqrt_experiment_harness():
     details = []
     ok = True
     for dims in ((2, 2), (3, 3)):
-        report = constructions.sqrt_ppt_experiment(BipartiteShape(*dims), samples=1000,
-                                                   seed=SEED + dims[0])
-        tallies_ok = sum(report.counts.values()) == report.samples
-        control_ok = report.control_failures == 0 and report.max_control_residual <= 1e-10
+        report, _ = constructions.sqrt_ppt_experiment(BipartiteShape(*dims), samples=1000,
+                                                      seed=SEED + dims[0])
+        tallies_ok = sum(report["counts"].values()) == report["samples"]
+        control_ok = report["control_failures"] == 0 and report["max_control_residual"] <= 1e-10
         reverified = all(
             abs(constructions.reverify_counterexample(entry, BipartiteShape(*dims))
                 - entry["sqrt_gamma_min_eig"]) <= 1e-9
-            for entry in report.counterexamples)
+            for entry in report["counterexamples"])
         ok = ok and tallies_ok and control_ok and reverified
-        details.append(f"{dims}: counts {report.counts}, control residual "
-                       f"{report.max_control_residual:.1e}")
+        details.append(f"{dims}: counts {report['counts']}, control residual "
+                       f"{report['max_control_residual']:.1e}")
     _line("criterion 11 square-root experiment", ok, "; ".join(details))
 
 

@@ -153,7 +153,7 @@ class TestCliMain:
     def test_exit_two_on_solver_dimension_cap(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "eye9.json")
         save_matrix(np.eye(9), path, kind="hermitian", shape=BipartiteShape(3, 3))
-        monkeypatch.setenv("MODULAR_PPT_MAX_DIM", "8")
+        monkeypatch.setattr(modular_ppt.optim, "MAX_DIM", 8)
         assert main(["minimize", "--in", path]) == 2
         assert json.loads(capsys.readouterr().out)["kind"] == "DimensionLimitError"
 
@@ -230,6 +230,14 @@ class TestCliMain:
         assert diagnostic["kind"] == "ContractError" and "feas" in diagnostic["error"]
         assert main(["cone-check", "--dims", "2", "--tol", "psd=1e-11"]) == 2
         assert "psd" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_flag_the_command_does_not_read_exits_two(self, capsys):
+        assert main(["experiment", "--dims", "2x2", "--iters", "5"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and "--iters" in diagnostic["error"]
+        assert main(["choi", "--dims", "2x2", "--in", "x.json"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and "--in" in diagnostic["error"]
 
     def test_ppt_check_reads_its_psd_tolerance(self, tmp_path, singlet, capsys):
         # a Werner state whose partial transpose has least eigenvalue -5e-11

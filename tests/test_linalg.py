@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modular_ppt import linalg
+from modular_ppt import linalg, optim
 from modular_ppt.errors import ContractError, DimensionLimitError, ShapeError
 from modular_ppt.linalg import (
     BipartiteShape,
@@ -41,12 +41,12 @@ class TestKron:
         assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
     def test_dimension_cap(self, monkeypatch):
-        monkeypatch.setenv("MODULAR_PPT_MAX_DIM", "8")
+        monkeypatch.setattr(linalg, "MAX_DIM", 8)
         with pytest.raises(DimensionLimitError):
             kron(np.eye(3), np.eye(3))
 
     def test_dimension_cap_in_ppt_set(self, monkeypatch):
-        monkeypatch.setenv("MODULAR_PPT_MAX_DIM", "8")
+        monkeypatch.setattr(optim, "MAX_DIM", 8)
         with pytest.raises(DimensionLimitError):
             PptSetSpec(BipartiteShape(3, 3))
         assert PptSetSpec(BipartiteShape(2, 4)).shape.dim == 8

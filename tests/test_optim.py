@@ -150,7 +150,7 @@ class TestMinTrace:
         assert_feasible_state(minimizer, spec)
         # sampled states are feasible to tol_feas, so they may undercut the bound by that much
         slack = spec.tol_feas * spec.shape.dim * np.linalg.norm(h)
-        pairings = [np.trace(d @ h).real for states, _ in optim._sample_stacks(rng, spec, 200) for d in states]
+        pairings = [np.trace(d @ h).real for states, *_ in optim._sample_stacks(rng, spec, 200) for d in states]
         assert min(pairings) >= trace.lower_bound - slack
 
     def test_value_is_scale_invariant(self, spec22):
@@ -230,37 +230,38 @@ class TestStackedDykstra:
 
     @staticmethod
     def assert_matches_one_by_one(stack, spec):
-        out, traces = optim._dykstra(stack, spec)
-        assert len(traces) == len(stack)
-        for m, got, trace in zip(stack, out, traces):
+        out, sweeps, snapped, residual = optim._dykstra(stack, spec)
+        assert len(sweeps) == len(snapped) == len(residual) == len(stack)
+        for m, got, sweep, snap, res in zip(stack, out, sweeps, snapped, residual):
             alone, alone_trace = project_ppt(m, spec)
             assert np.array_equal(got, alone)
-            assert trace == alone_trace
-        return traces
+            assert (sweep, snap, res, res <= spec.tol_feas) == (
+                alone_trace.iterates, alone_trace.snapped, alone_trace.feasibility_residual, alone_trace.converged)
+        return sweeps, snapped, residual
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_stack_equals_one_by_one(self, dims):
         spec = PptSetSpec(BipartiteShape(*dims))
         rng = generator(300 + dims[0] * dims[1])
         stack = optim._seedlings(rng, spec, 50)
-        traces = self.assert_matches_one_by_one(stack, spec)
-        assert len({t.iterates for t in traces}) > 1  # samples left the stack at different sweeps
+        sweeps, _, _ = self.assert_matches_one_by_one(stack, spec)
+        assert len(set(sweeps)) > 1  # samples left the stack at different sweeps
 
     def test_converged_and_snapped_samples_in_one_stack(self, monkeypatch):
         monkeypatch.setattr(optim, "MAX_SWEEPS", 5)
         spec = PptSetSpec(BipartiteShape(2, 2))
         rng = generator(310)
         stack = optim._seedlings(rng, spec, 50)
-        traces = self.assert_matches_one_by_one(stack, spec)
-        snapped = [t.snapped for t in traces]
-        assert any(snapped) and not all(snapped)
-        assert all(t.iterates == 5 for t in traces if t.snapped)
+        sweeps, snapped, residual = self.assert_matches_one_by_one(stack, spec)
+        assert snapped.any() and not snapped.all()
+        assert np.all(sweeps[snapped] == 5)
+        assert np.all(residual[snapped] <= spec.tol_feas)  # the blend makes every snapped sample feasible
 
     def test_densities_match_single_draws_across_a_chunk(self):
         spec = PptSetSpec(BipartiteShape(2, 2))
         k = optim.SAMPLE_CHUNK + 3
         stacked_rng, single_rng = generator(311), generator(311)
-        stacked = [d for states, _ in optim._sample_stacks(stacked_rng, spec, k) for d in states]
+        stacked = [d for states, *_ in optim._sample_stacks(stacked_rng, spec, k) for d in states]
         single = [sample_ppt_density(single_rng, spec) for _ in range(k)]
         assert len(stacked) == k
         assert all(np.array_equal(a, b) for a, b in zip(stacked, single))
@@ -270,7 +271,8 @@ class TestStackedDykstra:
 
 def _reference_dykstra(m, spec):
     """The Dykstra loop as it ran with a hermitize after every step and in
-    every residual, kept to pin the lean sweep's bits."""
+    every residual, and with one matrix at a time in its bookkeeping and its
+    blend toward I/n, kept to pin the lean, stacked loop's bits."""
     def residuals(x):
         return np.maximum.reduce([
             -np.linalg.eigvalsh(hermitize(x))[:, 0],
@@ -292,7 +294,8 @@ def _reference_dykstra(m, spec):
     n = x.shape[-1]
     projectors = (proj_psd, proj_gamma_psd, proj_trace)
     out = np.empty_like(x)
-    traces = [optim.SolveTrace(step_rule="dykstra") for _ in range(len(x))]
+    sweeps = np.zeros(len(x), dtype=int)
+    snapped = np.zeros(len(x), dtype=bool)
     final = np.empty(len(x))
     live = np.arange(len(x))
     incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
@@ -313,7 +316,7 @@ def _reference_dykstra(m, spec):
         if done.any():
             finished = live[done]
             for i in finished:
-                traces[i].iterates = sweep
+                sweeps[i] = sweep
             out[finished] = x[done]
             final[finished] = residual[done]
             keep = ~done
@@ -321,14 +324,13 @@ def _reference_dykstra(m, spec):
             checkpoint = checkpoint[keep]
             if not live.size:
                 break
+    center = 1 / n
     for i in np.flatnonzero(final > spec.tol_feas):
-        out[i], traces[i].snap_distance = optim._interior_snap(out[i], final[i])
+        lam = min(1.0, 1.1 * final[i] / (final[i] + center))
+        out[i] = (1 - lam) * out[i] + lam * center * np.eye(n)
         final[i] = residuals(out[i][None])[0]
-        traces[i].snapped = True
-    for trace, residual in zip(traces, final):
-        trace.feasibility_residual = float(residual)
-        trace.converged = bool(residual <= spec.tol_feas)
-    return out, traces
+        snapped[i] = True
+    return out, sweeps, snapped, final
 
 
 def _reference_seedling(rng, spec):
@@ -360,12 +362,14 @@ class TestLeanDykstraSweep:
         stack = np.concatenate([optim._seedlings(rng, spec, 40)]
                                + [hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))[None]
                                   for _ in range(10)])
-        out, traces = optim._dykstra(stack, spec)
-        expected, expected_traces = _reference_dykstra(stack, spec)
+        out, sweeps, snapped, residual = optim._dykstra(stack, spec)
+        expected, expected_sweeps, expected_snapped, expected_residual = _reference_dykstra(stack, spec)
         assert np.array_equal(out, expected)
-        assert traces == expected_traces
+        assert np.array_equal(sweeps, expected_sweeps)
+        assert np.array_equal(snapped, expected_snapped)
+        assert np.array_equal(residual, expected_residual)
         if max_iters == 5:
-            assert any(t.snapped for t in traces) and not all(t.snapped for t in traces)
+            assert snapped.any() and not snapped.all()
 
 
 class TestStackedRestarts:
