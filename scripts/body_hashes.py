@@ -30,6 +30,8 @@ CONFIGS = (
     *(("experiment", "--dims", "2x2", "--seed", str(s)) for s in range(5)),
     *(("experiment", "--dims", dims, "--seed", str(s)) for dims in ("2x3", "3x3") for s in range(2)),
     *(("experiment", "--dims", "3x3", "--seed", str(s)) for s in range(2, 5)),
+    ("experiment", "--dims", "2x4", "--seed", "0"),
+    ("experiment", "--dims", "3x3", "--seed", "4", "--samples", "300"),  # has a snapped sample
     ("construct", "--dims", "2x2"),
     ("construct", "--dims", "2x3"),
     ("construct", "--dims", "3x3"),

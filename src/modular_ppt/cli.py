@@ -172,7 +172,7 @@ def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
         raise ContractError("minimize needs --dims NxM (or a shape field in the file)")
     spec = optim.PptSetSpec(shape)
     value, minimizer, trace = optim.min_trace_over_ppt(
-        h, spec, iters=cfg.iters or 1500, restarts=5, seed=cfg.seed)
+        h, spec, iters=1500 if cfg.iters is None else cfg.iters, restarts=5, seed=cfg.seed)
     body = {
         "value": value,
         "lower_bound": trace.lower_bound,

@@ -28,6 +28,17 @@ each is a sum or difference of Hermitian matrices, a partial transpose of
 one, or one plus a real diagonal shift.  Only the outputs of the two PSD
 projections (spectral products) are hermitized; ``feasibility_residual``
 hermitizes at the public boundary.
+
+Dykstra's feasibility test is screened.  Before the exact check
+(``_residuals``: one ``eigvalsh`` of x and one of x^Gamma), ``_dykstra``
+bounds both least eigenvalues from above with what the sweep already
+holds: lambda_min(x^Gamma) <= min(w+) + max(x - x_Gamma) by Weyl, where w+
+is the Gamma step's clipped spectrum and x - x_Gamma the trace step's real
+diagonal shift, and lambda_min(x) <= u^dagger x u by Rayleigh-Ritz, for a
+recent least eigenvector u of the sample.  A sample that a bound proves
+infeasible skips the exact check.  No bit changes: the screen is
+conservative by SCREEN_MARGIN, far above the bounds' rounding, and every
+other sample takes the same exact check as before, one matrix at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ from .linalg import (
     BipartiteShape,
     _norms,
     _partial_transpose,
-    _project_psd,
     _spectral,
     hermitize,
     project_psd,
@@ -65,6 +75,7 @@ __all__ = [
 
 SAMPLE_CHUNK = 256  # samples projected together by _sample_stacks
 MAX_SWEEPS = 5000  # Dykstra sweeps before a sample stops (and is snapped if still infeasible)
+SCREEN_MARGIN = 1e-12  # slack of _dykstra's screen, far above the n * eps * ||x|| rounding of its bounds
 GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * ||h||_F
 CHECK_EVERY = 5  # ADMM iterations between certificate checks
 RHO_BALANCE = 10.0  # rho is rebalanced when one ADMM residual exceeds the other by this factor
@@ -158,33 +169,64 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
     when feasible, when its residual has not halved over the last 100
     sweeps (checked at each multiple of 100 from 200 on, which also stops
     an iterate that no longer moves), or after MAX_SWEEPS.
+
+    Between checkpoints, a sample takes the exact feasibility check only
+    when neither screen bound (see the module docstring) lies below
+    -(tol_feas + SCREEN_MARGIN).  The Gamma bound holds because the trace
+    step adds a real diagonal, its own partial transpose, to the Gamma
+    step's output, whose partial transpose has the clipped spectrum w+.  The
+    x bound holds for any unit vector u: the least eigenvector of the first
+    PSD step's input, refreshed by one ``eigh`` of x whenever the sample
+    takes the exact check and stays infeasible.  The exact check can pass
+    only on a near-density matrix, whose norm is about 1; there both bounds
+    lie within ~n * eps of the least eigenvalues, far inside SCREEN_MARGIN,
+    so a screened sample would have failed the check, and every sample
+    stops at the same sweep with the same bits as without the screen.  Every
+    live sample takes the exact check at each multiple of 100 sweeps and at
+    MAX_SWEEPS, where the tangential rule and the final residual need it.
     """
     x = hermitize(m)
     n = x.shape[-1]
     eye = np.eye(n)
+    cut = -(spec.tol_feas + SCREEN_MARGIN)
 
-    def proj_psd(y: np.ndarray) -> np.ndarray:
-        return hermitize(_project_psd(y))
+    def proj_psd(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pi_+ of each matrix of an exactly Hermitian stack, with the eigh it clipped."""
+        w, v = np.linalg.eigh(y)
+        return hermitize(_spectral(v, np.clip(w, 0.0, None))), w, v
 
-    def proj_gamma_psd(y: np.ndarray) -> np.ndarray:
-        return hermitize(_partial_transpose(_project_psd(_partial_transpose(y, spec.shape, "B")), spec.shape, "B"))
+    def pt(y: np.ndarray) -> np.ndarray:
+        return _partial_transpose(y, spec.shape, "B")
 
-    def proj_trace(y: np.ndarray) -> np.ndarray:
-        return y + ((1.0 - _trace(y)) / n)[:, None, None] * eye
-
-    projectors = (proj_psd, proj_gamma_psd, proj_trace)
     out = np.empty_like(x)
     sweeps = np.zeros(len(x), dtype=int)
     final = np.empty(len(x))
     live = np.arange(len(x))
-    incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
+    incr = np.zeros((3,) + x.shape, dtype=x.dtype)
     checkpoint = np.full(len(x), np.inf)  # residual at the last multiple of 100 sweeps; first read at 200
     for sweep in range(1, MAX_SWEEPS + 1):
-        for k, proj in enumerate(projectors):
-            shifted = x + incr[k]
-            x = proj(shifted)
-            incr[k] = shifted - x
-        residual = _residuals(x, spec)
+        shifted = x + incr[0]
+        x, _, v = proj_psd(shifted)
+        incr[0] = shifted - x
+        if sweep == 1:
+            least_vec = v[..., 0]
+        shifted = x + incr[1]
+        x_gamma, w, _ = proj_psd(pt(shifted))
+        x_gamma = pt(x_gamma)
+        incr[1] = shifted - x_gamma
+        shifted = x_gamma + incr[2]
+        x = shifted + ((1.0 - _trace(shifted)) / n)[:, None, None] * eye
+        incr[2] = shifted - x
+        if sweep % 100 and sweep != MAX_SWEEPS:
+            # the screen: upper bounds on lambda_min(x^Gamma) and lambda_min(x), no eigensolve
+            gamma_bound = np.maximum(w[:, 0], 0.0) + np.diagonal(x - x_gamma, axis1=1, axis2=2).real.max(axis=1)
+            x_bound = np.einsum("ki,kij,kj->k", least_vec.conj(), x, least_vec).real
+            checked = np.minimum(gamma_bound, x_bound) >= cut
+        else:
+            checked = np.ones(len(x), dtype=bool)
+        residual = np.full(len(x), np.inf)
+        if checked.any():
+            residual[checked] = _residuals(x[checked], spec)
         done = residual <= spec.tol_feas
         if sweep % 100 == 0:
             if sweep >= 200:
@@ -192,6 +234,9 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
             checkpoint = residual
         if sweep == MAX_SWEEPS:
             done[:] = True
+        refresh = checked & ~done
+        if refresh.any():
+            least_vec[refresh] = np.linalg.eigh(x[refresh])[1][..., 0]
         if done.any():
             finished = live[done]
             sweeps[finished] = sweep
@@ -199,7 +244,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
             final[finished] = residual[done]
             keep = ~done
             live, x, incr = live[keep], x[keep], incr[:, keep]
-            checkpoint = checkpoint[keep]
+            checkpoint, least_vec = checkpoint[keep], least_vec[keep]
             if not live.size:
                 break
     snapped = final > spec.tol_feas
@@ -270,6 +315,8 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     h = hermitize(require_bipartite(require_hermitian(h), spec.shape))
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
+    if iters < 0:
+        raise ContractError(f"iters must be >= 0, got {iters}")
     n = spec.shape.dim
     center = np.eye(n, dtype=complex) / n
     nrm = float(np.linalg.norm(h))

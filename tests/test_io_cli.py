@@ -239,6 +239,28 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic["kind"] == "ContractError" and "--in" in diagnostic["error"]
 
+    def test_minimize_runs_the_iterations_it_is_given(self, tmp_path, swap22, monkeypatch):
+        path = str(tmp_path / "swap.json")
+        save_matrix(swap22, path, kind="hermitian", shape=BipartiteShape(2, 2))
+        seen = []
+        solve = modular_ppt.optim.min_trace_over_ppt
+
+        def recording(h, spec, iters, **kwargs):
+            seen.append(iters)
+            return solve(h, spec, iters=iters, **kwargs)
+
+        monkeypatch.setattr(modular_ppt.optim, "min_trace_over_ppt", recording)
+        for iters in (0, None):
+            run_command(RunConfig(command="minimize", dims=(2, 2), in_path=path, iters=iters))
+        assert seen == [0, 1500]
+
+    def test_negative_iters_exits_two(self, tmp_path, swap22, capsys):
+        path = str(tmp_path / "swap.json")
+        save_matrix(swap22, path, kind="hermitian", shape=BipartiteShape(2, 2))
+        assert main(["minimize", "--in", path, "--dims", "2x2", "--iters", "-5"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and "iters" in diagnostic["error"]
+
     def test_ppt_check_reads_its_psd_tolerance(self, tmp_path, singlet, capsys):
         # a Werner state whose partial transpose has least eigenvalue -5e-11
         p = 1 / 3 + 4 / 3 * 5e-11

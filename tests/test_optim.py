@@ -352,9 +352,11 @@ def test_seedling_stack_equals_single_draws(dims):
 
 
 class TestLeanDykstraSweep:
-    """Dropping the hermitize calls that act on exactly Hermitian iterates changes no bit."""
+    """Dropping the hermitize calls that act on exactly Hermitian iterates, and
+    screening the exact feasibility check, change no bit."""
 
-    @pytest.mark.parametrize("dims,max_iters", [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5)])
+    @pytest.mark.parametrize("dims,max_iters", [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5),
+                                                ((2, 4), 5000)])
     def test_same_bits_as_the_hermitizing_sweep(self, monkeypatch, dims, max_iters):
         monkeypatch.setattr(optim, "MAX_SWEEPS", max_iters)
         spec = PptSetSpec(BipartiteShape(*dims))
@@ -370,6 +372,22 @@ class TestLeanDykstraSweep:
         assert np.array_equal(residual, expected_residual)
         if max_iters == 5:
             assert snapped.any() and not snapped.all()
+        if dims in ((3, 3), (2, 4)):
+            # the checkpoints run: samples pass sweep 200, and some stop there tangentially and are snapped
+            assert np.any(sweeps > 200) and np.any(snapped & (sweeps < max_iters))
+
+    def test_screen_skips_most_exact_checks(self, monkeypatch):
+        spec = PptSetSpec(BipartiteShape(3, 3))
+        rows = []
+        residuals = optim._residuals
+
+        def counting(x, spec):
+            rows.append(len(x))
+            return residuals(x, spec)
+
+        monkeypatch.setattr(optim, "_residuals", counting)
+        _, sweeps, _, _ = optim._dykstra(optim._seedlings(generator(400), spec, 100), spec)
+        assert sum(rows) < 0.1 * sweeps.sum()
 
 
 class TestStackedRestarts:
