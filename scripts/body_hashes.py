@@ -49,6 +49,9 @@ CONFIGS = (
     ("anticomm", "--dims", "2x3"),
     ("anticomm", "--dims", "2x4"),
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2"),
+    ("ppt-check", "--in", "singlet.json", "--dims", "2x2", "--tol", "psd=1e-11"),
+    ("cone-check", "--dims", "3", "--tol", "membership=1e-9"),
+    ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]

@@ -32,6 +32,7 @@ from .linalg import (
     hermitize,
     partial_transpose,
     require_bipartite,
+    require_count,
     require_hermitian,
     require_square,
 )
@@ -176,6 +177,7 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     h = require_hermitian(require_bipartite(h, shape))
     spec = PptSetSpec(shape)
     if not optimizer:
+        require_count(samples, "samples")
         rng = generator(seed)
         best = np.inf
         for d, *_ in _sample_stacks(rng, spec, samples):
@@ -205,8 +207,8 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     k-side partial transpose are PSD; the minimum output eigenvalue over
     all samples is reported.
     """
-    if k < 1:
-        raise ContractError("k must be >= 1")
+    require_count(k, "k")
+    require_count(samples, "samples")
     rng = generator(seed)
     n, m = t.dim_in, t.dim_out
     # inputs sampled one decade tighter than the -1e-8 output verdict
@@ -230,6 +232,7 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list,
     report checking psi >= 0 on random PSD C and after composing with
     transposition on the H factor.
     """
+    require_count(check_samples, "check_samples")
     a = require_hermitian(require_bipartite(a, BipartiteShape(k, n)))
     w = np.linalg.eigvalsh(hermitize(a))
     a_pt = _partial_transpose(a, BipartiteShape(k, n), "A")
@@ -283,8 +286,7 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
         Tr(D C) < 0, which is therefore entangled (the bracket and verdict
         are reported).
     """
-    if separable_samples < 1:
-        raise ContractError("separable_samples must be >= 1")
+    require_count(separable_samples, "separable_samples")
     rng = generator(seed)
     n = shape.dim_a
     swap_like = choi_from_map(transposition_map_table(n))

@@ -29,7 +29,7 @@ import numpy as np
 from . import choi, cones, constructions, gns, optim
 from .errors import ConditioningError, ConsistencyError, ContractError, DimensionLimitError, ShapeError
 from .io import load_matrix, report_body_text, save_report
-from .linalg import BipartiteShape, _norms, hermitize, partial_transpose, require_density
+from .linalg import TOL_PSD, BipartiteShape, _norms, hermitize, partial_transpose, require_count
 from .rand import complex_gaussian, complex_gaussians, generator, random_faithful_density
 
 @dataclass(frozen=True)
@@ -79,6 +79,17 @@ def _single_dim(cfg: RunConfig) -> int:
     return cfg.dims
 
 
+def _input_operator(cfg: RunConfig) -> tuple[np.ndarray, BipartiteShape]:
+    """The --in matrix and its split, from --dims or else the file's shape field."""
+    if cfg.in_path is None:
+        raise ContractError(f"{cfg.command} needs --in FILE")
+    m, meta = load_matrix(cfg.in_path)
+    shape = _bipartite(cfg) if cfg.dims is not None else meta.get("shape")
+    if shape is None:
+        raise ContractError(f"{cfg.command} needs --dims NxM (or a shape field in the file)")
+    return m, shape
+
+
 def _context_for(cfg: RunConfig, dim: int) -> gns.GnsContext:
     return gns.build_gns(random_faithful_density(generator(cfg.seed), dim))
 
@@ -106,7 +117,7 @@ def run_gns_verify(cfg: RunConfig) -> tuple[dict, bool]:
 
 def run_cone_check(cfg: RunConfig) -> tuple[dict, bool]:
     ctx = _context_for(cfg, _single_dim(cfg))
-    tol = cfg.tol.get("membership", 1e-10)
+    tol = cfg.tol.get("membership", cones.DEFAULT_TOL)
     betas = (0.0, 0.125, 0.25, 0.375, 0.5)
     duality = [cones.duality_check(ctx, b, samples=cfg.samples, seed=cfg.seed, tol=tol) for b in betas]
     flips = [cones.u_maps_cones(ctx, b, samples=cfg.samples, seed=cfg.seed, tol=tol) for b in betas]
@@ -142,17 +153,11 @@ def run_choi(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_ppt_check(cfg: RunConfig) -> tuple[dict, bool]:
-    if cfg.in_path is None:
-        raise ContractError("ppt-check needs --in FILE")
-    m, meta = load_matrix(cfg.in_path)
-    shape = _bipartite(cfg) if cfg.dims is not None else meta.get("shape")
-    if shape is None:
-        raise ContractError("ppt-check needs --dims NxM (or a shape field in the file)")
-    tol = cfg.tol.get("psd", 1e-10)
-    require_density(m)
+    m, shape = _input_operator(cfg)
+    tol = cfg.tol.get("psd", TOL_PSD)
+    witness = optim.npt_witness(m, shape, tol=tol)  # checks that m is a density on shape
     gamma = hermitize(partial_transpose(m, shape, "B"))
     min_eig = float(np.linalg.eigvalsh(gamma)[0])
-    witness = optim.npt_witness(m, shape, tol=tol)
     body = {
         "ppt": bool(min_eig >= -tol),
         "min_eig_gamma": min_eig,
@@ -164,12 +169,7 @@ def run_ppt_check(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
-    if cfg.in_path is None:
-        raise ContractError("minimize needs --in FILE")
-    h, meta = load_matrix(cfg.in_path)
-    shape = _bipartite(cfg) if cfg.dims is not None else meta.get("shape")
-    if shape is None:
-        raise ContractError("minimize needs --dims NxM (or a shape field in the file)")
+    h, shape = _input_operator(cfg)
     spec = optim.PptSetSpec(shape)
     value, minimizer, trace = optim.min_trace_over_ppt(
         h, spec, iters=1500 if cfg.iters is None else cfg.iters, restarts=5, seed=cfg.seed)
@@ -247,8 +247,8 @@ RUNNERS = {
     "experiment": run_experiment,
     "hierarchy": run_hierarchy,
 }
-TOL_KEYS = {"cone-check": ("membership",), "ppt-check": ("psd",)}  # the --tol keys each command reads
-FLAG_READERS = {"--in": ("minimize", "ppt-check"), "--iters": ("minimize",)}  # the commands that read each flag
+# the --in, --iters and --tol settings each command reads; run_command rejects any other that is set
+READS = {"cone-check": ("--tol membership",), "ppt-check": ("--in", "--tol psd"), "minimize": ("--in", "--iters")}
 
 
 def run_command(cfg: RunConfig) -> tuple[int, dict]:
@@ -256,13 +256,11 @@ def run_command(cfg: RunConfig) -> tuple[int, dict]:
     (results, passed) and may add a dict of solver counters for the timing."""
     if cfg.command not in RUNNERS:
         raise ContractError(f"unknown command {cfg.command!r}")
-    known = TOL_KEYS.get(cfg.command, ())
-    for key in cfg.tol:
-        if key not in known:
-            raise ContractError(f"--tol {key} is not read by {cfg.command!r} (it reads: {', '.join(known) or 'none'})")
-    for flag, value in (("--in", cfg.in_path), ("--iters", cfg.iters)):
-        if value is not None and cfg.command not in FLAG_READERS[flag]:
-            raise ContractError(f"{flag} is not read by {cfg.command!r} (only by: {', '.join(FLAG_READERS[flag])})")
+    reads = READS.get(cfg.command, ())
+    given = [flag for flag, value in (("--in", cfg.in_path), ("--iters", cfg.iters)) if value is not None]
+    for setting in given + [f"--tol {key}" for key in cfg.tol]:
+        if setting not in reads:
+            raise ContractError(f"{setting} is not read by {cfg.command!r} (it reads: {', '.join(reads) or 'none'})")
     started = time.time()
     results, passed, *counters = RUNNERS[cfg.command](cfg)
     body = {"command": cfg.command, "config": cfg.echo(), "results": results,
@@ -315,8 +313,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             tol[key] = float(val)
         except ValueError:
             raise ContractError(f"--tol {key} expects a number, got {val!r}") from None
-    if args.samples < 1:
-        raise ContractError(f"--samples must be >= 1, got {args.samples}")
+    require_count(args.samples, "--samples")
     dims = _parse_dims(args.dims) if args.dims else None
     return RunConfig(
         command=args.command, seed=args.seed, dims=dims, samples=args.samples,

@@ -64,6 +64,7 @@ from .linalg import (
     _partial_transpose,
     hermitize,
     kron,
+    require_count,
     require_density,
 )
 from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, random_psd
@@ -99,9 +100,7 @@ def _v_beta_certificate(ctx: GnsContext, beta: float, mats: np.ndarray) -> tuple
 def v_beta_membership(ctx: GnsContext, beta: float, xi: GnsVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """xi in V_beta  iff  a = mat(Delta^{-beta} xi) rho^{-1/2} is PSD."""
     _check_beta(beta)
-    if xi.ctx is not ctx:
-        raise ContractError("vector does not belong to this GNS context")
-    a, cert = _v_beta_certificate(ctx, beta, xi.mat)
+    a, cert = _v_beta_certificate(ctx, beta, xi.mat_in(ctx))
     cert = float(cert)
     return MembershipVerdict(inside=cert >= -tol, certificate=cert, witness=a)
 
@@ -162,6 +161,7 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     element of V_{1/2-beta} is produced from the witness eigenvector.
     """
     _check_beta(beta)
+    require_count(samples, "samples")
     rng = generator(seed)
     n = ctx.dim
     psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
@@ -191,6 +191,7 @@ def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0
                  tol: float = DEFAULT_TOL) -> dict:
     """U carries V_beta into V_{1/2-beta}; U Delta^{1/2} fixes V_0."""
     _check_beta(beta)
+    require_count(samples, "samples")
     rng = generator(seed)
     n = ctx.dim
     psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
@@ -221,10 +222,9 @@ def state_to_cone_vector(ctx: GnsContext, sigma) -> GnsVector:
     return GnsVector(_mat_sqrt_psd(sigma), ctx)
 
 
-def transpose_state_vector(ctx: GnsContext, xi: GnsVector,
-                           tol: float = DEFAULT_TOL) -> tuple[GnsVector, dict]:
+def transpose_state_vector(ctx: GnsContext, xi: GnsVector) -> tuple[GnsVector, dict]:
     """The natural-cone vector of the transposed state is U xi."""
-    verdict = natural_cone_membership(ctx, xi, tol)
+    verdict = natural_cone_membership(ctx, xi)
     if not verdict.inside:
         raise ContractError(
             f"vector is not in the natural cone (certificate {verdict.certificate:.3e})"
@@ -275,13 +275,12 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, seed: int = 0) -> Comp
 
 def one_otimes_ub(comp: CompositeGnsContext, xi: GnsVector) -> GnsVector:
     """(1 (x) U_B) on the joint GNS space, also on a stack: m -> K_B m^T K_B^dagger on each B block."""
-    if xi.ctx is not comp.joint:
-        raise ContractError("vector does not belong to the joint GNS context")
+    mat = xi.mat_in(comp.joint)
     na, nb = comp.shape.dim_a, comp.shape.dim_b
     kb = comp.ctx_b.kernel
-    t = xi.mat.reshape(xi.mat.shape[:-2] + (na, nb, na, nb)).swapaxes(-3, -2).swapaxes(-2, -1)
+    t = mat.reshape(mat.shape[:-2] + (na, nb, na, nb)).swapaxes(-3, -2).swapaxes(-2, -1)
     out = (kb @ t @ kb.conj().T).swapaxes(-3, -2)
-    return GnsVector(out.reshape(xi.mat.shape), comp.joint)
+    return GnsVector(out.reshape(mat.shape), comp.joint)
 
 
 def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
@@ -296,8 +295,6 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
     ``certificate_gap``; verdict disagreement away from the boundary raises.
     """
     joint = comp.joint
-    if xi.ctx is not joint:
-        raise ContractError("vector does not belong to the joint GNS context")
     m1 = natural_cone_membership(joint, xi, tol)
     m2 = natural_cone_membership(joint, one_otimes_ub(comp, xi), tol)
     cert_route1 = min(m1.certificate, m2.certificate)
@@ -344,7 +341,7 @@ def _commutant_cone_generator(comp: CompositeGnsContext, ops_a: np.ndarray, ops_
 
 
 def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int = 0,
-                         terms: int = 2, tol: float = DEFAULT_TOL) -> dict:
+                         terms: int = 2) -> dict:
     """(1 (x) U_B) P equals the natural cone of the commutant pair.
 
     Verifies the generator identity
@@ -355,10 +352,8 @@ def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int
     sample-by-sample loop (the ``terms`` a_k, then the ``terms`` b_k) and
     checked as one stack; the cross pairings take samples^2 products.
     """
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
-    if terms < 1:
-        raise ContractError("terms must be >= 1")
+    require_count(samples, "samples")
+    require_count(terms, "terms")
     na, nb = comp.ctx_a.dim, comp.ctx_b.dim
     ops_a, ops_b = _factor_draws(generator(seed), samples, terms, na, nb)
     ops_a, ops_b = ops_a / np.sqrt(na), ops_b / np.sqrt(nb)
@@ -371,7 +366,7 @@ def commutant_cone_check(comp: CompositeGnsContext, samples: int = 20, seed: int
     return {
         "generator_identity_residual": worst_residual,
         "min_cross_pairing": float(min_pairing),
-        "passed": bool(worst_residual <= 1e-10 and min_pairing >= -tol),
+        "passed": bool(worst_residual <= 1e-10 and min_pairing >= -DEFAULT_TOL),
     }
 
 
@@ -506,10 +501,8 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
     is a Frobenius isometry.  It is clipped to the upper bound.
     """
     joint = comp.joint
-    if xi.ctx is not joint:
-        raise ContractError("vector does not belong to the joint GNS context")
+    target = xi.mat_in(joint)
     na, nb = comp.ctx_a.dim, comp.ctx_b.dim
-    target = xi.mat
     rng = generator(seed)
 
     factors = np.zeros((0, na + nb), dtype=complex)

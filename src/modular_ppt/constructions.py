@@ -25,6 +25,7 @@ from .linalg import (
     _project_psd,
     hermitize,
     partial_transpose,
+    require_count,
     require_density,
 )
 from .optim import PptSetSpec, _sample_stacks, sample_ppt_density
@@ -156,12 +157,13 @@ def random_anticommutator_instance(rng: np.random.Generator, m: int,
 def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     """The criterion's conclusion: the block transpose of rho stays positive.
 
-    An instance residual above RESIDUAL_TOL is a contract error.  A block
-    transpose eigenvalue below -RESIDUAL_TOL is a falsification event and
-    ships the serialized instance in the report.
+    An instance residual above RESIDUAL_TOL, recomputed from rho, f and A,
+    is a contract error.  A block transpose eigenvalue below -RESIDUAL_TOL
+    is a falsification event and ships the serialized instance in the report.
     """
-    if inst.residual > RESIDUAL_TOL:
-        raise ContractError(f"instance residual {inst.residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    residual = instance_residual(inst.rho, inst.f, inst.a_op)
+    if residual > RESIDUAL_TOL:
+        raise ContractError(f"instance residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     m = inst.rho.shape[0] // 2
     shape = BipartiteShape(2, m)
     gamma = hermitize(partial_transpose(inst.rho, shape, "A"))
@@ -238,8 +240,7 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     results, ``tallies`` the sampler's ``dykstra_*`` counters, which stay
     out of report bodies.
     """
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
+    require_count(samples, "samples")
     rng = generator(seed)
     ctx_a = build_gns(random_faithful_density(rng, shape.dim_a))
     ctx_b = build_gns(random_faithful_density(rng, shape.dim_b))

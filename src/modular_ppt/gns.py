@@ -22,6 +22,10 @@ as on the matrix alone.  The public ``apply_delta_power``, ``apply_u``,
 ``apply_j``, ``apply_jm``, ``apply_delta_power`` and ``apply_tau`` also
 take a vector whose matrix is a stack, and ``verify_modular_identities``
 checks all its samples as one stack.
+
+``GnsVector.mat_in`` is the one check that a vector belongs to the context
+it is applied in (ContractError otherwise); every public function here and
+in ``cones`` that takes a vector and a context runs it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConditioningError, ContractError, FaithfulnessError
-from .linalg import EPS_FAITHFUL, _norms, require_density, require_square
+from .linalg import EPS_FAITHFUL, _norms, require_count, require_density, require_square
 from .rand import complex_gaussians, generator
 
 CONDITION_RATIO_WARN = 1e-6
@@ -48,11 +52,15 @@ class GnsVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat))
 
+    def mat_in(self, ctx: "GnsContext") -> np.ndarray:
+        """The matrix of this vector, which must belong to ``ctx``."""
+        if self.ctx is not ctx:
+            raise ContractError("vector does not belong to this GNS context")
+        return self.mat
+
 
 def inner(x: GnsVector, y: GnsVector) -> complex:
-    if x.ctx is not y.ctx:
-        raise ContractError("inner product of vectors from different GNS contexts")
-    return complex(_inner(x.mat, y.mat))
+    return complex(_inner(x.mat, y.mat_in(x.ctx)))
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,7 +104,7 @@ class GnsContext:
 
     def operator_of(self, xi: GnsVector) -> np.ndarray:
         """The a with xi = a Omega (well defined since rho is invertible)."""
-        return xi.mat @ self.inv_sqrt_rho
+        return xi.mat_in(self) @ self.inv_sqrt_rho
 
     def to_eigbasis(self, mat: np.ndarray) -> np.ndarray:
         return self.eigvecs.conj().T @ mat @ self.eigvecs
@@ -149,26 +157,21 @@ def _delta_power(ctx: GnsContext, beta: float, mats: np.ndarray) -> np.ndarray:
 
 def apply_delta_power(ctx: GnsContext, beta: float, xi: GnsVector) -> GnsVector:
     """Delta^beta: scales the (i, j) eigenbasis coordinate by (l_i/l_j)^beta."""
-    if xi.ctx is not ctx:
-        raise ContractError("vector does not belong to this GNS context")
+    mat = xi.mat_in(ctx)
     if beta == 0.0:
         return xi
     _check_delta_power(ctx, beta)
-    return GnsVector(_delta_power(ctx, beta, xi.mat), ctx)
+    return GnsVector(_delta_power(ctx, beta, mat), ctx)
 
 
 def apply_jm(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """Modular conjugation: a rho^{1/2} -> rho^{1/2} a^dagger, i.e. the adjoint."""
-    if xi.ctx is not ctx:
-        raise ContractError("vector does not belong to this GNS context")
-    return GnsVector(xi.mat.conj().swapaxes(-1, -2), ctx)
+    return GnsVector(xi.mat_in(ctx).conj().swapaxes(-1, -2), ctx)
 
 
 def apply_j(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """Coordinate conjugation in the eigen matrix-unit basis."""
-    if xi.ctx is not ctx:
-        raise ContractError("vector does not belong to this GNS context")
-    return GnsVector(ctx.kernel @ xi.mat.conj() @ ctx.kernel.conj().T, ctx)
+    return GnsVector(ctx.kernel @ xi.mat_in(ctx).conj() @ ctx.kernel.conj().T, ctx)
 
 
 def _flip(ctx: GnsContext, mats: np.ndarray) -> np.ndarray:
@@ -179,9 +182,7 @@ def _flip(ctx: GnsContext, mats: np.ndarray) -> np.ndarray:
 
 def apply_u(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """The flip unitary, E_ij -> E_ji on eigen matrix units."""
-    if xi.ctx is not ctx:
-        raise ContractError("vector does not belong to this GNS context")
-    return GnsVector(_flip(ctx, xi.mat), ctx)
+    return GnsVector(_flip(ctx, xi.mat_in(ctx)), ctx)
 
 
 def transpose_operator(ctx: GnsContext, a) -> np.ndarray:
@@ -194,8 +195,6 @@ def transpose_operator(ctx: GnsContext, a) -> np.ndarray:
 
 def apply_tau(ctx: GnsContext, xi: GnsVector) -> GnsVector:
     """Transposition lifted to the GNS space: a Omega -> a^t Omega."""
-    if xi.ctx is not ctx:
-        raise ContractError("vector does not belong to this GNS context")
     return GnsVector(_flip(ctx, ctx.operator_of(xi)) @ ctx.sqrt_rho, ctx)
 
 
@@ -207,8 +206,7 @@ def verify_modular_identities(ctx: GnsContext, samples: int = 50, seed: int = 0)
     states.  The samples are checked as one stack; ``u_selfadjoint`` pairs
     sample k with sample k + 1 (cyclically).
     """
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
+    require_count(samples, "samples")
     rng = generator(seed)
     n = ctx.dim
     g = complex_gaussians(rng, samples, n, n)

@@ -5,8 +5,9 @@ the routines here: Kronecker products, partial transpose/trace over a fixed
 product basis, a deterministic Hermitian eigendecomposition, PSD
 projections and PSD square roots.
 
-Matrices are plain complex ndarrays; the type contracts of the package are
-enforced by the ``require_*`` validators, which raise rather than coerce.
+Matrices are plain complex ndarrays; the contracts of the package are
+enforced by the ``require_*`` validators (``require_count`` for every
+sample, term or restart count), which raise rather than coerce.
 Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
 unchecked kernel of the same name with a leading underscore.  Package code
@@ -104,6 +105,11 @@ def require_density(m, tol_psd: float = TOL_PSD) -> np.ndarray:
     if abs(tr - 1.0) > TOL_TRACE:
         raise ContractError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
     return m
+
+
+def require_count(value: int, name: str) -> None:
+    if value < 1:
+        raise ContractError(f"{name} must be >= 1, got {value}")
 
 
 def require_bipartite(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:

@@ -51,6 +51,7 @@ import numpy as np
 from .errors import ContractError, DimensionLimitError
 from .linalg import (
     MAX_DIM,
+    TOL_PSD,
     BipartiteShape,
     _norms,
     _partial_transpose,
@@ -58,6 +59,7 @@ from .linalg import (
     hermitize,
     project_psd,
     require_bipartite,
+    require_count,
     require_density,
     require_hermitian,
 )
@@ -313,8 +315,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     ``seed``.  The bracket combines all starts.
     """
     h = hermitize(require_bipartite(require_hermitian(h), spec.shape))
-    if restarts < 1:
-        raise ContractError(f"restarts must be >= 1, got {restarts}")
+    require_count(restarts, "restarts")
     if iters < 0:
         raise ContractError(f"iters must be >= 0, got {iters}")
     n = spec.shape.dim
@@ -386,7 +387,7 @@ def _simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - theta[:, None], 0.0)
 
 
-def npt_witness(d, shape: BipartiteShape, tol: float = 1e-10) -> np.ndarray | None:
+def npt_witness(d, shape: BipartiteShape, tol: float = TOL_PSD) -> np.ndarray | None:
     """Decomposable witness (|v><v|)^Gamma from the most negative eigenvector
     of d^Gamma; None when d is PPT.  Tr(W d) recovers that eigenvalue, while
     Tr(W sigma) >= 0 for every PPT sigma."""

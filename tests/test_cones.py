@@ -697,8 +697,9 @@ class TestStackedConeLayer:
                 reference_u_maps_cones(ctx, beta, samples=30, seed=dim)
 
     def test_no_samples(self, ctx3):
-        assert duality_check(ctx3, 0.25, samples=0) == reference_duality_check(ctx3, 0.25, 0, 0)
-        assert u_maps_cones(ctx3, 0.25, samples=0) == reference_u_maps_cones(ctx3, 0.25, 0, 0)
+        for check in (duality_check, u_maps_cones):
+            with pytest.raises(ContractError):
+                check(ctx3, 0.25, samples=0)
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_delta_kernel_on_a_stack_equals_single_calls(self, dim):
@@ -745,6 +746,30 @@ class TestStackedConeLayer:
                      lambda: sample_cone_element(ctx3, 0.7, generator(0))):
             with pytest.raises(ContractError):
                 call()
+
+
+# every public call that applies a vector to a context, given a vector of another context
+OWNERSHIP_CALLS = {
+    "inner": lambda comp, xi: inner(comp.joint.omega, xi),
+    "apply_delta_power": lambda comp, xi: apply_delta_power(comp.joint, 0.5, xi),
+    "apply_jm": lambda comp, xi: gns.apply_jm(comp.joint, xi),
+    "apply_j": lambda comp, xi: gns.apply_j(comp.joint, xi),
+    "apply_u": lambda comp, xi: apply_u(comp.joint, xi),
+    "apply_tau": lambda comp, xi: gns.apply_tau(comp.joint, xi),
+    "v_beta_membership": lambda comp, xi: v_beta_membership(comp.joint, 0.25, xi),
+    "one_otimes_ub": one_otimes_ub,
+    "pn_intersection_membership": pn_intersection_membership,
+    "separable_cone_distance": separable_cone_distance,
+}
+
+
+class TestContextOwnership:
+    @pytest.mark.parametrize("call", OWNERSHIP_CALLS.values(), ids=OWNERSHIP_CALLS.keys())
+    def test_vector_of_another_context_rejected(self, comp22, call):
+        # same dimension as the joint context, so only ownership can tell them apart
+        other = build_gns(random_faithful_density(generator(32), 4))
+        with pytest.raises(ContractError, match="does not belong"):
+            call(comp22, other.omega)
 
 
 class TestSeparableTerms:

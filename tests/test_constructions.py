@@ -98,6 +98,15 @@ class TestAnticommutatorVerdict:
         with pytest.raises(ContractError):
             verify_anticommutator_ppt(bad)
 
+    def test_forged_residual_rejected(self):
+        # the verdict recomputes the residual rather than trusting the instance's field
+        rng = generator(404)
+        rho = np.kron(random_faithful_density(rng, 2), random_faithful_density(rng, 2))
+        forged = AnticommutatorInstance(rho=rho, f=np.array([1.0, 0.0]),
+                                        a_op=np.eye(2, dtype=complex), residual=0.0)
+        with pytest.raises(ContractError):
+            verify_anticommutator_ppt(forged)
+
     def test_product_instance_explicit(self):
         # rho_A = I/2 makes the compressed condition <f|A|f> rho_B = 0
         rng = generator(405)

@@ -239,6 +239,15 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic["kind"] == "ContractError" and "--in" in diagnostic["error"]
 
+    @pytest.mark.parametrize("argv,setting", [
+        (["ppt-check", "--in", "x.json", "--dims", "2x2", "--tol", "membership=1e-9"], "--tol membership"),
+        (["cone-check", "--dims", "2", "--in", "x.json"], "--in"),
+    ], ids=["ppt-check-tol-membership", "cone-check-in"])
+    def test_setting_another_command_reads_exits_two(self, argv, setting, capsys):
+        assert main(argv) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and setting in diagnostic["error"]
+
     def test_minimize_runs_the_iterations_it_is_given(self, tmp_path, swap22, monkeypatch):
         path = str(tmp_path / "swap.json")
         save_matrix(swap22, path, kind="hermitian", shape=BipartiteShape(2, 2))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modular_ppt import linalg, optim
+from modular_ppt import choi, cones, linalg, optim
 from modular_ppt.errors import ContractError, DimensionLimitError, ShapeError
 from modular_ppt.linalg import (
     BipartiteShape,
@@ -15,8 +15,9 @@ from modular_ppt.linalg import (
     partial_transpose,
     psd_check,
 )
+from modular_ppt.gns import build_gns
 from modular_ppt.optim import PptSetSpec
-from modular_ppt.rand import complex_gaussian, generator, random_psd
+from modular_ppt.rand import complex_gaussian, generator, random_faithful_density, random_psd
 
 
 def unit(i, j, n):
@@ -232,3 +233,23 @@ class TestMatSqrtPsd:
     def test_rejects_negative(self):
         with pytest.raises(ContractError):
             mat_sqrt_psd(np.diag([1.0, -1.0]))
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("check", ["duality_check", "u_maps_cones", "stormer_block_test",
+                                       "dual_pairing_test", "lemma_fi_functional"])
+    def test_sampled_check_rejects_no_samples(self, check, samples):
+        # with no sample these checks would report a minimum over nothing, +inf, as a pass
+        ctx = build_gns(random_faithful_density(generator(5), 3))
+        units = [[1.0, 0.0], [0.0, 1.0]]
+        calls = {
+            "duality_check": lambda: cones.duality_check(ctx, 0.25, samples=samples),
+            "u_maps_cones": lambda: cones.u_maps_cones(ctx, 0.25, samples=samples),
+            "stormer_block_test": lambda: choi.stormer_block_test(choi.identity_map_table(2), samples=samples),
+            "dual_pairing_test": lambda: choi.dual_pairing_test(np.eye(4), BipartiteShape(2, 2), samples=samples),
+            "lemma_fi_functional": lambda: choi.lemma_fi_functional(np.eye(4) / 4, 2, 2, units, units,
+                                                                    check_samples=samples),
+        }
+        with pytest.raises(ContractError, match=f"samples must be >= 1, got {samples}"):
+            calls[check]()
