@@ -50,12 +50,14 @@ CONFIGS = (
     ("anticomm", "--dims", "2x4"),
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2"),
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2", "--tol", "psd=1e-11"),
+    ("ppt-check", "--in", "mixed.json", "--dims", "2x2"),  # PPT: no witness
     ("cone-check", "--dims", "3", "--tol", "membership=1e-9"),
     ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
-# Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, and the 2x2 singlet density
+# Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, the 2x2 singlet density
+# and the 2x2 maximally mixed density I/4
 WRITE_INPUTS = (
     "import numpy as np\n"
     "from modular_ppt.choi import choi_from_map, generalized_choi_map, transposition_map_table\n"
@@ -67,6 +69,7 @@ WRITE_INPUTS = (
     " shape=BipartiteShape(3, 3))\n"
     "psi = np.array([0, 1, -1, 0]) / np.sqrt(2)\n"
     "save_matrix(np.outer(psi, psi), 'singlet.json', kind='density', shape=BipartiteShape(2, 2))\n"
+    "save_matrix(np.eye(4) / 4, 'mixed.json', kind='density', shape=BipartiteShape(2, 2))\n"
 )
 
 

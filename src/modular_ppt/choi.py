@@ -7,9 +7,8 @@ composed with transposition) exactly when its operator pairs nonnegatively
 with every PPT state.  ``dual_pairing_test`` decides that pairing from the
 certified bracket of ``optim.min_trace_over_ppt``: it hands back either the
 decomposition H = h1 + h2^Gamma read off the solver's dual, or a PPT state
-that pairs negatively with H, or says that the bracket left it undecided.
-Its sampling route (Dykstra-sampled PPT states) can only exhibit negative
-pairings.  That route and ``stormer_block_test`` take each chunk of
+that pairs negatively with H, or says that the bracket left it undecided;
+it samples no state.  ``stormer_block_test`` takes each chunk of
 ``optim._sample_stacks`` as one stack (one product and one spectrum call
 per chunk), and the positivity report of ``lemma_fi_functional`` draws its
 PSD samples as one stack.  The generalized Choi maps of Cho, Kye & Lee
@@ -39,8 +38,8 @@ from .linalg import (
 from .optim import PptSetSpec, _sample_stacks, min_trace_over_ppt
 from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, random_psd
 
-VERDICT_TOL = 1e-10  # dual_pairing_test's optimizer verdicts: lower bound >= -tol, or value < -tol
-OPT_ITERS = 300  # ADMM iterations of dual_pairing_test's optimizer route
+VERDICT_TOL = 1e-10  # dual_pairing_test's verdicts: lower bound >= -tol, or value < -tol
+OPT_ITERS = 300  # ADMM iterations of dual_pairing_test's solve
 OPT_RESTARTS = 2  # and its ADMM starts, run as one stack
 
 
@@ -147,21 +146,14 @@ def random_decomposable(shape: BipartiteShape, seed: int = 0) -> DecomposableWit
     return DecomposableWitness(h1=h1, h2=h2, shape=shape)
 
 
-def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 0,
-                      optimizer: bool = False) -> dict:
+def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed: int = 0,
+                      optimizer: bool = True) -> dict:
     """Does h pair nonnegatively with every PPT state, i.e. is S_h decomposable?
 
-    Sampling route (default): ``min_sampled_pairing`` (also ``min_pairing``)
-    is min Tr(D h) over ``samples`` Dykstra-sampled PPT states.  A negative
-    value exhibits a PPT state with Tr(D h) < 0, so S_h is not decomposable;
-    decomposable inputs must stay >= -1e-8, but no value proves it.
-
-    Optimizer route (``optimizer``): the verdict comes from the certified
-    bracket of ``min_trace_over_ppt`` alone, run for OPT_ITERS iterations
-    from OPT_RESTARTS starts; no state is sampled, ``samples`` is not read
-    and the report reads ``samples: 0``.  ``min_pairing`` is
-    ``optimizer_value``, next to ``optimizer_lower_bound`` and
-    ``optimizer_gap``.  ``verdict`` is
+    The verdict comes from the certified bracket of ``min_trace_over_ppt``
+    alone, run for OPT_ITERS iterations from OPT_RESTARTS starts seeded by
+    ``seed``; no state is sampled.  ``min_pairing`` is ``optimizer_value``,
+    next to ``optimizer_lower_bound`` and ``optimizer_gap``.  ``verdict`` is
 
     - "decomposable" when the lower bound s >= -VERDICT_TOL.  ``decomposition``
       is DecomposableWitness(h1 = h - Q^Gamma, h2 = Q^T) from the solver's
@@ -172,23 +164,18 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int = 100, seed: int = 
     - "undecided" otherwise: the gap did not close in OPT_ITERS iterations.
 
     The one of ``decomposition`` and ``ppt_state`` that the verdict does not
-    name is None.
+    name is None.  ``samples`` and ``optimizer`` remain only because the
+    benchmark still passes them: ``samples`` is not read, and
+    ``optimizer=False`` (the retired sampling route) raises ContractError.
     """
     h = require_hermitian(require_bipartite(h, shape))
-    spec = PptSetSpec(shape)
     if not optimizer:
-        require_count(samples, "samples")
-        rng = generator(seed)
-        best = np.inf
-        for d, *_ in _sample_stacks(rng, spec, samples):
-            best = min(best, float(np.min(np.trace(d @ h, axis1=-2, axis2=-1).real)))
-        return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
-                "min_pairing": float(best)}
+        raise ContractError("dual_pairing_test has no sampling route; it decides from the certified bracket")
+    spec = PptSetSpec(shape)
     value, minimizer, trace = min_trace_over_ppt(h, spec, iters=OPT_ITERS, restarts=OPT_RESTARTS, seed=seed)
-    report = {"samples": 0, "optimizer_used": True, "optimizer_value": float(value),
-              "optimizer_lower_bound": trace.lower_bound, "optimizer_gap": trace.gap,
-              "min_pairing": float(value), "verdict": "undecided", "decomposition": None,
-              "ppt_state": None}
+    report = {"optimizer_value": float(value), "optimizer_lower_bound": trace.lower_bound,
+              "optimizer_gap": trace.gap, "min_pairing": float(value), "verdict": "undecided",
+              "decomposition": None, "ppt_state": None}
     if trace.lower_bound >= -VERDICT_TOL:
         q = trace.dual
         report["verdict"] = "decomposable"
@@ -281,8 +268,8 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     (c) separable states (product mixtures) are always PPT;
     (d) the singlet is not PPT;
     (e) the 3x3 Choi map Phi[2,0,1] is positive but not decomposable.  Its
-        positivity rests on the Cho-Kye-Lee theorem, not on sampling; the
-        optimizer route of ``dual_pairing_test`` certifies a PPT state D with
+        positivity rests on the Cho-Kye-Lee theorem, not on sampling;
+        ``dual_pairing_test`` certifies a PPT state D with
         Tr(D C) < 0, which is therefore entangled (the bracket and verdict
         are reported).
     """
@@ -316,8 +303,7 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
         "separable_min_gamma_eig": float(min_sep_gamma),
         "singlet_gamma_min_eig": singlet_gamma_min,
     }
-    choi_map = dual_pairing_test(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3),
-                                 seed=seed, optimizer=True)
+    choi_map = dual_pairing_test(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3), seed=seed)
     report.update({
         "choi_map_value": choi_map["optimizer_value"],
         "choi_map_lower_bound": choi_map["optimizer_lower_bound"],

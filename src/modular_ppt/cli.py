@@ -29,7 +29,7 @@ import numpy as np
 from . import choi, cones, constructions, gns, optim
 from .errors import ConditioningError, ConsistencyError, ContractError, DimensionLimitError, ShapeError
 from .io import load_matrix, report_body_text, save_report
-from .linalg import TOL_PSD, BipartiteShape, _norms, hermitize, partial_transpose, require_count
+from .linalg import TOL_PSD, BipartiteShape, _norms, hermitize, require_bipartite, require_count, require_density
 from .rand import complex_gaussian, complex_gaussians, generator, random_faithful_density
 
 @dataclass(frozen=True)
@@ -155,9 +155,7 @@ def run_choi(cfg: RunConfig) -> tuple[dict, bool]:
 def run_ppt_check(cfg: RunConfig) -> tuple[dict, bool]:
     m, shape = _input_operator(cfg)
     tol = cfg.tol.get("psd", TOL_PSD)
-    witness = optim.npt_witness(m, shape, tol=tol)  # checks that m is a density on shape
-    gamma = hermitize(partial_transpose(m, shape, "B"))
-    min_eig = float(np.linalg.eigvalsh(gamma)[0])
+    min_eig, witness = optim._gamma_witness(require_density(require_bipartite(m, shape)), shape, tol)
     body = {
         "ppt": bool(min_eig >= -tol),
         "min_eig_gamma": min_eig,

@@ -67,7 +67,7 @@ from .linalg import (
     require_count,
     require_density,
 )
-from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, random_psd
+from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator
 
 DEFAULT_TOL = 1e-10
 COMPOSITE_CHECKS = 50  # sampled product pairs on which build_composite checks the factorization
@@ -133,12 +133,6 @@ def _cone_elements(ctx: GnsContext, beta: float, psd: np.ndarray) -> np.ndarray:
     """Unit vectors Delta^beta a Omega for a stack of PSD a; unchecked."""
     xi = _delta_power(ctx, beta, psd @ ctx.sqrt_rho)
     return xi / _norms(xi)[:, None, None]
-
-
-def sample_cone_element(ctx: GnsContext, beta: float, rng: np.random.Generator) -> GnsVector:
-    """Constructive V_beta sample Delta^beta a Omega with a random PSD a."""
-    _check_beta(beta)
-    return GnsVector(_cone_elements(ctx, beta, random_psd(rng, ctx.dim)[None])[0], ctx)
 
 
 def _separating_eta(ctx: GnsContext, beta: float, witness: np.ndarray) -> np.ndarray:
@@ -216,10 +210,7 @@ def density_of(xi: GnsVector) -> np.ndarray:
 
 def state_to_cone_vector(ctx: GnsContext, sigma) -> GnsVector:
     """The unique natural-cone vector inducing the state sigma: its PSD root."""
-    sigma = require_density(sigma)
-    if sigma.shape[0] != ctx.dim:
-        raise ContractError(f"state dim {sigma.shape[0]} != context dim {ctx.dim}")
-    return GnsVector(_mat_sqrt_psd(sigma), ctx)
+    return GnsVector(_mat_sqrt_psd(require_density(ctx.own_matrix(sigma))), ctx)
 
 
 def transpose_state_vector(ctx: GnsContext, xi: GnsVector) -> tuple[GnsVector, dict]:

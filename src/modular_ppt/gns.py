@@ -26,6 +26,8 @@ checks all its samples as one stack.
 ``GnsVector.mat_in`` is the one check that a vector belongs to the context
 it is applied in (ContractError otherwise); every public function here and
 in ``cones`` that takes a vector and a context runs it.
+``GnsContext.own_matrix`` is the one check that a matrix has the context's
+dimension.
 """
 
 from __future__ import annotations
@@ -92,11 +94,15 @@ class GnsContext:
     def condition_ratio(self) -> float:
         return float(self.eigvals[-1] / self.eigvals[0])
 
-    def vector(self, mat) -> GnsVector:
-        mat = require_square(np.asarray(mat, dtype=complex))
+    def own_matrix(self, mat) -> np.ndarray:
+        """mat as a complex square matrix, which must have this context's dimension."""
+        mat = require_square(mat)
         if mat.shape[0] != self.dim:
-            raise ContractError(f"vector dim {mat.shape[0]} != context dim {self.dim}")
-        return GnsVector(mat, self)
+            raise ContractError(f"matrix dim {mat.shape[0]} != context dim {self.dim}")
+        return mat
+
+    def vector(self, mat) -> GnsVector:
+        return GnsVector(self.own_matrix(mat), self)
 
     def vector_for_operator(self, a) -> GnsVector:
         """pi(a) Omega = a rho^{1/2}."""
@@ -132,11 +138,6 @@ def build_gns(rho) -> GnsContext:
         rho=rho, eigvals=vals, eigvecs=vecs, sqrt_rho=sqrt_rho,
         inv_sqrt_rho=inv_sqrt_rho, kernel=kernel, log_ratio=log_ratio,
     )
-
-
-def state_value(ctx: GnsContext, a) -> complex:
-    """omega(a) computed in the representation, (Omega, pi(a) Omega)."""
-    return inner(ctx.omega, ctx.vector_for_operator(a))
 
 
 def _check_delta_power(ctx: GnsContext, beta: float) -> None:
@@ -187,10 +188,7 @@ def apply_u(ctx: GnsContext, xi: GnsVector) -> GnsVector:
 
 def transpose_operator(ctx: GnsContext, a) -> np.ndarray:
     """a -> J_c a^* J_c; the matrix transpose in rho's eigenbasis."""
-    a = require_square(np.asarray(a, dtype=complex))
-    if a.shape[0] != ctx.dim:
-        raise ContractError(f"operator dim {a.shape[0]} != context dim {ctx.dim}")
-    return _flip(ctx, a)
+    return _flip(ctx, ctx.own_matrix(a))
 
 
 def apply_tau(ctx: GnsContext, xi: GnsVector) -> GnsVector:

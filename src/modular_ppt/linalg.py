@@ -228,12 +228,6 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return vals, _fix_phase(vecs)
 
 
-def psd_check(m, tol: float = TOL_PSD) -> tuple[bool, float]:
-    m = require_hermitian(m)
-    min_eig = float(np.linalg.eigvalsh(hermitize(m))[0])
-    return min_eig >= -tol, min_eig
-
-
 def mat_sqrt_psd(m) -> np.ndarray:
     """PSD square root; eigenvalues in [-TOL_PSD, 0) are clamped to zero.
 

@@ -391,11 +391,16 @@ def npt_witness(d, shape: BipartiteShape, tol: float = TOL_PSD) -> np.ndarray | 
     """Decomposable witness (|v><v|)^Gamma from the most negative eigenvector
     of d^Gamma; None when d is PPT.  Tr(W d) recovers that eigenvalue, while
     Tr(W sigma) >= 0 for every PPT sigma."""
-    d = require_density(require_bipartite(d, shape))
-    gamma = hermitize(_partial_transpose(d, shape, "B"))
-    vals, vecs = np.linalg.eigh(gamma)
-    if vals[0] >= -tol:
-        return None
+    return _gamma_witness(require_density(require_bipartite(d, shape)), shape, tol)[1]
+
+
+def _gamma_witness(d: np.ndarray, shape: BipartiteShape, tol: float) -> tuple[float, np.ndarray | None]:
+    """lambda_min(d^Gamma) and the witness of ``npt_witness`` (None when
+    lambda_min >= -tol), both from one eigh; unchecked."""
+    vals, vecs = np.linalg.eigh(hermitize(_partial_transpose(d, shape, "B")))
+    least = float(vals[0])
+    if least >= -tol:
+        return least, None
     v = vecs[:, 0]
     w = _partial_transpose(np.outer(v, v.conj()), shape, "B")
-    return w / np.linalg.norm(w)
+    return least, w / np.linalg.norm(w)

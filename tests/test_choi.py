@@ -101,13 +101,13 @@ class TestDecomposable:
         assert eigs[0] < -1e-3  # partial transpose of the entangled projector
 
     def test_identity_pairing(self, shape22):
-        report = dual_pairing_test(np.eye(4), shape22, samples=30, seed=1)
+        report = dual_pairing_test(np.eye(4), shape22, seed=1)
         assert report["min_pairing"] == pytest.approx(1.0, abs=1e-8)
 
     def test_swap_pairing_reaches_zero(self, monkeypatch, swap22, shape22):
         monkeypatch.setattr(choi, "OPT_ITERS", 600)
         monkeypatch.setattr(choi, "OPT_RESTARTS", 3)
-        report = dual_pairing_test(swap22, shape22, samples=40, seed=2, optimizer=True)
+        report = dual_pairing_test(swap22, shape22, seed=2)
         assert report["min_pairing"] >= -1e-8
         assert report["optimizer_value"] == pytest.approx(0.0, abs=1e-4)
         assert report["optimizer_lower_bound"] <= 0.0 <= report["optimizer_value"] + 1e-12
@@ -121,16 +121,16 @@ class TestDecomposable:
     def test_decomposable_forward_direction(self, shape22):
         for seed in range(5):
             w = random_decomposable(shape22, seed=seed)
-            report = dual_pairing_test(w.h, shape22, samples=60, seed=seed)
+            report = dual_pairing_test(w.h, shape22, seed=seed)
             assert report["min_pairing"] >= -1e-8
 
     def test_decomposable_forward_direction_dense_sampling(self, monkeypatch, shape22):
         w = random_decomposable(shape22, seed=77)
-        report = dual_pairing_test(w.h, shape22, samples=500, seed=78)
+        report = dual_pairing_test(w.h, shape22, seed=78)
         assert report["min_pairing"] >= -1e-8
         # the certified lower bound shows the pairing is nonnegative on every PPT state
         monkeypatch.setattr(choi, "OPT_ITERS", 200)
-        report = dual_pairing_test(w.h, shape22, seed=78, optimizer=True)
+        report = dual_pairing_test(w.h, shape22, seed=78)
         assert report["verdict"] == "decomposable"
         assert report["optimizer_lower_bound"] >= -1e-6
 
@@ -141,8 +141,8 @@ class TestDecomposable:
 
 
 class TestPairingVerdicts:
-    """The optimizer route of dual_pairing_test decides from the certified
-    bracket alone and hands back what certifies the verdict."""
+    """dual_pairing_test decides from the certified bracket alone and hands
+    back what certifies the verdict."""
 
     @staticmethod
     def assert_reproduces(report, h):
@@ -156,14 +156,14 @@ class TestPairingVerdicts:
         shape = BipartiteShape(*dims)
         for seed in range(4):
             h = random_decomposable(shape, seed=seed).h
-            self.assert_reproduces(dual_pairing_test(h, shape, seed=seed, optimizer=True), h)
+            self.assert_reproduces(dual_pairing_test(h, shape, seed=seed), h)
 
     def test_swap_decomposition_round_trip(self, swap22, shape22):
-        self.assert_reproduces(dual_pairing_test(swap22, shape22, optimizer=True), swap22)
+        self.assert_reproduces(dual_pairing_test(swap22, shape22), swap22)
 
     def test_swap_without_iterations_is_undecided(self, monkeypatch, swap22, shape22):
         monkeypatch.setattr(choi, "OPT_ITERS", 0)
-        report = dual_pairing_test(swap22, shape22, optimizer=True)
+        report = dual_pairing_test(swap22, shape22)
         assert report["verdict"] == "undecided"
         assert report["optimizer_value"] == pytest.approx(0.5, abs=1e-12)
         assert report["optimizer_lower_bound"] == pytest.approx(-1.0, abs=1e-12)
@@ -175,16 +175,26 @@ class TestPairingVerdicts:
         monkeypatch.setattr(optim, "_dykstra", forbidden)
         h = random_decomposable(shape22, seed=5).h
         for op, shape in ((h, shape22), (choi_map, BipartiteShape(3, 3))):
-            report = dual_pairing_test(op, shape, samples=200, optimizer=True)
-            assert report["samples"] == 0 and "min_sampled_pairing" not in report
+            report = dual_pairing_test(op, shape, samples=200)
+            assert "samples" not in report and "optimizer_used" not in report
             assert report["min_pairing"] == report["optimizer_value"]
-        with pytest.raises(AssertionError, match="Dykstra"):
-            dual_pairing_test(h, shape22, samples=1)
 
-    def test_sampling_route_gives_no_verdict(self, shape22):
-        report = dual_pairing_test(np.eye(4), shape22, samples=5, seed=1)
-        assert report["samples"] == 5 and report["min_pairing"] == report["min_sampled_pairing"]
-        assert "verdict" not in report and "optimizer_value" not in report
+    def test_sampling_route_is_refused(self, shape22):
+        with pytest.raises(ContractError, match="no sampling route"):
+            dual_pairing_test(np.eye(4), shape22, optimizer=False)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+    def test_benchmark_call_shape_matches_default(self, dims):
+        # the benchmark still passes samples= and optimizer=True; neither changes the answer
+        shape = BipartiteShape(*dims)
+        h = random_decomposable(shape, seed=dims[1] + 10).h
+        for seed in (0, 3):
+            kept = dual_pairing_test(h, shape, samples=137, seed=seed, optimizer=True)
+            plain = dual_pairing_test(h, shape, seed=seed)
+            assert kept["verdict"] == plain["verdict"] == "decomposable"
+            for key in ("min_pairing", "optimizer_value", "optimizer_lower_bound", "optimizer_gap"):
+                assert kept[key] == plain[key], key
+            assert np.array_equal(kept["decomposition"].h, plain["decomposition"].h)
 
 
 # (a, b, c) with a in [1, 3], b, c in [0, 2], a + b + c >= 3 and |bc - ((3 - a)/2)^2| >= 0.02,
@@ -236,7 +246,7 @@ class TestGeneralizedChoiMaps:
         for triples, expected in ((CHO_KYE_LEE_DECOMPOSABLE, "decomposable"),
                                   (CHO_KYE_LEE_INDECOMPOSABLE, "not_decomposable")):
             for abc in triples:
-                report = dual_pairing_test(choi_from_map(generalized_choi_map(*abc)), shape, optimizer=True)
+                report = dual_pairing_test(choi_from_map(generalized_choi_map(*abc)), shape)
                 if report["verdict"] != expected:
                     wrong.append((abc, report["verdict"], report["optimizer_lower_bound"],
                                   report["optimizer_value"]))
@@ -256,7 +266,7 @@ class TestChoiMap:
 
     def test_verdict_hands_back_a_negative_ppt_state(self, choi_map):
         shape = BipartiteShape(3, 3)
-        report = dual_pairing_test(choi_map, shape, optimizer=True)
+        report = dual_pairing_test(choi_map, shape)
         assert report["verdict"] == "not_decomposable" and report["decomposition"] is None
         d = report["ppt_state"]
         assert np.linalg.eigvalsh(d)[0] >= -1e-12
@@ -265,7 +275,7 @@ class TestChoiMap:
         assert np.trace(d @ choi_map).real < 0
 
     def test_pairing_report_shows_indecomposability(self, choi_map):
-        report = dual_pairing_test(choi_map, BipartiteShape(3, 3), samples=20, seed=3, optimizer=True)
+        report = dual_pairing_test(choi_map, BipartiteShape(3, 3), seed=3)
         assert report["optimizer_value"] < 0 and report["min_pairing"] == report["optimizer_value"]
         assert report["optimizer_lower_bound"] <= -0.15470053838
 
@@ -303,20 +313,11 @@ def reference_stormer_block_test(t, k, samples, seed):
             "passed": bool(min_eig >= -1e-8)}
 
 
-def reference_sampled_pairing(h, shape, samples, seed):
-    """The sampling route of dual_pairing_test, one sampled state at a time."""
-    rng = generator(seed)
-    spec = PptSetSpec(shape)
-    best = np.inf
-    for _ in range(samples):
-        best = min(best, float(np.trace(sample_ppt_density(rng, spec) @ h).real))
-    return {"min_sampled_pairing": best, "samples": samples, "optimizer_used": False,
-            "min_pairing": float(best)}
-
-
 class TestStackedSampleConsumers:
-    """The Størmer test and the sampling route take the sampler's chunks as
-    stacks and report what a loop over single draws reports."""
+    """The Størmer test takes the sampler's chunks as stacks and reports what
+    a loop over single draws reports.  dual_pairing_test samples no state: it
+    has one certified route, and keeps the ``samples`` and ``optimizer``
+    keywords only because the benchmark passes them (TestPairingVerdicts)."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
     def test_stormer_equals_reference_loop(self, dims):
@@ -330,20 +331,6 @@ class TestStackedSampleConsumers:
         assert 300 > optim.SAMPLE_CHUNK
         t = transposition_map_table(2)
         assert stormer_block_test(t, k=2, samples=300, seed=6) == reference_stormer_block_test(t, 2, 300, 6)
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
-    def test_sampling_route_equals_reference_loop(self, dims):
-        shape = BipartiteShape(*dims)
-        h = hermitize(complex_gaussian(generator(dims[1]), shape.dim, shape.dim))
-        for seed, samples in ((1, 1), (2, 40)):
-            assert dual_pairing_test(h, shape, samples=samples, seed=seed) == \
-                reference_sampled_pairing(h, shape, samples, seed)
-        with pytest.raises(ContractError):
-            dual_pairing_test(h, shape, samples=0)
-
-    def test_sampling_route_across_a_chunk(self, shape22):
-        h = hermitize(complex_gaussian(generator(7), 4, 4))
-        assert dual_pairing_test(h, shape22, samples=300, seed=7) == reference_sampled_pairing(h, shape22, 300, 7)
 
 
 def reference_functional_positivity(psi, shape, samples, seed):

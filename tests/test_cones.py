@@ -10,7 +10,6 @@ from modular_ppt.cones import (
     natural_cone_membership,
     one_otimes_ub,
     pn_intersection_membership,
-    sample_cone_element,
     separable_cone_distance,
     state_to_cone_vector,
     transpose_state_vector,
@@ -60,7 +59,8 @@ class TestVBeta:
         rng = generator(32)
         for k in range(100):
             beta = (k % 5) / 8.0
-            xi = sample_cone_element(ctx3, beta, rng)
+            # the constructive sample Delta^beta a Omega, with a random PSD a
+            xi = gns.GnsVector(cones._cone_elements(ctx3, beta, random_psd(rng, 3)[None])[0], ctx3)
             verdict = v_beta_membership(ctx3, beta, xi)
             assert verdict.inside, (beta, verdict.certificate)
 
@@ -743,7 +743,7 @@ class TestStackedConeLayer:
     def test_beta_checked_at_each_public_call(self, ctx3):
         for call in (lambda: duality_check(ctx3, 0.6, samples=3),
                      lambda: u_maps_cones(ctx3, -0.1, samples=3),
-                     lambda: sample_cone_element(ctx3, 0.7, generator(0))):
+                     lambda: v_beta_membership(ctx3, 0.7, ctx3.omega)):
             with pytest.raises(ContractError):
                 call()
 

@@ -12,7 +12,6 @@ from modular_ppt.gns import (
     apply_u,
     build_gns,
     inner,
-    state_value,
     transpose_operator,
     verify_modular_identities,
 )
@@ -56,7 +55,8 @@ class TestBuildGns:
         for _ in range(50):
             a = complex_gaussian(rng, 3, 3)
             expected = np.trace(ctx_rand.rho @ a)
-            assert abs(state_value(ctx_rand, a) - expected) <= 1e-10
+            # omega(a) computed in the representation, (Omega, pi(a) Omega)
+            assert abs(inner(ctx_rand.omega, ctx_rand.vector_for_operator(a)) - expected) <= 1e-10
 
     def test_omega_fixed_by_conjugations(self, ctx_rand):
         omega = ctx_rand.omega

@@ -18,8 +18,8 @@ from modular_ppt.io import (
     save_matrix,
     save_report,
 )
-from modular_ppt.linalg import BipartiteShape
-from modular_ppt.rand import complex_gaussian
+from modular_ppt.linalg import BipartiteShape, hermitize, partial_transpose
+from modular_ppt.rand import complex_gaussian, generator, random_faithful_density
 
 
 class TestMatrixFiles:
@@ -90,6 +90,37 @@ class TestRunCommand:
         results = report["body"]["results"]
         assert results["ppt"] is False
         assert results["min_eig_gamma"] == pytest.approx(-0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("npt", [True, False], ids=["singlet", "maximally-mixed"])
+    def test_ppt_check_decomposes_the_partial_transpose_once(self, monkeypatch, tmp_path, singlet, npt):
+        # one eigvalsh each for the file's density check and the runner's, one eigh of D^Gamma
+        path = str(tmp_path / "d.json")
+        save_matrix(singlet if npt else np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        calls = []
+
+        def counted(name, solver):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return solver(*args, **kwargs)
+            return call
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        _, report = run_command(RunConfig(command="ppt-check", in_path=path))
+        assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh"]
+        assert report["body"]["results"]["witness_found"] is npt
+
+    @pytest.mark.parametrize("ppt", [True, False], ids=["ppt", "npt"])
+    def test_ppt_check_min_eig_matches_eigvalsh(self, tmp_path, singlet, ppt):
+        # generic states: 0.3 of a random density mixed into I/4 (PPT) or into the singlet (NPT)
+        shape = BipartiteShape(2, 2)
+        d = 0.7 * (np.eye(4) / 4 if ppt else singlet) + 0.3 * random_faithful_density(generator(ppt + 3), 4)
+        path = str(tmp_path / "d.json")
+        save_matrix(d, path, kind="density", shape=shape)
+        results = run_command(RunConfig(command="ppt-check", in_path=path))[1]["body"]["results"]
+        expected = np.linalg.eigvalsh(hermitize(partial_transpose(d, shape, "B")))[0]
+        assert results["ppt"] is ppt and bool(expected >= 0) is ppt
+        assert abs(results["min_eig_gamma"] - expected) <= 1e-15
 
     def test_report_file_written(self, tmp_path):
         out = str(tmp_path / "report.json")
