@@ -53,6 +53,8 @@ CONFIGS = (
     ("ppt-check", "--in", "mixed.json", "--dims", "2x2"),  # PPT: no witness
     ("cone-check", "--dims", "3", "--tol", "membership=1e-9"),
     ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
+    ("minimize", "--in", "choi_map.json", "--dims", "3x3", "--seed", "2"),
+    ("hierarchy", "--dims", "3x3", "--seed", "1"),
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]

@@ -40,7 +40,6 @@ from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator,
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's verdicts: lower bound >= -tol, or value < -tol
 OPT_ITERS = 300  # ADMM iterations of dual_pairing_test's solve
-OPT_RESTARTS = 2  # and its ADMM starts, run as one stack
 
 
 @dataclass(frozen=True)
@@ -146,14 +145,14 @@ def random_decomposable(shape: BipartiteShape, seed: int = 0) -> DecomposableWit
     return DecomposableWitness(h1=h1, h2=h2, shape=shape)
 
 
-def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed: int = 0,
+def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed: int | None = None,
                       optimizer: bool = True) -> dict:
     """Does h pair nonnegatively with every PPT state, i.e. is S_h decomposable?
 
     The verdict comes from the certified bracket of ``min_trace_over_ppt``
-    alone, run for OPT_ITERS iterations from OPT_RESTARTS starts seeded by
-    ``seed``; no state is sampled.  ``min_pairing`` is ``optimizer_value``,
-    next to ``optimizer_lower_bound`` and ``optimizer_gap``.  ``verdict`` is
+    alone, run for OPT_ITERS iterations; no state is sampled.
+    ``min_pairing`` is ``optimizer_value``, next to ``optimizer_lower_bound``
+    and ``optimizer_gap``.  ``verdict`` is
 
     - "decomposable" when the lower bound s >= -VERDICT_TOL.  ``decomposition``
       is DecomposableWitness(h1 = h - Q^Gamma, h2 = Q^T) from the solver's
@@ -164,15 +163,16 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed
     - "undecided" otherwise: the gap did not close in OPT_ITERS iterations.
 
     The one of ``decomposition`` and ``ppt_state`` that the verdict does not
-    name is None.  ``samples`` and ``optimizer`` remain only because the
-    benchmark still passes them: ``samples`` is not read, and
-    ``optimizer=False`` (the retired sampling route) raises ContractError.
+    name is None.  ``samples``, ``seed`` and ``optimizer`` remain only
+    because the benchmark still passes them: ``samples`` and ``seed`` are
+    not read, and ``optimizer=False`` (the retired sampling route) raises
+    ContractError.
     """
     h = require_hermitian(require_bipartite(h, shape))
     if not optimizer:
         raise ContractError("dual_pairing_test has no sampling route; it decides from the certified bracket")
     spec = PptSetSpec(shape)
-    value, minimizer, trace = min_trace_over_ppt(h, spec, iters=OPT_ITERS, restarts=OPT_RESTARTS, seed=seed)
+    value, minimizer, trace = min_trace_over_ppt(h, spec, iters=OPT_ITERS)
     report = {"optimizer_value": float(value), "optimizer_lower_bound": trace.lower_bound,
               "optimizer_gap": trace.gap, "min_pairing": float(value), "verdict": "undecided",
               "decomposition": None, "ppt_state": None}
@@ -303,7 +303,7 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
         "separable_min_gamma_eig": float(min_sep_gamma),
         "singlet_gamma_min_eig": singlet_gamma_min,
     }
-    choi_map = dual_pairing_test(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3), seed=seed)
+    choi_map = dual_pairing_test(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3))
     report.update({
         "choi_map_value": choi_map["optimizer_value"],
         "choi_map_lower_bound": choi_map["optimizer_lower_bound"],

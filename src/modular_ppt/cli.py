@@ -79,15 +79,15 @@ def _single_dim(cfg: RunConfig) -> int:
     return cfg.dims
 
 
-def _input_operator(cfg: RunConfig) -> tuple[np.ndarray, BipartiteShape]:
-    """The --in matrix and its split, from --dims or else the file's shape field."""
+def _input_operator(cfg: RunConfig) -> tuple[np.ndarray, BipartiteShape, str]:
+    """The --in matrix, its split (from --dims or else the file's shape field) and its load-validated kind."""
     if cfg.in_path is None:
         raise ContractError(f"{cfg.command} needs --in FILE")
     m, meta = load_matrix(cfg.in_path)
     shape = _bipartite(cfg) if cfg.dims is not None else meta.get("shape")
     if shape is None:
         raise ContractError(f"{cfg.command} needs --dims NxM (or a shape field in the file)")
-    return m, shape
+    return m, shape, meta["kind"]
 
 
 def _context_for(cfg: RunConfig, dim: int) -> gns.GnsContext:
@@ -153,9 +153,10 @@ def run_choi(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_ppt_check(cfg: RunConfig) -> tuple[dict, bool]:
-    m, shape = _input_operator(cfg)
+    m, shape, kind = _input_operator(cfg)
     tol = cfg.tol.get("psd", TOL_PSD)
-    min_eig, witness = optim._gamma_witness(require_density(require_bipartite(m, shape)), shape, tol)
+    d = require_bipartite(m, shape)  # loading has validated a density file; any other kind is checked here
+    min_eig, witness = optim._gamma_witness(d if kind == "density" else require_density(d), shape, tol)
     body = {
         "ppt": bool(min_eig >= -tol),
         "min_eig_gamma": min_eig,
@@ -167,10 +168,9 @@ def run_ppt_check(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
-    h, shape = _input_operator(cfg)
+    h, shape, _ = _input_operator(cfg)
     spec = optim.PptSetSpec(shape)
-    value, minimizer, trace = optim.min_trace_over_ppt(
-        h, spec, iters=1500 if cfg.iters is None else cfg.iters, restarts=5, seed=cfg.seed)
+    value, minimizer, trace = optim.min_trace_over_ppt(h, spec, iters=1500 if cfg.iters is None else cfg.iters)
     body = {
         "value": value,
         "lower_bound": trace.lower_bound,

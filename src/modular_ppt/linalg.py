@@ -7,7 +7,7 @@ projections and PSD square roots.
 
 Matrices are plain complex ndarrays; the contracts of the package are
 enforced by the ``require_*`` validators (``require_count`` for every
-sample, term or restart count), which raise rather than coerce.
+sample or term count), which raise rather than coerce.
 Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
 unchecked kernel of the same name with a leading underscore.  Package code

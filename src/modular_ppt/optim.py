@@ -7,7 +7,7 @@ feasible point near the input, not the Frobenius-nearest point, because
 Dykstra's correction terms have not converged by then.  A member of the
 set is a fixed point of the first sweep, so distance-to-output still
 doubles as a membership oracle.  ``min_trace_over_ppt`` minimizes a
-linear objective over the same set with one ADMM loop (two
+linear objective over the same set with one ADMM loop from I/n (two
 eigendecompositions per iteration, no nested projection) and returns a
 certified bracket: the value of a feasible state above, and below a dual
 bound from a decomposition h - s I = P + Q^Gamma with P, Q PSD, the
@@ -19,9 +19,9 @@ independent problems of shape (k, n, n); a single matrix is a stack of
 one.  Every sample keeps its own stopping rules, its own entry in the
 sweep, snap and residual arrays returned with the stack, and the same
 bits as when projected alone.  ``project_ppt`` and ``sample_ppt_density``
-project a stack of one, ``_sample_stacks`` projects its samples in stacks
-of SAMPLE_CHUNK, and ``min_trace_over_ppt`` runs all its ADMM starts as
-one stack.
+project a stack of one, and ``_sample_stacks`` projects its samples in
+stacks of SAMPLE_CHUNK.  ``min_trace_over_ppt`` solves one problem, from
+one start at I/n, on single matrices.
 
 Dykstra's iterates are exactly Hermitian: after the input is hermitized,
 each is a sum or difference of Hermitian matrices, a partial transpose of
@@ -59,11 +59,10 @@ from .linalg import (
     hermitize,
     project_psd,
     require_bipartite,
-    require_count,
     require_density,
     require_hermitian,
 )
-from .rand import _unit_trace_gram, complex_gaussians, generator
+from .rand import complex_gaussians
 
 __all__ = [
     "PptSetSpec",
@@ -285,12 +284,13 @@ def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterat
         yield _dykstra(_seedlings(rng, spec, min(SAMPLE_CHUNK, k - start)), spec)
 
 
-def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5,
-                       seed: int = 0) -> tuple[float, np.ndarray, SolveTrace]:
+def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | None = None,
+                       seed: int | None = None) -> tuple[float, np.ndarray, SolveTrace]:
     """min Tr(D h) over the PPT set, bracketed by a certified gap.
 
     One scaled-form ADMM loop over the split D = X, D^Gamma = Y, with X a
-    density matrix and Y >= 0 (Wen, Goldfarb & Yin 2010):
+    density matrix and Y >= 0 (Wen, Goldfarb & Yin 2010), started at
+    X = Y = I/n, U = 0:
 
         X <- Pi_Delta((Y - U)^Gamma - h/rho)   one eigh and a simplex projection
         Y <- Pi_+(X^Gamma + U)                 one eigh
@@ -310,12 +310,10 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     lower bound, so h = (h - Q^Gamma) + Q^Gamma is the decomposition that
     bound certifies.
 
-    ``restarts`` is the number of ADMM starts, run as one stack: start 0
-    at I/n, the others at random densities from stream 17 of
-    ``seed``.  The bracket combines all starts.
+    ``restarts`` and ``seed`` remain only because the benchmark still
+    passes them; neither is read.
     """
     h = hermitize(require_bipartite(require_hermitian(h), spec.shape))
-    require_count(restarts, "restarts")
     if iters < 0:
         raise ContractError(f"iters must be >= 0, got {iters}")
     n = spec.shape.dim
@@ -327,42 +325,36 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
     def pt(m: np.ndarray) -> np.ndarray:
         return _partial_transpose(m, spec.shape, "B")
 
-    x = np.empty((restarts, n, n), dtype=complex)
-    x[0] = center
-    x[1:] = _unit_trace_gram(complex_gaussians(generator(seed, stream=17), restarts - 1, n, n))
-    x_gamma = y = pt(x)
-    u = np.zeros_like(x)
-    rho = np.full(restarts, nrm)
-    upper, lower, minimizer, q = np.inf, -np.inf, center, np.zeros_like(h)
+    x = x_gamma = y = center  # I/n is its own partial transpose
+    u = np.zeros_like(h)
+    rho = nrm
+    upper, lower, minimizer, q = np.inf, -np.inf, center, u
     for it in range(iters + 1):
         if it:
             y_prev = y
-            w, v = np.linalg.eigh(pt(y - u) - h / rho[:, None, None])
+            w, v = np.linalg.eigh(pt(y - u) - h / rho)
             x = _spectral(v, _simplex(w))
             x_gamma = pt(x)
             w, v = np.linalg.eigh(x_gamma + u)
             y, u = _spectral(v, np.maximum(w, 0.0)), _spectral(v, np.minimum(w, 0.0))
         if it % CHECK_EVERY and it != iters:
             continue
-        eps = np.maximum(0.0, -np.linalg.eigvalsh(x_gamma)[:, 0])
-        lam = (eps / (eps + 1 / n))[:, None, None]
+        eps = max(0.0, -np.linalg.eigvalsh(x_gamma)[0])
+        lam = eps / (eps + 1 / n)
         d = (1 - lam) * x + lam * center
-        values = _trace(d @ h)
-        best = int(np.argmin(values))
-        if values[best] < upper:
-            upper, minimizer = float(values[best]), d[best]
-        bounds = np.linalg.eigvalsh(h + rho[:, None, None] * pt(u))[:, 0]
-        top = int(np.argmax(bounds))
-        if bounds[top] > lower:
-            lower, q = float(bounds[top]), -rho[top] * u[top]
+        value = float(_trace(d @ h))
+        if value < upper:
+            upper, minimizer = value, d
+        bound = float(np.linalg.eigvalsh(h + rho * pt(u))[0])
+        if bound > lower:
+            lower, q = bound, -rho * u
         if upper - lower <= GAP_TOL * nrm:
             break
         if it:
-            primal = _norms(x_gamma - y)
-            dual = rho * _norms(y - y_prev)
-            scale = np.where(primal > RHO_BALANCE * dual, RHO_STEP,
-                             np.where(dual > RHO_BALANCE * primal, 1 / RHO_STEP, 1.0))
-            rho, u = rho * scale, u / scale[:, None, None]
+            primal = np.linalg.norm(x_gamma - y)
+            dual = rho * np.linalg.norm(y - y_prev)
+            scale = RHO_STEP if primal > RHO_BALANCE * dual else 1 / RHO_STEP if dual > RHO_BALANCE * primal else 1.0
+            rho, u = rho * scale, u / scale
     minimizer = hermitize(minimizer)
     lower = min(lower, upper)  # the two meet within rounding; a smaller lower bound stays valid
     gap = upper - lower
@@ -378,13 +370,12 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int = 5
 
 
 def _simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of w, sorted ascending (as eigh
-    returns eigenvalues), onto the simplex {l >= 0, sum l = 1}."""
-    desc = w[:, ::-1]
-    excess = np.cumsum(desc, axis=1) - 1.0
-    kept = np.count_nonzero(desc - excess / np.arange(1, w.shape[1] + 1) > 0, axis=1)
-    theta = excess[np.arange(len(w)), kept - 1] / kept
-    return np.maximum(w - theta[:, None], 0.0)
+    """Euclidean projection of a spectrum w, sorted ascending (as eigh
+    returns it), onto the simplex {l >= 0, sum l = 1}."""
+    desc = w[::-1]
+    excess = np.cumsum(desc) - 1.0
+    kept = np.count_nonzero(desc - excess / np.arange(1, len(w) + 1) > 0)
+    return np.maximum(w - excess[kept - 1] / kept, 0.0)
 
 
 def npt_witness(d, shape: BipartiteShape, tol: float = TOL_PSD) -> np.ndarray | None:

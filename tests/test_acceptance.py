@@ -140,8 +140,7 @@ def test_criterion_07_decomposable_forward_direction():
         spec = optim.PptSetSpec(shape)
         for seed in range(25):
             witness = choi.random_decomposable(shape, seed=SEED + 100 * idx + seed)
-            value, _, _ = optim.min_trace_over_ppt(witness.h, spec, iters=60, restarts=2,
-                                                   seed=SEED + seed)
+            value, _, _ = optim.min_trace_over_ppt(witness.h, spec, iters=60)
             worst_value = min(worst_value, value)
     worst_block = np.inf
     maps = [choi.map_from_choi(choi.random_decomposable(BipartiteShape(2, 2), seed=SEED + s).h,
@@ -161,7 +160,7 @@ def test_criterion_08_optimizer_targets(swap22, phi_plus):
     ok = True
     details = []
     for name, h, target in (("identity", np.eye(4), 1.0), ("swap", swap22, 0.0), ("-phi+", -phi_plus, -0.5)):
-        value, _, trace = optim.min_trace_over_ppt(h, spec, iters=300, restarts=5, seed=SEED)
+        value, _, trace = optim.min_trace_over_ppt(h, spec, iters=300)
         # the closed form lies in the certified bracket, up to rounding
         bracketed = trace.lower_bound - 1e-12 <= target <= value + 1e-12
         ok = ok and bracketed and trace.converged and trace.gap <= 1e-6

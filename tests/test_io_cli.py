@@ -91,11 +91,12 @@ class TestRunCommand:
         assert results["ppt"] is False
         assert results["min_eig_gamma"] == pytest.approx(-0.5, abs=1e-10)
 
-    @pytest.mark.parametrize("npt", [True, False], ids=["singlet", "maximally-mixed"])
-    def test_ppt_check_decomposes_the_partial_transpose_once(self, monkeypatch, tmp_path, singlet, npt):
-        # one eigvalsh each for the file's density check and the runner's, one eigh of D^Gamma
+    @pytest.mark.parametrize("npt,kind", [(True, "density"), (False, "density"), (True, "hermitian")],
+                             ids=["singlet", "maximally-mixed", "hermitian"])
+    def test_ppt_check_decomposes_the_partial_transpose_once(self, monkeypatch, tmp_path, singlet, npt, kind):
+        # one eigvalsh for the density check (on load for a density file, else by the runner), one eigh of D^Gamma
         path = str(tmp_path / "d.json")
-        save_matrix(singlet if npt else np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        save_matrix(singlet if npt else np.eye(4) / 4, path, kind=kind, shape=BipartiteShape(2, 2))
         calls = []
 
         def counted(name, solver):
@@ -107,7 +108,7 @@ class TestRunCommand:
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         _, report = run_command(RunConfig(command="ppt-check", in_path=path))
-        assert sorted(calls) == ["eigh", "eigvalsh", "eigvalsh"]
+        assert sorted(calls) == ["eigh", "eigvalsh"]
         assert report["body"]["results"]["witness_found"] is npt
 
     @pytest.mark.parametrize("ppt", [True, False], ids=["ppt", "npt"])
@@ -293,6 +294,14 @@ class TestCliMain:
         for iters in (0, None):
             run_command(RunConfig(command="minimize", dims=(2, 2), in_path=path, iters=iters))
         assert seen == [0, 1500]
+
+    def test_minimize_results_do_not_depend_on_seed(self, tmp_path, choi_map):
+        path = str(tmp_path / "choi.json")
+        save_matrix(choi_map, path, kind="hermitian", shape=BipartiteShape(3, 3))
+        configs = [RunConfig(command="minimize", in_path=path, seed=seed, iters=300) for seed in (0, 3)]
+        results = [run_command(cfg)[1]["body"]["results"] for cfg in configs]
+        assert results[0] == results[1]
+        assert results[0]["converged"]
 
     def test_negative_iters_exits_two(self, tmp_path, swap22, capsys):
         path = str(tmp_path / "swap.json")

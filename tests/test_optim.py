@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from modular_ppt import optim
-from modular_ppt.errors import ContractError
 from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
 from modular_ppt.optim import (
     PptSetSpec,
@@ -112,29 +111,29 @@ def assert_feasible_state(d, spec):
 
 class TestMinTrace:
     def test_identity_objective(self, spec22):
-        value, minimizer, trace = min_trace_over_ppt(np.eye(4), spec22, iters=100, restarts=3)
+        value, minimizer, trace = min_trace_over_ppt(np.eye(4), spec22, iters=100)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert trace.lower_bound <= value and trace.gap <= 1e-12 and trace.converged
 
     def test_swap_target(self, swap22, spec22):
-        value, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=1500, restarts=5)
+        value, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=1500)
         assert trace.lower_bound <= 0.0 <= value + 1e-12
         assert trace.gap <= 1e-6
         # the minimizer sits on the zero face of the swap pairing
         assert np.trace(minimizer @ swap22).real == pytest.approx(0.0, abs=1e-6)
 
     def test_max_entangled_fidelity_bound(self, phi_plus, spec22):
-        value, minimizer, trace = min_trace_over_ppt(-phi_plus, spec22, iters=1500, restarts=5)
+        value, minimizer, trace = min_trace_over_ppt(-phi_plus, spec22, iters=1500)
         assert value >= -0.5 - 1e-12  # the value belongs to a feasible state, so it cannot undercut 1/2
         assert trace.lower_bound <= -0.5 and trace.gap <= 1e-6
 
     @pytest.mark.parametrize("name,d,h,target", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
     def test_closed_form_is_certified(self, name, d, h, target):
         spec = PptSetSpec(BipartiteShape(d, d))
-        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300, restarts=2)
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300)
         assert trace.lower_bound <= value
         assert trace.gap == value - trace.lower_bound <= 1e-6
-        assert trace.converged
+        assert trace.converged and trace.iterates <= 30
         # the closed form lies in the bracket, up to rounding; value belongs to a feasible state
         assert trace.lower_bound - 1e-12 <= target <= value + 1e-12
         assert value >= target - 1e-12
@@ -146,7 +145,7 @@ class TestMinTrace:
         spec = PptSetSpec(BipartiteShape(*dims))
         rng = generator(205 + dims[1])
         h = hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))
-        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300, restarts=2)
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300)
         assert trace.converged
         assert_feasible_state(minimizer, spec)
         # sampled states are feasible to tol_feas, so they may undercut the bound by that much
@@ -156,16 +155,16 @@ class TestMinTrace:
 
     def test_value_is_scale_invariant(self, spec22):
         h = hermitize(complex_gaussian(generator(206), 4, 4))
-        value, _, trace = min_trace_over_ppt(h, spec22, iters=300, restarts=2)
+        value, _, trace = min_trace_over_ppt(h, spec22, iters=300)
         for c in (1e-3, 1.0, 1e3):
-            scaled, _, scaled_trace = min_trace_over_ppt(c * h, spec22, iters=300, restarts=2)
+            scaled, _, scaled_trace = min_trace_over_ppt(c * h, spec22, iters=300)
             assert scaled_trace.converged
             assert abs(scaled - c * value) <= scaled_trace.gap + c * trace.gap
 
     def test_uncertified_run_keeps_a_valid_bracket(self, choi_map):
         # the Choi-map operator needs more than 5 iterations to certify
         spec = PptSetSpec(BipartiteShape(3, 3))
-        value, minimizer, trace = min_trace_over_ppt(choi_map, spec, iters=5, restarts=2)
+        value, minimizer, trace = min_trace_over_ppt(choi_map, spec, iters=5)
         assert not trace.converged and trace.iterates == 5
         assert trace.gap > optim.GAP_TOL * np.linalg.norm(choi_map)
         assert trace.lower_bound <= 1 - 2 / np.sqrt(3) <= value
@@ -175,7 +174,7 @@ class TestMinTrace:
         def forbidden(*args, **kwargs):
             raise AssertionError("min_trace_over_ppt projected with Dykstra")
         monkeypatch.setattr(optim, "_dykstra", forbidden)
-        value, _, trace = min_trace_over_ppt(swap22, spec22, iters=300, restarts=3)
+        value, _, trace = min_trace_over_ppt(swap22, spec22, iters=300)
         assert trace.converged and abs(value) <= 1e-6
 
     def test_brute_force_cross_check_of_fidelity(self, phi_plus, spec22):
@@ -189,7 +188,7 @@ class TestMinTrace:
 
     def test_descent_from_uniform_start(self, rng, spec22):
         h = hermitize(complex_gaussian(rng, 4, 4))
-        value, _, _ = min_trace_over_ppt(h, spec22, iters=150, restarts=2)
+        value, _, _ = min_trace_over_ppt(h, spec22, iters=150)
         start = float(np.trace(np.eye(4) / 4 @ h).real)
         assert value <= start + 1e-10
 
@@ -214,7 +213,7 @@ class TestNptWitness:
         for _ in range(50):
             d = sample_ppt_density(rng, spec22)
             assert np.trace(w @ d).real >= -1e-6
-        value, _, _ = min_trace_over_ppt(w, spec22, iters=200, restarts=2)
+        value, _, _ = min_trace_over_ppt(w, spec22, iters=200)
         assert value >= -1e-6
 
 
@@ -391,31 +390,26 @@ class TestLeanDykstraSweep:
         assert sum(rows) < 0.1 * sweeps.sum()
 
 
-class TestStackedRestarts:
-    @pytest.mark.parametrize("restarts", [1, 4])
-    def test_starts_at_center_and_random_densities(self, restarts):
-        # with no iteration the bracket is the starts' own: Q = 0 gives lambda_min(h)
+class TestOneStart:
+    def test_starts_at_center(self):
+        # with no iteration the bracket is the start's own: I/6 above, Q = 0 gives lambda_min(h) below
         spec = PptSetSpec(BipartiteShape(2, 3))
         h = hermitize(complex_gaussian(generator(313), 6, 6))
-        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=0, restarts=restarts, seed=5)
-        rng = generator(5, stream=17)
-        starts = [np.eye(6) / 6] + [random_psd(rng, 6) for _ in range(1, restarts)]
-        # each start is blended toward I/6 until its partial transpose is PSD
-        eps = [max(0.0, -np.linalg.eigvalsh(partial_transpose(x, spec.shape, "B"))[0]) for x in starts]
-        feasible = [(1 - e / (e + 1 / 6)) * x + e / (e + 1 / 6) * np.eye(6) / 6 for x, e in zip(starts, eps)]
-        assert restarts == 1 or max(eps) > 0  # some random start is not PPT
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=0)
         assert trace.iterates == 0
-        assert value == pytest.approx(min(np.trace(d @ h).real for d in feasible), abs=1e-12)
+        assert np.array_equal(minimizer, np.eye(6) / 6)
+        assert value == pytest.approx(np.trace(h).real / 6, abs=1e-12)
         assert trace.lower_bound == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
 
-    def test_bracket_combines_the_starts(self, choi_map):
-        spec = PptSetSpec(BipartiteShape(3, 3))
-        brackets = [min_trace_over_ppt(choi_map, spec, iters=10, restarts=r, seed=2) for r in (1, 3)]
-        (v1, _, t1), (v3, _, t3) = brackets
-        assert t1.iterates == t3.iterates == 10
-        # start 0 runs the same in both stacks, so more starts can only tighten the bracket
-        assert v3 <= v1 + 1e-12 and t3.lower_bound >= t1.lower_bound - 1e-12
-
-    def test_restarts_must_be_positive(self, swap22, spec22):
-        with pytest.raises(ContractError):
-            min_trace_over_ppt(swap22, spec22, iters=10, restarts=0)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_benchmark_call_shape_matches_default(self, choi_map, seed):
+        # the benchmark still passes restarts= and seed=; neither is read
+        cases = [(h, BipartiteShape(d, d)) for _, d, h, _ in CLOSED_FORMS] + [(choi_map, BipartiteShape(3, 3))]
+        cases.append((hermitize(complex_gaussian(generator(314), 6, 6)), BipartiteShape(2, 3)))
+        for h, shape in cases:
+            spec = PptSetSpec(shape)
+            value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300, restarts=2, seed=seed)
+            plain_value, plain_minimizer, plain = min_trace_over_ppt(h, spec, iters=300)
+            assert value == plain_value and np.array_equal(minimizer, plain_minimizer)
+            assert (trace.lower_bound, trace.gap, trace.iterates) == (plain.lower_bound, plain.gap, plain.iterates)
+            assert np.array_equal(trace.dual, plain.dual)
