@@ -40,7 +40,7 @@ CONFIGS = (
     ("hierarchy", "--dims", "2x3"),
     ("hierarchy", "--dims", "3x3"),
     ("choi", "--dims", "2x2"),
-    *(("cone-check", "--dims", d) for d in ("2", "3", "6")),
+    *(("cone-check", "--dims", d) for d in ("2", "3", "6", "9")),  # 9: the largest cone-certify dimension
     *(("gns-verify", "--dims", d) for d in ("2", "4", "9")),
     ("minimize", "--in", "swap.json", "--dims", "2x2"),
     ("minimize", "--in", "swap.json", "--dims", "2x2", "--iters", "300"),

@@ -15,9 +15,17 @@ a PSD + partial-transpose check on the reconstructed operator.
 Stack convention: the unchecked kernels ``_v_beta_certificate``,
 ``_cone_elements`` and ``_separating_eta`` act on a stack of independent
 problems of shape (k, n, n); a single vector is a stack of one.  Every
-sample gives the same bits as when processed alone.  ``duality_check`` and
-``u_maps_cones`` draw all their samples first, in the order of a
-sample-by-sample loop, and process them as one stack; ``_lmo_product_atom``
+sample gives the same bits as when processed alone.  These three take and
+return eigen coordinates M' = X^dagger M X in rho's eigenbasis X, where
+Delta^beta is the Hadamard product ``gns._delta_factor``, right
+multiplication by rho^{+-1/2} scales column j by lambda_j^{+-1/2}, U is the
+plain transpose and pairings are ``_inner`` as before (the basis change is
+unitary).  ``duality_check`` and ``u_maps_cones`` draw all their samples
+first, in the order of a sample-by-sample loop, change basis once (the
+Gram factors G as X^dagger G, the random vectors g as X^dagger g X) and
+process them as one stack; ``v_beta_membership`` converts xi on the way in
+and its witness back to standard coordinates on the way out, since
+``pn_intersection_membership`` partially transposes it; ``_lmo_product_atom``
 alternates all its random starts as one stack, and a start leaves it at
 the round where it settles; ``density_of`` and ``one_otimes_ub`` also take
 a vector whose matrix is a stack.  ``build_composite`` and
@@ -49,6 +57,7 @@ from .errors import ConsistencyError, ContractError
 from .gns import (
     GnsContext,
     GnsVector,
+    _delta_factor,
     _delta_power,
     _flip,
     _inner,
@@ -90,19 +99,21 @@ class MembershipVerdict:
     witness: np.ndarray | None = field(default=None, compare=False, repr=False)  # the matrix certified PSD
 
 
-def _v_beta_certificate(ctx: GnsContext, beta: float, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _v_beta_certificate(ctx: GnsContext, beta: float, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The witness a = mat(Delta^{-beta} xi) rho^{-1/2} and its least
-    eigenvalue, for a vector or a stack of them; unchecked."""
-    a = _delta_power(ctx, -beta, mats) @ ctx.inv_sqrt_rho
+    eigenvalue, for a vector or a stack of them in eigen coordinates (the
+    witness too); unchecked."""
+    a = _delta_factor(ctx, -beta, coords) / np.sqrt(ctx.eigvals)
     return a, np.linalg.eigvalsh(hermitize(a))[..., 0]
 
 
 def v_beta_membership(ctx: GnsContext, beta: float, xi: GnsVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """xi in V_beta  iff  a = mat(Delta^{-beta} xi) rho^{-1/2} is PSD."""
+    """xi in V_beta  iff  a = mat(Delta^{-beta} xi) rho^{-1/2} is PSD; the
+    witness a is returned in standard coordinates."""
     _check_beta(beta)
-    a, cert = _v_beta_certificate(ctx, beta, xi.mat_in(ctx))
+    a, cert = _v_beta_certificate(ctx, beta, ctx.to_eigbasis(xi.mat_in(ctx)))
     cert = float(cert)
-    return MembershipVerdict(inside=cert >= -tol, certificate=cert, witness=a)
+    return MembershipVerdict(inside=cert >= -tol, certificate=cert, witness=ctx.from_eigbasis(a))
 
 
 def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -130,20 +141,32 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
 
 
 def _cone_elements(ctx: GnsContext, beta: float, psd: np.ndarray) -> np.ndarray:
-    """Unit vectors Delta^beta a Omega for a stack of PSD a; unchecked."""
-    xi = _delta_power(ctx, beta, psd @ ctx.sqrt_rho)
+    """Unit vectors Delta^beta a Omega for a stack of PSD a, in eigen
+    coordinates on both sides; unchecked."""
+    xi = _delta_factor(ctx, beta, psd * np.sqrt(ctx.eigvals))
     return xi / _norms(xi)[:, None, None]
 
 
 def _separating_eta(ctx: GnsContext, beta: float, witness: np.ndarray) -> np.ndarray:
     """For xi outside V_beta, an eta in V_{1/2-beta} pairing negatively with xi.
 
-    Built from the most negative eigenvector of rho^{1/2} a rho^{1/2},
-    where a is the membership witness of xi (``_v_beta_certificate``), for
-    one witness or a stack; unchecked.
+    Built from the most negative eigenvector v of rho^{1/2} a rho^{1/2},
+    where a is the membership witness of xi (``_v_beta_certificate``), as
+    Delta^{1/2-beta} (v v^dagger) Omega, for one witness or a stack, in
+    eigen coordinates on both sides; unchecked.
     """
-    v = np.linalg.eigh(hermitize(ctx.sqrt_rho @ witness @ ctx.sqrt_rho))[1][..., :, 0]
-    return _delta_power(ctx, 0.5 - beta, (v[..., :, None] * v.conj()[..., None, :]) @ ctx.sqrt_rho)
+    root = np.sqrt(ctx.eigvals)
+    v = np.linalg.eigh(hermitize(root[:, None] * witness * root))[1][..., :, 0]
+    return _delta_factor(ctx, 0.5 - beta, v[..., :, None] * (v.conj() * root)[..., None, :])
+
+
+def _psd_pairs(ctx: GnsContext, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """``samples`` pairs of unit-trace Gram matrices G G^dagger / Tr, drawn in
+    the order of a sample-by-sample loop, in eigen coordinates: the Gram
+    factor is X^dagger G."""
+    n = ctx.dim
+    g = ctx.eigvecs.conj().T @ complex_gaussians(rng, 2 * samples, n, n)
+    return _unit_trace_gram(g).reshape(samples, 2, n, n)
 
 
 def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
@@ -157,14 +180,14 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     _check_beta(beta)
     require_count(samples, "samples")
     rng = generator(seed)
-    n = ctx.dim
-    psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
+    psd = _psd_pairs(ctx, rng, samples)
     xi = _cone_elements(ctx, beta, psd[:, 0])
     eta = _cone_elements(ctx, 0.5 - beta, psd[:, 1])
     min_pairing = np.min(_inner(eta, xi).real, initial=np.inf)
 
+    n = ctx.dim
     g = complex_gaussians(rng, samples, n, n)
-    xi = g / _norms(g)[:, None, None]
+    xi = ctx.to_eigbasis(g / _norms(g)[:, None, None])
     witness, cert = _v_beta_certificate(ctx, beta, xi)
     outside = ~(cert >= -tol)
     eta = _separating_eta(ctx, beta, witness[outside])
@@ -186,14 +209,12 @@ def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0
     """U carries V_beta into V_{1/2-beta}; U Delta^{1/2} fixes V_0."""
     _check_beta(beta)
     require_count(samples, "samples")
-    rng = generator(seed)
-    n = ctx.dim
-    psd = _unit_trace_gram(complex_gaussians(rng, 2 * samples, n, n)).reshape(samples, 2, n, n)
+    psd = _psd_pairs(ctx, generator(seed), samples)
     xi = _cone_elements(ctx, beta, psd[:, 0])
-    _, flip_cert = _v_beta_certificate(ctx, 0.5 - beta, _flip(ctx, xi))
+    _, flip_cert = _v_beta_certificate(ctx, 0.5 - beta, xi.swapaxes(-1, -2))
     worst_flip = np.min(flip_cert, initial=np.inf)
     zero = _cone_elements(ctx, 0.0, psd[:, 1])
-    _, v0_cert = _v_beta_certificate(ctx, 0.0, _flip(ctx, _delta_power(ctx, 0.5, zero)))
+    _, v0_cert = _v_beta_certificate(ctx, 0.0, _delta_factor(ctx, 0.5, zero).swapaxes(-1, -2))
     worst_v0 = np.min(v0_cert, initial=np.inf)
     return {
         "beta": beta,

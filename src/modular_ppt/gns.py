@@ -16,8 +16,12 @@ basis conjugation as  f -> K conj(f).
 Delta^beta, the flip U and the inner product each have one unchecked
 kernel (``_delta_power``, ``_flip``, ``_inner``) that takes a matrix or a
 stack of shape (k, n, n) and acts on each matrix of it, with the same bits
-as on the matrix alone.  The public ``apply_delta_power``, ``apply_u``,
-``transpose_operator`` and ``inner`` check their inputs once and call them;
+as on the matrix alone.  ``_delta_power`` changes basis around
+``_delta_factor``, the one Delta kernel: in the eigen coordinates
+X^dagger m X (``GnsContext.to_eigbasis``) Delta^beta is the Hadamard
+product with (lambda_i / lambda_j)^beta, which ``cones`` applies directly.
+The public ``apply_delta_power``, ``apply_u``, ``transpose_operator`` and
+``inner`` check their inputs once and call them;
 ``_check_delta_power`` is the Delta-power overflow check.  ``apply_u``,
 ``apply_j``, ``apply_jm``, ``apply_delta_power`` and ``apply_tau`` also
 take a vector whose matrix is a stack, and ``verify_modular_identities``
@@ -149,11 +153,17 @@ def _check_delta_power(ctx: GnsContext, beta: float) -> None:
         )
 
 
+def _delta_factor(ctx: GnsContext, beta: float, coords: np.ndarray) -> np.ndarray:
+    """Delta^beta in rho's eigen coordinates X^dagger m X, on a matrix or a
+    stack, unchecked: the Hadamard product with (lambda_i / lambda_j)^beta."""
+    return coords * np.exp(beta * ctx.log_ratio)
+
+
 def _delta_power(ctx: GnsContext, beta: float, mats: np.ndarray) -> np.ndarray:
     """Delta^beta on a matrix or a stack, unchecked; Delta^0 returns its input."""
     if beta == 0.0:
         return mats
-    return ctx.from_eigbasis(ctx.to_eigbasis(mats) * np.exp(beta * ctx.log_ratio))
+    return ctx.from_eigbasis(_delta_factor(ctx, beta, ctx.to_eigbasis(mats)))
 
 
 def apply_delta_power(ctx: GnsContext, beta: float, xi: GnsVector) -> GnsVector:

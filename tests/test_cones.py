@@ -59,8 +59,9 @@ class TestVBeta:
         rng = generator(32)
         for k in range(100):
             beta = (k % 5) / 8.0
-            # the constructive sample Delta^beta a Omega, with a random PSD a
-            xi = gns.GnsVector(cones._cone_elements(ctx3, beta, random_psd(rng, 3)[None])[0], ctx3)
+            # the constructive sample Delta^beta a Omega, with a random PSD a (eigen coordinates)
+            coords = cones._cone_elements(ctx3, beta, ctx3.to_eigbasis(random_psd(rng, 3))[None])[0]
+            xi = ctx3.vector(ctx3.from_eigbasis(coords))
             verdict = v_beta_membership(ctx3, beta, xi)
             assert verdict.inside, (beta, verdict.certificate)
 
@@ -117,8 +118,8 @@ class TestDuality:
 
     def test_separating_vector_for_outsider(self, ctx3):
         xi = ctx3.vector(np.diag([1.0, -2.0, 1.0]))
-        witness, _ = cones._v_beta_certificate(ctx3, 0.25, xi.mat)
-        eta = ctx3.vector(cones._separating_eta(ctx3, 0.25, witness))
+        witness, _ = cones._v_beta_certificate(ctx3, 0.25, ctx3.to_eigbasis(xi.mat))
+        eta = ctx3.vector(ctx3.from_eigbasis(cones._separating_eta(ctx3, 0.25, witness)))
         assert inner(eta, xi).real < -1e-3
         verdict = v_beta_membership(ctx3, 0.25, eta)
         assert verdict.inside
@@ -686,15 +687,26 @@ def reference_commutant_cone_check(comp, samples, seed, terms, tol=1e-10):
     }
 
 
+def assert_report_matches(report, reference):
+    """Verdicts and counts equal, float fields within 1e-12: the kernels run
+    in rho's eigenbasis and the reference loops in standard coordinates."""
+    assert report.keys() == reference.keys()
+    for key, value in reference.items():
+        if isinstance(value, float) and key != "beta":
+            assert report[key] == pytest.approx(value, rel=0, abs=1e-12), key
+        else:
+            assert report[key] == value, key
+
+
 class TestStackedConeLayer:
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_duality_and_flip_equal_reference_loops(self, dim):
         ctx = build_gns(random_faithful_density(generator(80 + dim), dim))
         for beta in BETAS:
-            assert duality_check(ctx, beta, samples=30, seed=dim) == \
-                reference_duality_check(ctx, beta, samples=30, seed=dim)
-            assert u_maps_cones(ctx, beta, samples=30, seed=dim) == \
-                reference_u_maps_cones(ctx, beta, samples=30, seed=dim)
+            assert_report_matches(duality_check(ctx, beta, samples=30, seed=dim),
+                                  reference_duality_check(ctx, beta, samples=30, seed=dim))
+            assert_report_matches(u_maps_cones(ctx, beta, samples=30, seed=dim),
+                                  reference_u_maps_cones(ctx, beta, samples=30, seed=dim))
 
     def test_no_samples(self, ctx3):
         for check in (duality_check, u_maps_cones):
@@ -746,6 +758,105 @@ class TestStackedConeLayer:
                      lambda: v_beta_membership(ctx3, 0.7, ctx3.omega)):
             with pytest.raises(ContractError):
                 call()
+
+
+EIGEN_STATES = ("random", "maximally-mixed", "twofold")
+
+
+def eigen_ctx(kind, dim):
+    """The context of a random faithful state, of I/n, or of a rotated state
+    with a twofold eigenvalue (a cluster that herm_eig re-spans)."""
+    rng = generator(120 + dim)
+    if kind == "random":
+        return build_gns(random_faithful_density(rng, dim))
+    if kind == "maximally-mixed":
+        return build_gns(np.eye(dim) / dim)
+    vals = np.sort(rng.uniform(0.5, 1.5, dim))
+    vals[1] = vals[0]
+    q, _ = np.linalg.qr(complex_gaussian(rng, dim, dim))
+    return build_gns(hermitize((q * (vals / vals.sum())) @ q.conj().T))
+
+
+def unit_stack(rng, count, dim):
+    g = np.stack([complex_gaussian(rng, dim, dim) for _ in range(count)])
+    return g / np.linalg.norm(g, axis=(1, 2))[:, None, None]
+
+
+class TestEigenKernels:
+    """The cone kernels run in rho's eigen coordinates X^dagger m X."""
+
+    @pytest.mark.parametrize("kind", EIGEN_STATES)
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_eigen_operators_equal_the_standard_ones(self, kind, dim):
+        ctx = eigen_ctx(kind, dim)
+        rng = generator(130 + dim)
+        stack = unit_stack(rng, 12, dim)
+        coords = ctx.to_eigbasis(stack)
+        root = np.sqrt(ctx.eigvals)
+        xi = gns.GnsVector(stack, ctx)
+        pairs = [(coords.swapaxes(-1, -2), apply_u(ctx, xi).mat),
+                 (coords * root, stack @ ctx.sqrt_rho),
+                 (coords / root, stack @ ctx.inv_sqrt_rho)]
+        pairs += [(gns._delta_factor(ctx, beta, coords), apply_delta_power(ctx, beta, xi).mat)
+                  for beta in (-0.5, -0.25, 0.125, 0.25, 0.5, 1.0)]
+        for eig, standard in pairs:
+            assert np.max(np.abs(ctx.from_eigbasis(eig) - standard)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", EIGEN_STATES)
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_cone_kernels_equal_standard_formulas(self, kind, dim):
+        ctx = eigen_ctx(kind, dim)
+        rng = generator(140 + dim)
+        stack = unit_stack(rng, 12, dim)
+        psd = np.stack([random_psd(rng, dim) for _ in range(12)])
+        for beta in BETAS:
+            elements = cones._cone_elements(ctx, beta, ctx.to_eigbasis(psd))
+            standard = apply_delta_power(ctx, beta, gns.GnsVector(psd @ ctx.sqrt_rho, ctx)).mat
+            standard = standard / np.linalg.norm(standard, axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(ctx.from_eigbasis(elements) - standard)) <= 1e-12
+
+            witness, cert = cones._v_beta_certificate(ctx, beta, ctx.to_eigbasis(stack))
+            a = apply_delta_power(ctx, -beta, gns.GnsVector(stack, ctx)).mat @ ctx.inv_sqrt_rho
+            assert np.max(np.abs(ctx.from_eigbasis(witness) - a)) <= 1e-12
+            assert np.max(np.abs(cert - np.linalg.eigvalsh(hermitize(a))[:, 0])) <= 1e-12
+
+            eta = ctx.from_eigbasis(cones._separating_eta(ctx, beta, witness))
+            v = np.linalg.eigh(hermitize(ctx.sqrt_rho @ a @ ctx.sqrt_rho))[1][:, :, 0]
+            outer = v[:, :, None] * v.conj()[:, None, :]
+            ref = apply_delta_power(ctx, 0.5 - beta, gns.GnsVector(outer @ ctx.sqrt_rho, ctx)).mat
+            assert np.max(np.abs(eta - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", EIGEN_STATES)
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_kernels_on_a_stack_equal_single_calls(self, kind, dim):
+        ctx = eigen_ctx(kind, dim)
+        rng = generator(150 + dim)
+        coords = ctx.to_eigbasis(unit_stack(rng, 12, dim))
+        psd = ctx.to_eigbasis(np.stack([random_psd(rng, dim) for _ in range(12)]))
+        for beta in BETAS:
+            witness, cert = cones._v_beta_certificate(ctx, beta, coords)
+            kernels = [(lambda m: gns._delta_factor(ctx, beta, m), coords),
+                       (lambda m: cones._cone_elements(ctx, beta, m), psd),
+                       (lambda m: cones._separating_eta(ctx, beta, m), witness)]
+            for kernel, stack in kernels:
+                out = kernel(stack)
+                for k in range(len(stack)):
+                    assert np.array_equal(out[k], kernel(stack[k:k + 1])[0])
+            for k in range(len(coords)):
+                one_witness, one_cert = cones._v_beta_certificate(ctx, beta, coords[k:k + 1])
+                assert np.array_equal(witness[k], one_witness[0]) and cert[k] == one_cert[0]
+
+    @pytest.mark.parametrize("kind", ("maximally-mixed", "twofold"))
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_probes_pass_on_degenerate_states(self, kind, dim):
+        ctx = eigen_ctx(kind, dim)
+        for beta in BETAS:
+            duality = duality_check(ctx, beta, samples=30, seed=dim)
+            assert duality["passed"] and duality["outside_missed"] == 0
+            assert_report_matches(duality, reference_duality_check(ctx, beta, samples=30, seed=dim))
+            flip = u_maps_cones(ctx, beta, samples=30, seed=dim)
+            assert flip["passed"]
+            assert_report_matches(flip, reference_u_maps_cones(ctx, beta, samples=30, seed=dim))
 
 
 # every public call that applies a vector to a context, given a vector of another context
