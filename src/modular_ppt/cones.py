@@ -28,15 +28,21 @@ and its witness back to standard coordinates on the way out, since
 ``pn_intersection_membership`` partially transposes it; ``_lmo_product_atom``
 alternates all its random starts as one stack, and a start leaves it at
 the round where it settles; ``density_of`` and ``one_otimes_ub`` also take
-a vector whose matrix is a stack.  ``build_composite`` and
-``commutant_cone_check`` draw their factors in the same order with one
-``_factor_draws`` call and check them as one stack: ``_natural_cone_generator``
-and ``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
+a vector whose matrix is a stack.  ``commutant_cone_check`` draws its
+factors in the order of a sample-by-sample loop with one ``_factor_draws``
+call and checks them as one stack: ``_natural_cone_generator`` and
+``_commutant_cone_generator`` take (samples, terms, ., .) stacks of factors.
+``build_composite`` draws nothing and solves no eigenproblem: it assembles
+the joint context from its factors' eigenpairs (``gns._gns_context``), so
+J, U, J_m and Delta of the joint factor by construction.
 The public functions check beta once per call.  The Delta-power overflow
 check lives in ``gns.apply_delta_power``, where the caller picks the power:
 every context comes from ``build_gns``, whose eigenvalues lie in
-[EPS_FAITHFUL, 1 + TOL_TRACE], so the fixed powers |beta| <= 1 used here
-keep every |beta log(lambda_i/lambda_j)| below 28.
+[EPS_FAITHFUL, 1 + TOL_TRACE], or is a joint assembled by
+``build_composite``, whose eigenvalues are products of factor eigenvalues,
+each still at least EPS_FAITHFUL and at most (1 + TOL_TRACE)^2.  So the
+fixed powers |beta| <= 1 used here keep every |beta log(lambda_i/lambda_j)|
+below 28.
 
 The separable (product) cone is bracketed by ``separable_cone_distance``:
 greedy product atoms, each round refitting all atoms jointly over their
@@ -54,17 +60,7 @@ import numpy as np
 
 from . import gns as gns_mod
 from .errors import ConsistencyError, ContractError
-from .gns import (
-    GnsContext,
-    GnsVector,
-    _delta_factor,
-    _delta_power,
-    _flip,
-    _inner,
-    apply_jm,
-    apply_u,
-    build_gns,
-)
+from .gns import GnsContext, GnsVector, _delta_factor, _flip, _gns_context, _inner, apply_u
 from .linalg import (
     BipartiteShape,
     _kron,
@@ -79,7 +75,6 @@ from .linalg import (
 from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator
 
 DEFAULT_TOL = 1e-10
-COMPOSITE_CHECKS = 50  # sampled product pairs on which build_composite checks the factorization
 LMO_ROUNDS = 25       # alternation rounds of each start of the product-atom search
 LMO_STARTS = 3        # random starts of the product-atom search
 POLISH_NFEV = 60      # Levenberg-Marquardt iterations per joint polish of the separable bound
@@ -259,30 +254,23 @@ class CompositeGnsContext:
 
 
 def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, seed: int = 0) -> CompositeGnsContext:
-    """Joint GNS context of rho_A (x) rho_B, with factorization checks.
+    """Joint GNS context of rho_A (x) rho_B, assembled from its factors.
 
-    The modular conjugation and modular operator of the joint context must
-    factor as J_A (x) J_B and Delta_A (x) Delta_B on COMPOSITE_CHECKS
-    sampled product vectors, to 1e-10 relative to the largest entry of each
-    joint image (the Delta images scale with the eigenvalue ratios of the
-    states, and so does their rounding); a violation indicates a kernel bug
-    and raises.
+    Its eigenpairs are the products lambda_i mu_j on x_i (x) y_j, sorted by
+    descending product (stably, so equal products keep the factor order);
+    a product of phase-fixed vectors is phase-fixed.  So Delta, J_m, J and
+    U of the joint are the Kronecker products of the factors' maps.  The
+    factors were validated when they were built; the joint keeps the
+    dimension cap and the faithfulness check.  ``seed`` is not read.
     """
-    joint = build_gns(kron(ctx_a.rho, ctx_b.rho))
-    comp = CompositeGnsContext(
+    vals = np.kron(ctx_a.eigvals, ctx_b.eigvals)
+    order = np.argsort(-vals, kind="stable")
+    joint = _gns_context(kron(ctx_a.rho, ctx_b.rho), vals[order],
+                         np.kron(ctx_a.eigvecs, ctx_b.eigvecs)[:, order])
+    return CompositeGnsContext(
         ctx_a=ctx_a, ctx_b=ctx_b, joint=joint,
         shape=BipartiteShape(ctx_a.dim, ctx_b.dim),
     )
-    ma, mb = (m[:, 0] for m in _factor_draws(generator(seed), COMPOSITE_CHECKS, 1, ctx_a.dim, ctx_b.dim))
-    xi = _kron(ma, mb)
-    joint_images = np.stack([apply_jm(joint, GnsVector(xi, joint)).mat, _delta_power(joint, 1.0, xi)])
-    factored = np.stack([_kron(ma.conj().swapaxes(-1, -2), mb.conj().swapaxes(-1, -2)),
-                         _kron(_delta_power(ctx_a, 1.0, ma), _delta_power(ctx_b, 1.0, mb))])
-    worst = float(np.max(np.max(np.abs(joint_images - factored), axis=(-2, -1))
-                         / np.max(np.abs(joint_images), axis=(-2, -1)), initial=0.0))
-    if worst > 1e-10:
-        raise ConsistencyError(f"composite factorization residual {worst:.3e} > 1e-10 (relative)")
-    return comp
 
 
 def one_otimes_ub(comp: CompositeGnsContext, xi: GnsVector) -> GnsVector:

@@ -11,7 +11,11 @@ in the eigenbasis of rho, which is fixed deterministically by
     K = X X^T   (X = eigenvector matrix of rho),
 
 because transposition in that basis acts as  a -> K a^T K^dagger  and the
-basis conjugation as  f -> K conj(f).
+basis conjugation as  f -> K conj(f).  ``build_gns`` validates rho and
+diagonalizes it; ``_gns_context`` builds every other field from the
+eigenpairs it is given, with the faithfulness check, so that
+``cones.build_composite`` can hand it a joint's eigenpairs assembled from
+its factors.
 
 Delta^beta, the flip U and the inner product each have one unchecked
 kernel (``_delta_power``, ``_flip``, ``_inner``) that takes a matrix or a
@@ -127,7 +131,13 @@ def build_gns(rho) -> GnsContext:
     """GNS context for the state a -> Tr(rho a); rho must be faithful, with
     every eigenvalue at least EPS_FAITHFUL."""
     rho = require_density(rho)
-    vals, vecs = linalg.herm_eig(rho)
+    return _gns_context(rho, *linalg.herm_eig(rho))
+
+
+def _gns_context(rho: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> GnsContext:
+    """The context of a validated density rho from its eigenpairs (values
+    descending, vectors phase-fixed); raises FaithfulnessError below
+    EPS_FAITHFUL."""
     if vals[-1] < EPS_FAITHFUL:
         raise FaithfulnessError(
             f"state is not faithful: eigenvalue {vals[-1]:.3e} < {EPS_FAITHFUL:.1e}"

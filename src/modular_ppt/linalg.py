@@ -165,17 +165,6 @@ def partial_trace(m, shape: BipartiteShape, keep: str = "A") -> np.ndarray:
     raise ShapeError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        pivot = out[idx, k]
-        if abs(pivot) > 0:
-            out[:, k] = out[:, k] * (pivot.conjugate() / abs(pivot))
-    return out
-
-
 def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:
     """Re-span a degenerate eigenspace by Gram-Schmidt seeded from unit vectors.
 
@@ -217,15 +206,13 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     n = len(vals)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[stop - 1] - vals[stop] < DEGENERACY_GAP:
-            stop += 1
+    starts = [0, *(np.flatnonzero(vals[:-1] - vals[1:] >= DEGENERACY_GAP) + 1), n]
+    for start, stop in zip(starts[:-1], starts[1:]):
         if stop - start > 1:
             vecs[:, start:stop] = _canonical_cluster_basis(vecs[:, start:stop])
-        start = stop
-    return vals, _fix_phase(vecs)
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    # hypot is abs() of a complex scalar; np.abs of a complex array can differ in the last bit
+    return vals, vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def mat_sqrt_psd(m) -> np.ndarray:

@@ -16,7 +16,7 @@ from modular_ppt.cones import (
     u_maps_cones,
     v_beta_membership,
 )
-from modular_ppt.errors import ConsistencyError, ContractError
+from modular_ppt.errors import ContractError, FaithfulnessError
 from modular_ppt.gns import apply_delta_power, apply_u, build_gns, inner, transpose_operator
 from modular_ppt.linalg import hermitize, kron, partial_transpose
 from modular_ppt import optim
@@ -42,6 +42,8 @@ def comp22():
 
 # shapes with na != nb pin the reshapes of the block maps
 shapes = pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+joint_shapes = pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)],
+                                       ids=["2x2", "2x3", "3x2", "3x3"])
 
 
 class TestVBeta:
@@ -220,57 +222,80 @@ class TestComposite:
             rhs = kron(ma.conj().T, mb.conj().T)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
-    def test_factorization_check_catches_relative_error(self, monkeypatch):
+    @joint_shapes
+    def test_delta_and_jm_factor_on_product_vectors(self, dims):
         rng = generator(66)
-        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (3, 3))
-        build_composite(ca, cb)
-
-        def perturbed(ctx, beta, mats):
-            out = gns._delta_power(ctx, beta, mats)
-            return out * (1 + 1e-8) if ctx is ca else out
-
-        monkeypatch.setattr(cones, "_delta_power", perturbed)
-        with pytest.raises(ConsistencyError, match="composite factorization residual"):
-            build_composite(ca, cb)
-
-    def test_factorization_check_catches_relative_error_in_jm(self, monkeypatch):
-        rng = generator(67)
-        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (2, 3))
-        build_composite(ca, cb)
-
-        def perturbed(ctx, xi):
-            return gns.GnsVector(gns.apply_jm(ctx, xi).mat * (1 + 1e-8), ctx)
-
-        monkeypatch.setattr(cones, "apply_jm", perturbed)
-        with pytest.raises(ConsistencyError, match="composite factorization residual"):
-            build_composite(ca, cb)
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
-    def test_checked_pairs_equal_the_reference_loop(self, monkeypatch, dims):
-        # reference: the pairs a loop of two complex_gaussian calls per pair draws
-        rng = generator(71)
         ca, cb = (build_gns(random_faithful_density(rng, n)) for n in dims)
-        ref_rng = generator(12)
-        pairs = [(complex_gaussian(ref_rng, dims[0], dims[0]), complex_gaussian(ref_rng, dims[1], dims[1]))
-                 for _ in range(cones.COMPOSITE_CHECKS)]
-        made, kron_args, real_kron = [], [], cones._kron
+        comp = build_composite(ca, cb)
+        for _ in range(50):
+            ma, mb = complex_gaussian(rng, dims[0], dims[0]), complex_gaussian(rng, dims[1], dims[1])
+            xi = comp.joint.vector(kron(ma, mb))
+            images = [(gns.apply_jm(comp.joint, xi).mat, kron(ma.conj().T, mb.conj().T))]
+            images += [(apply_delta_power(comp.joint, beta, xi).mat,
+                        kron(apply_delta_power(ca, beta, ca.vector(ma)).mat,
+                             apply_delta_power(cb, beta, cb.vector(mb)).mat))
+                       for beta in (-1.0, 0.25, 1.0)]
+            for joint_image, factored in images:
+                assert np.max(np.abs(joint_image - factored)) <= 1e-12 * np.max(np.abs(joint_image))
 
-        def recording_generator(seed):
-            made.append(generator(seed))
-            return made[-1]
+    @joint_shapes
+    def test_joint_matches_the_rediagonalized_state(self, dims):
+        rng = generator(67)
+        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in dims)
+        joint = build_composite(ca, cb).joint
+        ref = build_gns(np.kron(ca.rho, cb.rho))
+        assert np.all(np.diff(joint.eigvals) <= 0)
+        assert np.max(np.abs(joint.eigvals - ref.eigvals)) <= 1e-14
+        assert np.max(np.abs(joint.sqrt_rho - ref.sqrt_rho)) <= 1e-13
+        assert np.max(np.abs(joint.kernel - ref.kernel)) <= 1e-11
 
-        def recording_kron(a, b):
-            kron_args.append((a, b))
-            return real_kron(a, b)
+    @pytest.mark.parametrize("diag", [[0.5, 0.5], [2 / 3, 1 / 3]], ids=["tracial", "repeated-product"])
+    def test_eigenvectors_equal_build_gns_on_degenerate_products(self, diag):
+        ctx = build_gns(np.diag(diag))
+        joint = build_composite(ctx, ctx).joint
+        assert np.array_equal(joint.eigvecs, build_gns(np.kron(ctx.rho, ctx.rho)).eigvecs)
 
-        monkeypatch.setattr(cones, "generator", recording_generator)
-        monkeypatch.setattr(cones, "_kron", recording_kron)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, None), (3, None)],
+                             ids=["2x2", "2x3", "3x2", "3x3", "rho2xrho2", "rho3xrho3"])
+    def test_kernel_is_the_product_of_the_factor_kernels(self, dims):
+        # on rho (x) rho the repeated products lambda_i lambda_j = lambda_j lambda_i
+        # form clusters, which re-diagonalizing rho (x) rho would re-span
+        rng = generator(68)
+        ca = build_gns(random_faithful_density(rng, dims[0]))
+        cb = ca if dims[1] is None else build_gns(random_faithful_density(rng, dims[1]))
+        joint = build_composite(ca, cb).joint
+        assert np.max(np.abs(joint.kernel - np.kron(ca.kernel, cb.kernel))) <= 1e-14
+
+    def test_builds_no_eigensolver_and_no_generator(self, monkeypatch):
+        rng = generator(69)
+        ca, cb = (build_gns(random_faithful_density(rng, n)) for n in (2, 3))
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for name in ("Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
         build_composite(ca, cb, seed=12)
-        ma, mb = kron_args[0]  # the checked product vectors are ma (x) mb
-        assert np.array_equal(ma, np.stack([a for a, _ in pairs]))
-        assert np.array_equal(mb, np.stack([b for _, b in pairs]))
-        # the generator is left where the loop leaves it
-        assert np.array_equal(made[0].standard_normal(8), ref_rng.standard_normal(8))
+        assert calls == []
+
+    def test_factors_within_the_trace_tolerance_compose(self):
+        # each factor passes build_gns at trace 1 + 0.9e-10; their product has
+        # trace 1 + 1.8e-10, and the joint is not validated a second time
+        rng = generator(70)
+        rho_a, rho_b = (random_faithful_density(rng, n) * (1 + 0.9e-10) for n in (2, 3))
+        comp = build_composite(build_gns(rho_a), build_gns(rho_b))
+        assert np.array_equal(comp.joint.rho, np.kron(rho_a, rho_b))
+
+    def test_unfaithful_joint_is_rejected(self):
+        ctx = build_gns(np.diag([1 - 2e-7, 2e-7]))
+        with pytest.raises(FaithfulnessError, match=r"state is not faithful: eigenvalue 4\.000e-14 < 1\.0e-12"):
+            build_composite(ctx, ctx)
 
     @shapes
     def test_one_otimes_ub_and_density_of_act_on_each_vector_of_a_stack(self, dims):

@@ -143,6 +143,27 @@ class TestPartialTrace:
         assert abs(np.trace(partial_trace(m, shape22, "B")) - np.trace(m)) <= 1e-12
 
 
+def reference_herm_eig(m):
+    """herm_eig as a loop over clusters and a loop over columns for the phase."""
+    vals, vecs = np.linalg.eigh(hermitize(m))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    n = len(vals)
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and vals[stop - 1] - vals[stop] < linalg.DEGENERACY_GAP:
+            stop += 1
+        if stop - start > 1:
+            vecs[:, start:stop] = linalg._canonical_cluster_basis(vecs[:, start:stop])
+        start = stop
+    for k in range(n):
+        pivot = vecs[int(np.argmax(np.abs(vecs[:, k]))), k]
+        if abs(pivot) > 0:
+            vecs[:, k] = vecs[:, k] * (pivot.conjugate() / abs(pivot))
+    return vals, vecs
+
+
 class TestHermEig:
     def test_identity_gives_canonical_basis(self):
         vals, vecs = herm_eig(np.eye(3))
@@ -178,6 +199,27 @@ class TestHermEig:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ContractError):
             herm_eig(complex_gaussian(rng, 3, 3))
+
+    @pytest.mark.parametrize("kind", ["random", "scaled-identity", "rotated-cluster", "diagonal-cluster"])
+    def test_equals_the_reference_loops(self, kind):
+        rng = generator(95)
+        for _ in range(100):
+            n = int(rng.integers(1, 17))
+            if kind == "random":
+                m = hermitize(complex_gaussian(rng, n, n))
+            elif kind == "scaled-identity":
+                m = rng.uniform(0.1, 2.0) * np.eye(n)
+            else:
+                k = int(rng.integers(1, n + 1))
+                vals = np.sort(rng.uniform(0.0, 1.0, n))
+                vals[:k] = vals[0]   # a k-fold cluster
+                vals = rng.permutation(vals)
+                q = np.linalg.qr(complex_gaussian(rng, n, n))[0] if kind == "rotated-cluster" else np.eye(n)
+                m = hermitize((q * vals) @ q.conj().T)
+            vals, vecs = herm_eig(m)
+            ref_vals, ref_vecs = reference_herm_eig(m)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(vecs, ref_vecs)
 
     @pytest.mark.parametrize("aligned", [False, True], ids=["generic", "coordinate"])
     def test_cluster_basis_always_spans_the_cluster(self, aligned):
