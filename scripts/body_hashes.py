@@ -8,8 +8,12 @@ against the ``src`` tree next to this script, and writes its report with
 ``command args body timing``, where ``body`` is sha256[:16] of the printed
 body and ``timing`` that of the saved report's ``timing`` without its
 ``seconds`` (the solver counters, such as ``experiment``'s ``dykstra_*``
-tallies).  Run it in two checkouts and diff the outputs to check that a
-change keeps report bodies byte-identical and the counters unchanged:
+tallies).  A run that leaves no report (an input error, exit 2, or a
+traceback) prints ``command args exit N``; the last configurations are
+out-of-range inputs that must exit 2.  Run the same copy of the script in
+two checkouts (copy it into the other one's ``scripts``) and diff the
+outputs to check that a change keeps report bodies byte-identical and the
+counters unchanged:
 
     python scripts/body_hashes.py > after.txt
 """
@@ -55,11 +59,19 @@ CONFIGS = (
     ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
     ("minimize", "--in", "choi_map.json", "--dims", "3x3", "--seed", "2"),
     ("hierarchy", "--dims", "3x3", "--seed", "1"),
+    # out of range: each exits 2 before it draws or allocates anything
+    ("gns-verify", "--dims", "0"),
+    ("cone-check", "--dims", "0"),
+    ("choi", "--dims", "2x2", "--seed", "-1"),
+    ("experiment", "--dims", "2x2", "--seed", "-1"),
+    ("experiment", "--dims", "2x2", "--seed", "4294967296"),
+    ("hierarchy", "--dims", "2x2", "--seed", "4294967295"),  # its block test draws at seed + 1
+    ("ppt-check", "--in", "bad_shape.json"),
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
 # Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, the 2x2 singlet density
-# and the 2x2 maximally mixed density I/4
+# and the 2x2 maximally mixed density I/4, and that density with a shape field lacking dim_b
 WRITE_INPUTS = (
     "import numpy as np\n"
     "from modular_ppt.choi import choi_from_map, generalized_choi_map, transposition_map_table\n"
@@ -72,6 +84,10 @@ WRITE_INPUTS = (
     "psi = np.array([0, 1, -1, 0]) / np.sqrt(2)\n"
     "save_matrix(np.outer(psi, psi), 'singlet.json', kind='density', shape=BipartiteShape(2, 2))\n"
     "save_matrix(np.eye(4) / 4, 'mixed.json', kind='density', shape=BipartiteShape(2, 2))\n"
+    "import json\n"
+    "payload = json.load(open('mixed.json'))\n"
+    "payload['shape'] = {'dim_a': 2}\n"
+    "json.dump(payload, open('bad_shape.json', 'w'))\n"
 )
 
 
@@ -85,7 +101,7 @@ def main() -> int:
             report.unlink(missing_ok=True)
             run = subprocess.run([sys.executable, "-m", "modular_ppt.cli", *args, "--out", report.name],
                                  cwd=work, env=env, capture_output=True, check=False)
-            if run.returncode not in (0, 1):
+            if not report.exists():
                 print(" ".join(args), f"exit {run.returncode}")
                 continue
             timing = json.loads(report.read_text())["timing"]

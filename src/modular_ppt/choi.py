@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .linalg import (
     BipartiteShape,
+    _gamma_min,
     _kron,
     _partial_transpose,
     herm_defect,
@@ -221,13 +222,10 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list,
     """
     require_count(check_samples, "check_samples")
     a = require_hermitian(require_bipartite(a, BipartiteShape(k, n)))
-    w = np.linalg.eigvalsh(hermitize(a))
-    a_pt = _partial_transpose(a, BipartiteShape(k, n), "A")
-    w_pt = np.linalg.eigvalsh(hermitize(a_pt))
-    if w[0] < -1e-9 or w_pt[0] < -1e-9:
-        raise ContractError(
-            f"A must be PPT on the k x n split: min eigs {w[0]:.3e}, {w_pt[0]:.3e}"
-        )
+    w = np.linalg.eigvalsh(hermitize(a))[0]
+    w_pt = _gamma_min(a, BipartiteShape(k, n), "A")
+    if w < -1e-9 or w_pt < -1e-9:
+        raise ContractError(f"A must be PPT on the k x n split: min eigs {w:.3e}, {w_pt:.3e}")
     xs = [np.asarray(x, dtype=complex).ravel() for x in xs]
     hs = [np.asarray(h, dtype=complex).ravel() for h in hs]
     if len(xs) != k or len(hs) != k:
@@ -290,13 +288,9 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     a, b = (_unit_trace_gram(np.concatenate(f)[:, 0]) for f in zip(*factors))
     starts = np.cumsum([0] + [w.size for w in weights[:-1]])
     mixtures = np.add.reduceat(np.concatenate(weights)[:, None, None] * _kron(a, b), starts)  # in term order
-    min_sep_gamma = np.min(np.linalg.eigvalsh(hermitize(_partial_transpose(mixtures, shape, "B")))[:, 0])
-    psi = np.zeros(4, dtype=complex)
-    psi[1], psi[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    singlet = np.outer(psi, psi.conj())
-    singlet_gamma_min = float(np.linalg.eigvalsh(
-        hermitize(_partial_transpose(singlet, BipartiteShape(2, 2), "B"))
-    )[0])
+    min_sep_gamma = np.min(_gamma_min(mixtures, shape))
+    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+    singlet_gamma_min = float(_gamma_min(np.outer(psi, psi.conj()), BipartiteShape(2, 2)))
     report = {
         "transposition_choi_min_eig": float(swap_eigs[0]),
         "cp_block_test_min_eig": block["min_output_eigenvalue"],

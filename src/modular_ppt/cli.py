@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import choi, cones, constructions, gns, optim
+from . import choi, cones, constructions, gns, linalg, optim, rand
 from .errors import ConditioningError, ConsistencyError, ContractError, DimensionLimitError, ShapeError
 from .io import load_matrix, report_body_text, save_report
 from .linalg import TOL_PSD, BipartiteShape, _norms, hermitize, require_bipartite, require_count, require_density
@@ -57,12 +58,12 @@ class RunConfig:
 
 def _parse_dims(text: str) -> tuple[int, int] | int:
     try:
-        if "x" in text.lower():
-            a, b = text.lower().split("x")
-            return int(a), int(b)
-        return int(text)
+        factors = tuple(int(part) for part in text.lower().split("x", 1))
     except ValueError:
         raise ContractError(f"--dims expects N or NxM, got {text!r}") from None
+    if min(factors) < 1 or math.prod(factors) > linalg.MAX_DIM:
+        raise ContractError(f"--dims {text!r} needs factors >= 1 and a dense dimension <= {linalg.MAX_DIM}")
+    return factors if len(factors) == 2 else factors[0]
 
 
 def _bipartite(cfg: RunConfig) -> BipartiteShape:
@@ -312,6 +313,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             raise ContractError(f"--tol {key} expects a number, got {val!r}") from None
     require_count(args.samples, "--samples")
+    if not 0 <= args.seed < rand.SEED_LIMIT - (args.command == "hierarchy"):  # hierarchy also draws at seed + 1
+        raise ContractError(f"--seed must lie in [0, 2^32), or [0, 2^32 - 1) for hierarchy, got {args.seed}")
     dims = _parse_dims(args.dims) if args.dims else None
     return RunConfig(
         command=args.command, seed=args.seed, dims=dims, samples=args.samples,

@@ -10,7 +10,9 @@ and realizes transposition at the state level.
 On a composite system the PPT states correspond to the cone intersection
 P_n  ∩  (1 (x) U_B) P_n, which this module tests by two independent
 routes: once through cone membership on the joint GNS space, once through
-a PSD + partial-transpose check on the reconstructed operator.
+a PSD + partial-transpose check on the reconstructed operator.  Both rest
+on one operation: (1 (x) U_B) = Ad(1 (x) K_B) o Gamma, the partial
+transpose in rho_B's eigenbasis, which is how ``one_otimes_ub`` computes it.
 
 Stack convention: the unchecked kernels ``_v_beta_certificate``,
 ``_cone_elements`` and ``_separating_eta`` act on a stack of independent
@@ -63,6 +65,7 @@ from .errors import ConsistencyError, ContractError
 from .gns import GnsContext, GnsVector, _delta_factor, _flip, _gns_context, _inner, apply_u
 from .linalg import (
     BipartiteShape,
+    _gamma_min,
     _kron,
     _mat_sqrt_psd,
     _norms,
@@ -274,13 +277,9 @@ def build_composite(ctx_a: GnsContext, ctx_b: GnsContext, seed: int = 0) -> Comp
 
 
 def one_otimes_ub(comp: CompositeGnsContext, xi: GnsVector) -> GnsVector:
-    """(1 (x) U_B) on the joint GNS space, also on a stack: m -> K_B m^T K_B^dagger on each B block."""
-    mat = xi.mat_in(comp.joint)
-    na, nb = comp.shape.dim_a, comp.shape.dim_b
-    kb = comp.ctx_b.kernel
-    t = mat.reshape(mat.shape[:-2] + (na, nb, na, nb)).swapaxes(-3, -2).swapaxes(-2, -1)
-    out = (kb @ t @ kb.conj().T).swapaxes(-3, -2)
-    return GnsVector(out.reshape(mat.shape), comp.joint)
+    """(1 (x) U_B) = Ad(1 (x) K_B) o Gamma on the joint GNS space, also on a stack."""
+    lift = np.kron(np.eye(comp.shape.dim_a), comp.ctx_b.kernel)
+    return GnsVector(lift @ _partial_transpose(xi.mat_in(comp.joint), comp.shape) @ lift.conj().T, comp.joint)
 
 
 def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
@@ -299,7 +298,7 @@ def pn_intersection_membership(comp: CompositeGnsContext, xi: GnsVector,
     m2 = natural_cone_membership(joint, one_otimes_ub(comp, xi), tol)
     cert_route1 = min(m1.certificate, m2.certificate)
 
-    cert_gamma = float(np.linalg.eigvalsh(hermitize(_partial_transpose(m1.witness, comp.shape, "B")))[0])
+    cert_gamma = float(_gamma_min(m1.witness, comp.shape))
     cert_route2 = min(m1.certificate, cert_gamma)
 
     inside1 = cert_route1 >= -tol

@@ -20,11 +20,10 @@ from .errors import ContractError, ShapeError
 from .gns import GnsVector, _flip, apply_delta_power, apply_u, build_gns
 from .linalg import (
     BipartiteShape,
+    _gamma_min,
     _mat_sqrt_psd,
-    _partial_transpose,
     _project_psd,
-    hermitize,
-    partial_transpose,
+    require_bipartite,
     require_count,
     require_density,
 )
@@ -164,10 +163,8 @@ def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     residual = instance_residual(inst.rho, inst.f, inst.a_op)
     if residual > RESIDUAL_TOL:
         raise ContractError(f"instance residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    m = inst.rho.shape[0] // 2
-    shape = BipartiteShape(2, m)
-    gamma = hermitize(partial_transpose(inst.rho, shape, "A"))
-    min_eig = float(np.linalg.eigvalsh(gamma)[0])
+    shape = BipartiteShape(2, inst.rho.shape[0] // 2)
+    min_eig = float(_gamma_min(require_bipartite(inst.rho, shape), shape, "A"))
     falsified = min_eig < -RESIDUAL_TOL
     report = {"min_gamma_eig": min_eig, "falsified": bool(falsified)}
     if falsified:
@@ -210,7 +207,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0) -> tuple[n
     verdict = cones_mod.pn_intersection_membership(comp, xi, tol=10 * spec.tol_feas)
     dens = density_of(xi)
     dens = dens / np.trace(dens).real
-    gamma_min = float(np.linalg.eigvalsh(hermitize(_partial_transpose(dens, comp.shape, "B")))[0])
+    gamma_min = float(_gamma_min(dens, comp.shape))
     bound, _, info = cones_mod.separable_cone_distance(comp, xi, iters=SEPARABLE_ROUNDS, seed=seed)
     report = {
         "xi_certificate": verdict.certificate,
@@ -246,23 +243,20 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     ctx_b = build_gns(random_faithful_density(rng, shape.dim_b))
     comp = build_composite(ctx_a, ctx_b)
     joint = comp.joint
-    eigen_b = np.kron(np.eye(shape.dim_a), comp.ctx_b.kernel)
     spec = PptSetSpec(shape)
 
     counts = {"ppt_and_sqrt_ppt": 0, "ppt_and_sqrt_npt": 0, "input_not_ppt": 0}
     counterexamples = []
-    control_failures, max_control = 0, 0.0
-    probes, chunks = [], []
+    controls, probes, chunks = [], [], []
     for d_raw, *chunk in _sample_stacks(rng, spec, samples):
         chunks.append(chunk)
         d = _project_psd(d_raw)
         d = d / np.trace(d, axis1=-2, axis2=-1).real[:, None, None]
-        d_gamma = _partial_transpose(d, shape, "B")
-        ppt = np.linalg.eigvalsh(hermitize(d_gamma))[:, 0] >= -1e-7
+        ppt = _gamma_min(d, shape) >= -1e-7
         counts["input_not_ppt"] += int(np.sum(~ppt))
-        d, d_gamma = d[ppt], d_gamma[ppt]
+        d = d[ppt]
         root = _mat_sqrt_psd(d)
-        root_gamma_min = np.linalg.eigvalsh(hermitize(_partial_transpose(root, shape, "B")))[:, 0]
+        root_gamma_min = _gamma_min(root, shape)
         npt = root_gamma_min < -RESIDUAL_TOL
         counts["ppt_and_sqrt_ppt"] += int(np.sum(~npt))
         counts["ppt_and_sqrt_npt"] += int(np.sum(npt))
@@ -270,18 +264,17 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
             counterexamples.append({"d_re": d[i].real.tolist(), "d_im": d[i].imag.tolist(),
                                     "sqrt_gamma_min_eig": float(root_gamma_min[i])})
         xi = GnsVector(root, joint)  # the natural-cone vector of each d is its PSD root
-        control = np.max(np.abs(density_of(apply_u(joint, xi)) - _flip(joint, d)), axis=(1, 2))
-        max_control = max(max_control, float(np.max(control, initial=0.0)))
-        control_failures += int(np.sum(control > 1e-10))
-        eigen_pt = eigen_b @ d_gamma @ eigen_b.conj().T
+        controls.append(np.max(np.abs(density_of(apply_u(joint, xi)) - _flip(joint, d)), axis=(1, 2)))
+        eigen_pt = one_otimes_ub(comp, GnsVector(d, joint)).mat  # d^Gamma in rho_B's eigenbasis
         probes.append(np.max(np.abs(density_of(one_otimes_ub(comp, xi)) - eigen_pt), axis=(1, 2)))
-    probes = np.concatenate(probes)
+    controls, probes = np.concatenate(controls), np.concatenate(probes)
+    control_failures = int(np.sum(controls > 1e-10))
     report = {
         "samples": samples,
         "counts": counts,
         "counterexamples": counterexamples,
         "control_failures": control_failures,
-        "max_control_residual": max_control,
+        "max_control_residual": float(np.max(controls, initial=0.0)),
         "partial_transpose_probe": {
             "max_residual": float(np.max(probes, initial=0.0)),
             "min_residual": float(np.min(probes) if probes.size else 0.0),
@@ -302,5 +295,5 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
 def reverify_counterexample(entry: dict, shape: BipartiteShape) -> float:
     """Recompute a serialized counterexample's sqrt-PT eigenvalue from scratch."""
     d = np.array(entry["d_re"]) + 1j * np.array(entry["d_im"])
-    root = _mat_sqrt_psd(require_density(d, tol_psd=1e-8))
-    return float(np.linalg.eigvalsh(hermitize(partial_transpose(root, shape, "B")))[0])
+    root = _mat_sqrt_psd(require_density(require_bipartite(d, shape), tol_psd=1e-8))
+    return float(_gamma_min(root, shape))

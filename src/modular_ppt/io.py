@@ -68,7 +68,11 @@ def matrix_from_payload(payload: dict) -> tuple[np.ndarray, dict]:
     m = re + 1j * im
     meta = {"kind": payload.get("kind", "generic")}
     if "shape" in payload:
-        meta["shape"] = BipartiteShape(payload["shape"]["dim_a"], payload["shape"]["dim_b"])
+        shape = payload["shape"]
+        dims = [shape.get(key) for key in ("dim_a", "dim_b")] if isinstance(shape, dict) else [None]
+        if not all(type(d) is int and d >= 1 for d in dims):
+            raise MatrixFileError(f"shape needs integers dim_a and dim_b >= 1, got {shape!r}", field="shape")
+        meta["shape"] = BipartiteShape(*dims)
     kind = meta["kind"]
     if kind not in KINDS:
         raise MatrixFileError(f"unknown kind {kind!r}", field="kind")

@@ -12,7 +12,8 @@ Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
 unchecked kernel of the same name with a leading underscore.  Package code
 working on arrays it made itself calls the kernels directly.
-``hermitize`` and the kernels ``_partial_transpose``, ``_project_psd``,
+``hermitize`` and the kernels ``_partial_transpose``, ``_gamma_min`` (every
+PPT verdict: lambda_min of the Hermitian part of X^Gamma), ``_project_psd``,
 ``_mat_sqrt_psd`` and ``_kron`` also take a stack of shape (k, n, n) and
 act on each matrix of it, with the same bits as on the matrix alone;
 ``_norms`` gives the norm of each matrix or vector of a stack.
@@ -152,6 +153,11 @@ def _partial_transpose(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B
     else:
         raise ShapeError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     return out.reshape(m.shape)
+
+
+def _gamma_min(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:
+    """lambda_min of the Hermitian part of m^Gamma, for a matrix (0-d) or each matrix of a stack."""
+    return np.linalg.eigvalsh(hermitize(_partial_transpose(m, shape, subsystem)))[..., 0]
 
 
 def partial_trace(m, shape: BipartiteShape, keep: str = "A") -> np.ndarray:

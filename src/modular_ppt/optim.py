@@ -196,9 +196,6 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
         w, v = np.linalg.eigh(y)
         return hermitize(_spectral(v, np.clip(w, 0.0, None))), w, v
 
-    def pt(y: np.ndarray) -> np.ndarray:
-        return _partial_transpose(y, spec.shape, "B")
-
     out = np.empty_like(x)
     sweeps = np.zeros(len(x), dtype=int)
     final = np.empty(len(x))
@@ -212,8 +209,8 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
         if sweep == 1:
             least_vec = v[..., 0]
         shifted = x + incr[1]
-        x_gamma, w, _ = proj_psd(pt(shifted))
-        x_gamma = pt(x_gamma)
+        x_gamma, w, _ = proj_psd(_partial_transpose(shifted, spec.shape))
+        x_gamma = _partial_transpose(x_gamma, spec.shape)
         incr[1] = shifted - x_gamma
         shifted = x_gamma + incr[2]
         x = shifted + ((1.0 - _trace(shifted)) / n)[:, None, None] * eye
@@ -322,9 +319,6 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     if nrm == 0:
         return 0.0, center, SolveTrace(lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
 
-    def pt(m: np.ndarray) -> np.ndarray:
-        return _partial_transpose(m, spec.shape, "B")
-
     x = x_gamma = y = center  # I/n is its own partial transpose
     u = np.zeros_like(h)
     rho = nrm
@@ -332,9 +326,9 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     for it in range(iters + 1):
         if it:
             y_prev = y
-            w, v = np.linalg.eigh(pt(y - u) - h / rho)
+            w, v = np.linalg.eigh(_partial_transpose(y - u, spec.shape) - h / rho)
             x = _spectral(v, _simplex(w))
-            x_gamma = pt(x)
+            x_gamma = _partial_transpose(x, spec.shape)
             w, v = np.linalg.eigh(x_gamma + u)
             y, u = _spectral(v, np.maximum(w, 0.0)), _spectral(v, np.minimum(w, 0.0))
         if it % CHECK_EVERY and it != iters:
@@ -345,7 +339,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         value = float(_trace(d @ h))
         if value < upper:
             upper, minimizer = value, d
-        bound = float(np.linalg.eigvalsh(h + rho * pt(u))[0])
+        bound = float(np.linalg.eigvalsh(h + rho * _partial_transpose(u, spec.shape))[0])
         if bound > lower:
             lower, q = bound, -rho * u
         if upper - lower <= GAP_TOL * nrm:

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
+
+SEED_LIMIT = 2**32  # seeds lie in [0, SEED_LIMIT); the key's high 32 bits are the stream
+
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for ``seed``; ``stream`` splits independent uses."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ContractError(f"seed must lie in [0, 2^32), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(stream) << np.uint64(32))))
 
 

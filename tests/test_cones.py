@@ -309,6 +309,19 @@ class TestComposite:
             assert np.array_equal(out, alone.mat)
             assert np.array_equal(state, density_of(alone))
 
+    @joint_shapes
+    def test_one_otimes_ub_equals_the_block_formula(self, dims):
+        # (1 (x) U_B) = Ad(1 (x) K_B) o Gamma is K_B m_ij^T K_B^dagger on each B block m_ij
+        comp = composite(*dims)
+        na, nb = dims
+        kb = comp.ctx_b.kernel
+        rng = generator(71)
+        stack = np.stack([complex_gaussian(rng, na * nb, na * nb) for _ in range(5)])
+        t = stack.reshape(5, na, nb, na, nb).transpose(0, 1, 3, 4, 2)
+        blocks = (kb @ t @ kb.conj().T).transpose(0, 1, 3, 2, 4).reshape(stack.shape)
+        assert np.max(np.abs(one_otimes_ub(comp, gns.GnsVector(stack, comp.joint)).mat - blocks)) <= 1e-15
+        assert np.max(np.abs(one_otimes_ub(comp, comp.joint.vector(stack[0])).mat - blocks[0])) <= 1e-15
+
     @shapes
     def test_one_otimes_ub_involution(self, dims):
         comp = composite(*dims)
@@ -673,11 +686,9 @@ def reference_lmo_starts(residual, na, nb, rng, rounds=25, starts=3):
 
 
 def ref_one_otimes_ub(comp, m):
-    """(1 (x) U_B) on one matrix: m -> K_B m^T K_B^dagger on each B block."""
-    na, nb = comp.shape.dim_a, comp.shape.dim_b
-    kb = comp.ctx_b.kernel
-    t = m.reshape(na, nb, na, nb).swapaxes(-3, -2).swapaxes(-2, -1)
-    return (kb @ t @ kb.conj().T).swapaxes(-3, -2).reshape(m.shape)
+    """(1 (x) U_B) on one matrix: (1 (x) K_B) m^Gamma (1 (x) K_B)^dagger."""
+    lift = np.kron(np.eye(comp.shape.dim_a), comp.ctx_b.kernel)
+    return lift @ partial_transpose(m, comp.shape, "B") @ lift.conj().T
 
 
 def reference_commutant_cone_check(comp, samples, seed, terms, tol=1e-10):

@@ -185,9 +185,7 @@ def _reference_experiment(shape, samples, seed):
     ctx_b = build_gns(random_faithful_density(rng, shape.dim_b))
     comp = build_composite(ctx_a, ctx_b)
     joint = comp.joint
-    na, nb = shape.dim_a, shape.dim_b
-    kb = comp.ctx_b.kernel
-    eigen_b = np.kron(np.eye(na), kb)
+    lift = np.kron(np.eye(shape.dim_a), comp.ctx_b.kernel)
     spec = optim.PptSetSpec(shape)
 
     def sqrt_psd(m):
@@ -195,8 +193,7 @@ def _reference_experiment(shape, samples, seed):
         return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
     def one_otimes_ub(m):
-        t = m.reshape(na, nb, na, nb).transpose(0, 2, 3, 1)
-        return (kb @ t @ kb.conj().T).transpose(0, 2, 1, 3).reshape(na * nb, na * nb)
+        return lift @ partial_transpose(m, shape, "B") @ lift.conj().T
 
     counts = {"ppt_and_sqrt_ppt": 0, "ppt_and_sqrt_npt": 0, "input_not_ppt": 0}
     counterexamples, traces = [], []
@@ -230,7 +227,7 @@ def _reference_experiment(shape, samples, seed):
         max_control = max(max_control, control)
         control_failures += control > 1e-10
         zeta = one_otimes_ub(root)
-        probe = float(np.max(np.abs(zeta @ zeta.conj().T - eigen_b @ d_gamma @ eigen_b.conj().T)))
+        probe = float(np.max(np.abs(zeta @ zeta.conj().T - one_otimes_ub(d))))
         pt_max, pt_min = max(pt_max, probe), min(pt_min, probe)
         pt_matches += probe <= 1e-9
     sweeps = sorted(t.iterates for t in traces)

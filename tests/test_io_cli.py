@@ -9,6 +9,7 @@ import pytest
 
 import modular_ppt
 from modular_ppt.cli import RunConfig, config_from_args, build_parser, main, run_command
+from modular_ppt.errors import ContractError
 from modular_ppt.io import (
     MatrixFileError,
     load_matrix,
@@ -50,6 +51,17 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError) as err:
             matrix_from_payload({"schema_version": "1", "rows": 2, "cols": 2, "re": [[0, 0], [0, 0]]})
         assert err.value.field == "im"
+
+    @pytest.mark.parametrize("shape", [
+        {"dim_a": 2}, {"dim_a": "1", "dim_b": 2}, [1, 2], None, {"dim_a": 1.5, "dim_b": 2},
+        {"dim_a": 0, "dim_b": 2}, {"dim_a": True, "dim_b": 2},
+    ], ids=["missing-dim-b", "string", "list", "null", "float", "zero", "bool"])
+    def test_malformed_shape_field_named(self, shape):
+        payload = matrix_to_payload(np.eye(2) / 2, kind="density")
+        payload["shape"] = shape
+        with pytest.raises(MatrixFileError) as err:
+            matrix_from_payload(payload)
+        assert err.value.field == "shape"
 
     def test_malformed_json_diagnostic(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -181,6 +193,38 @@ class TestCliMain:
 
     def test_exit_two_on_missing_dims(self, capsys):
         assert main(["hierarchy"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gns-verify", "--dims", "0"],
+        ["cone-check", "--dims", "0"],
+        ["gns-verify", "--dims", "-1"],
+        ["gns-verify", "--dims", "4097"],
+        ["experiment", "--dims", "64x65"],
+        ["anticomm", "--dims", "2x100000"],
+        ["choi", "--dims", "100x100"],
+        ["choi", "--dims", "2x2", "--seed", "-1"],
+        ["experiment", "--dims", "2x2", "--seed", str(2**32)],
+        ["hierarchy", "--dims", "2x2", "--seed", str(2**32 - 1)],  # its block test draws at seed + 1
+    ], ids=["gns-verify-zero", "cone-check-zero", "negative", "gns-verify-over-cap", "experiment-over-cap",
+            "anticomm-over-cap", "choi-over-cap", "negative-seed", "seed-2^32", "hierarchy-seed-2^32-1"])
+    def test_exit_two_on_dims_or_seed_out_of_range(self, argv, capsys):
+        assert main(argv) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and argv[-2] in diagnostic["error"]
+
+    def test_exit_two_on_malformed_shape_field(self, tmp_path, capsys):
+        path = tmp_path / "noshape.json"
+        payload = matrix_to_payload(np.eye(4) / 4, kind="density")
+        payload["shape"] = {"dim_a": 2}
+        path.write_text(json.dumps(payload))
+        assert main(["ppt-check", "--in", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["field"] == "shape"
+
+    def test_generator_takes_seeds_in_32_bits(self):
+        for seed in (-1, 2**32):
+            with pytest.raises(ContractError):
+                generator(seed)
+        assert generator(2**32 - 1).integers(2**32) != generator(0, stream=1).integers(2**32)
 
     def test_exit_two_on_solver_dimension_cap(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "eye9.json")

@@ -123,6 +123,19 @@ class TestPartialTranspose:
         with pytest.raises(ShapeError):
             partial_transpose(np.eye(5), BipartiteShape(2, 2))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("subsystem", ["A", "B"])
+    def test_gamma_min_on_a_stack_equals_its_single_calls(self, dims, subsystem):
+        shape = BipartiteShape(*dims)
+        rng = generator(72)
+        stack = np.stack([complex_gaussian(rng, shape.dim, shape.dim) for _ in range(6)])
+        stacked = linalg._gamma_min(stack, shape, subsystem)
+        assert stacked.shape == (6,)
+        singles = [linalg._gamma_min(m, shape, subsystem) for m in stack]
+        assert np.array_equal(stacked, singles)
+        expected = [np.linalg.eigvalsh(hermitize(partial_transpose(m, shape, subsystem)))[0] for m in stack]
+        assert np.array_equal(singles, expected)
+
 
 class TestPartialTrace:
     def test_product_factorization(self, rng):
