@@ -13,7 +13,9 @@ For 2 and 3 a JSON diagnostic object is emitted instead of a report.
 ``minimize`` reports a certified bracket of min Tr(DH) over PPT states:
 ``value`` (Tr(DH) at a PPT state, whose diagonal is ``minimizer_diag``),
 ``lower_bound``, their ``gap`` and ``converged`` (the gap met the solver's
-criterion within ``--iters``); see ``optim.min_trace_over_ppt``.
+criterion within ``--iters``); see ``optim.min_trace_over_ppt``.  Its
+timing section holds the solver's ``iterations`` and
+``certificate_checks`` (exact bracket evaluations).
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def run_ppt_check(cfg: RunConfig) -> tuple[dict, bool]:
     return body, True  # verdict reporting, not an assertion
 
 
-def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
+def run_minimize(cfg: RunConfig) -> tuple[dict, bool, dict]:
     h, shape, _ = _input_operator(cfg)
     spec = optim.PptSetSpec(shape)
     value, minimizer, trace = optim.min_trace_over_ppt(h, spec, iters=1500 if cfg.iters is None else cfg.iters)
@@ -180,7 +182,7 @@ def run_minimize(cfg: RunConfig) -> tuple[dict, bool]:
         "feasibility_residual": trace.feasibility_residual,
         "minimizer_diag": np.diag(minimizer).real.tolist(),
     }
-    return body, True
+    return body, True, {"iterations": trace.iterates, "certificate_checks": trace.checks}
 
 
 def run_construct(cfg: RunConfig) -> tuple[dict, bool]:

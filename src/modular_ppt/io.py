@@ -72,6 +72,8 @@ def matrix_from_payload(payload: dict) -> tuple[np.ndarray, dict]:
         dims = [shape.get(key) for key in ("dim_a", "dim_b")] if isinstance(shape, dict) else [None]
         if not all(type(d) is int and d >= 1 for d in dims):
             raise MatrixFileError(f"shape needs integers dim_a and dim_b >= 1, got {shape!r}", field="shape")
+        if not dims[0] * dims[1] == rows == cols:
+            raise MatrixFileError(f"shape {dims[0]}x{dims[1]} does not split a {rows}x{cols} matrix", field="shape")
         meta["shape"] = BipartiteShape(*dims)
     kind = meta["kind"]
     if kind not in KINDS:

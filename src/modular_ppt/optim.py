@@ -12,7 +12,12 @@ eigendecompositions per iteration, no nested projection) and returns a
 certified bracket: the value of a feasible state above, and below a dual
 bound from a decomposition h - s I = P + Q^Gamma with P, Q PSD, the
 decomposable-witness side of the duality.  It is the executable form of
-the dual-cone pairing test.
+the dual-cone pairing test.  Its exact check of the bracket runs every
+CHECK_EVERY iterations and, between those, wherever a screen of a few
+inner products (Rayleigh-Ritz and Weyl bounds on the check's two
+eigenvalues, with eigenvectors kept from the last check) cannot prove
+that the gap stays open; the screen changes no iterate, so the loop never
+stops later than with the scheduled checks alone.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +84,7 @@ SAMPLE_CHUNK = 256  # samples projected together by _sample_stacks
 MAX_SWEEPS = 5000  # Dykstra sweeps before a sample stops (and is snapped if still infeasible)
 SCREEN_MARGIN = 1e-12  # slack of _dykstra's screen, far above the n * eps * ||x|| rounding of its bounds
 GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * ||h||_F
-CHECK_EVERY = 5  # ADMM iterations between certificate checks
+CHECK_EVERY = 5  # iterations between rho rebalances and scheduled checks of min_trace_over_ppt
 RHO_BALANCE = 10.0  # rho is rebalanced when one ADMM residual exceeds the other by this factor
 RHO_STEP = 2.0  # and is then multiplied or divided by this factor
 
@@ -110,6 +116,7 @@ class SolveTrace:
     # min_trace_over_ppt's PSD dual Q = -rho U, kept from the check that set
     # lower_bound: h - Q^Gamma - lower_bound I is PSD
     dual: np.ndarray | None = None
+    checks: int = 0  # exact certificate checks of min_trace_over_ppt
 
 
 def feasibility_residual(d: np.ndarray, spec: PptSetSpec) -> float:
@@ -294,18 +301,42 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         U <- U + X^Gamma - Y                   the negative part of X^Gamma + U
 
     rho starts at ||h||_F and is rebalanced between the primal and dual
-    residuals.  Every CHECK_EVERY iterations both sides of the bracket are
-    certified.  The upper bound is Tr(D h) at the feasible point
+    residuals every CHECK_EVERY iterations.  An exact check certifies both
+    sides of the bracket.  The upper bound is Tr(D h) at the feasible point
     D = (1 - lam) X + lam I/n, the least blend toward the centre that makes
-    D^Gamma PSD; D is the returned minimizer.  The lower bound is
-    lambda_min(h - Q^Gamma) with Q = -rho U, which is PSD: for any PSD Q and
-    PPT state D, Tr(D h) = Tr(D (h - Q^Gamma)) + Tr(D^Gamma Q)
-    >= lambda_min(h - Q^Gamma).  The value is the least upper bound,
-    ``trace.lower_bound`` the greatest lower bound, and the loop stops once
-    their gap is below GAP_TOL * ||h||_F (``trace.converged``)
-    or after ``iters`` iterations.  ``trace.dual`` is the Q of the greatest
-    lower bound, so h = (h - Q^Gamma) + Q^Gamma is the decomposition that
-    bound certifies.
+    D^Gamma PSD: lam = eps / (eps + 1/n) with eps = max(0, -lambda_min(X^Gamma)).
+    D is the returned minimizer.  The lower bound is lambda_min(h - Q^Gamma)
+    with Q = -rho U, which is PSD: for any PSD Q and PPT state D,
+    Tr(D h) = Tr(D (h - Q^Gamma)) + Tr(D^Gamma Q) >= lambda_min(h - Q^Gamma).
+    The value is the least upper bound, ``trace.lower_bound`` the greatest
+    lower bound, and the loop stops once their gap is below
+    GAP_TOL * ||h||_F (``trace.converged``) or after ``iters`` iterations.
+    ``trace.dual`` is the Q of the greatest lower bound, so
+    h = (h - Q^Gamma) + Q^Gamma is the decomposition that bound certifies.
+
+    The exact check runs every CHECK_EVERY iterations and at the last one
+    (the scheduled checks), and at every other iterate where a screen with
+    no eigensolve (``_Screen.bounds``) cannot prove that the gap stays above
+    GAP_TOL * ||h||_F.  Each exact check keeps, from its two ``eigh``, the
+    least eigenvectors z' of X^Gamma and z of h + rho U^Gamma.  The screen
+    bounds the next check from them:
+
+    - the value is Tr(X h) + lam (Tr(h)/n - Tr(X h)), monotone in lam.
+      eps is at least -z'^dagger X^Gamma z', and -v^dagger X^Gamma v for
+      the least eigenvector v of X^Gamma + U from the Y step
+      (Rayleigh-Ritz), and at most ||X^Gamma - Y||_F (Weyl, as Y is PSD);
+      the end of that range that lowers the value gives v_lo;
+    - the bound is at most z^dagger (h + rho U^Gamma) z (Rayleigh-Ritz),
+      b_hi.
+
+    The check is skipped iff min(upper, v_lo) - max(lower, b_hi) > the
+    gap tolerance (``_may_close``): the skipped check could not have
+    stopped the loop.  The screen moves neither the iterates nor rho,
+    which change only at the scheduled checks, and every check it adds
+    can only lower the value or raise the bound.  So no problem stops
+    later than with the scheduled checks alone (up to rounding), a loose
+    screen costs time and never correctness, and every bracket is
+    certified by an exact check.  ``trace.checks`` counts the exact checks.
 
     ``restarts`` and ``seed`` remain only because the benchmark still
     passes them; neither is read.
@@ -319,56 +350,106 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     if nrm == 0:
         return 0.0, center, SolveTrace(lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
 
+    tol = GAP_TOL * nrm
     x = x_gamma = y = center  # I/n is its own partial transpose
     u = np.zeros_like(h)
     rho = nrm
     upper, lower, minimizer, q = np.inf, -np.inf, center, u
+    checks = 0
     for it in range(iters + 1):
         if it:
             y_prev = y
-            w, v = np.linalg.eigh(_partial_transpose(y - u, spec.shape) - h / rho)
+            w, v = np.linalg.eigh(_partial_transpose(y - u, spec.shape) - h_rho)
             x = _spectral(v, _simplex(w))
             x_gamma = _partial_transpose(x, spec.shape)
             w, v = np.linalg.eigh(x_gamma + u)
-            y, u = _spectral(v, np.maximum(w, 0.0)), _spectral(v, np.minimum(w, 0.0))
-        if it % CHECK_EVERY and it != iters:
-            continue
-        eps = max(0.0, -np.linalg.eigvalsh(x_gamma)[0])
+            vh = v.conj().T
+            y, u = (v * np.maximum(w, 0.0)) @ vh, (v * np.minimum(w, 0.0)) @ vh
+            if it % CHECK_EVERY and it != iters and not _may_close(
+                    upper, lower, *screen.bounds(x, x_gamma, y, u, rho, v[:, 0]), tol):
+                continue
+        checks += 1
+        w, v = np.linalg.eigh(x_gamma)
+        eps = max(0.0, -w[0])
         lam = eps / (eps + 1 / n)
         d = (1 - lam) * x + lam * center
         value = float(_trace(d @ h))
         if value < upper:
             upper, minimizer = value, d
-        bound = float(np.linalg.eigvalsh(h + rho * _partial_transpose(u, spec.shape))[0])
+        least_gamma = v[:, 0]
+        w, v = np.linalg.eigh(h + rho * _partial_transpose(u, spec.shape))
+        bound = float(w[0])
         if bound > lower:
             lower, q = bound, -rho * u
-        if upper - lower <= GAP_TOL * nrm:
+        if upper - lower <= tol:
             break
-        if it:
-            primal = np.linalg.norm(x_gamma - y)
-            dual = rho * np.linalg.norm(y - y_prev)
-            scale = RHO_STEP if primal > RHO_BALANCE * dual else 1 / RHO_STEP if dual > RHO_BALANCE * primal else 1.0
-            rho, u = rho * scale, u / scale
+        z = v[:, 0]
+        screen = _Screen(h, h.trace().real / n, least_gamma[:, None] * least_gamma.conj(), np.vdot(z, h @ z).real,
+                         _partial_transpose(z[:, None] * z.conj(), spec.shape))
+        if it % CHECK_EVERY == 0:
+            if it:
+                primal = np.linalg.norm(x_gamma - y)
+                dual = rho * np.linalg.norm(y - y_prev)
+                scale = RHO_STEP if primal > RHO_BALANCE * dual else 1 / RHO_STEP if dual > RHO_BALANCE * primal else 1.0
+                rho, u = rho * scale, u / scale
+            h_rho = h / rho
     minimizer = hermitize(minimizer)
     lower = min(lower, upper)  # the two meet within rounding; a smaller lower bound stays valid
     gap = upper - lower
     trace = SolveTrace(
         iterates=it,
         feasibility_residual=feasibility_residual(minimizer, spec),
-        converged=bool(gap <= GAP_TOL * nrm),
+        converged=bool(gap <= tol),
         lower_bound=lower,
         gap=gap,
         dual=q,
+        checks=checks,
     )
     return upper, minimizer, trace
+
+
+class _Screen(NamedTuple):
+    """What the screen of ``min_trace_over_ppt`` keeps from an exact check
+    that left the gap open, with the least eigenvectors z' of X^Gamma and
+    z of h + rho U^Gamma folded into the terms of its inner products."""
+
+    h: np.ndarray
+    center_value: float  # Tr(h)/n, the value at I/n
+    x_gamma_probe: np.ndarray  # z' z'^dagger: Tr(X^Gamma z' z'^dagger) = z'^dagger X^Gamma z'
+    hz: float  # z^dagger h z
+    u_probe: np.ndarray  # (z z^dagger)^Gamma: Tr(U (z z^dagger)^Gamma) = z^dagger U^Gamma z
+
+    def bounds(self, x: np.ndarray, x_gamma: np.ndarray, y: np.ndarray, u: np.ndarray, rho: float,
+               near_least: np.ndarray) -> tuple[float, float]:
+        """(v_lo, b_hi): a lower bound on the value and an upper bound on the
+        bound that an exact check would give at the iterate (X, Y, U, rho).
+        ``near_least`` is a second unit vector for the Rayleigh quotient of
+        X^Gamma."""
+        t = np.vdot(self.h, x).real  # Tr(X h)
+        step = self.center_value - t  # the value is t + lam * step, lam = eps / (eps + 1/n)
+        if step >= 0:  # the least eps, by Rayleigh-Ritz
+            rayleigh = min(np.vdot(self.x_gamma_probe, x_gamma).real, np.vdot(near_least, x_gamma @ near_least).real)
+            eps = max(0.0, -rayleigh)
+        else:  # the greatest eps, by Weyl, as Y is PSD
+            eps = np.linalg.norm(x_gamma - y)
+        return t + eps / (eps + 1 / len(x)) * step, self.hz + rho * np.vdot(self.u_probe, u).real
+
+
+def _may_close(upper: float, lower: float, v_lo: float, b_hi: float, tol: float) -> bool:
+    """Whether an exact check could leave a gap <= tol, given the bracket so
+    far and the screen's bounds on the check's value (>= v_lo) and bound
+    (<= b_hi)."""
+    return min(upper, v_lo) - max(lower, b_hi) <= tol
 
 
 def _simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of a spectrum w, sorted ascending (as eigh
     returns it), onto the simplex {l >= 0, sum l = 1}."""
-    desc = w[::-1]
-    excess = np.cumsum(desc) - 1.0
-    kept = np.count_nonzero(desc - excess / np.arange(1, len(w) + 1) > 0)
+    total, kept, excess = 0.0, 0, []
+    for k, value in enumerate(reversed(w.tolist()), 1):  # Python floats: cheaper than numpy on a short spectrum
+        total += value
+        excess.append(total - 1.0)
+        kept += value - excess[-1] / k > 0
     return np.maximum(w - excess[kept - 1] / kept, 0.0)
 
 

@@ -54,11 +54,17 @@ class TestMatrixFiles:
 
     @pytest.mark.parametrize("shape", [
         {"dim_a": 2}, {"dim_a": "1", "dim_b": 2}, [1, 2], None, {"dim_a": 1.5, "dim_b": 2},
-        {"dim_a": 0, "dim_b": 2}, {"dim_a": True, "dim_b": 2},
-    ], ids=["missing-dim-b", "string", "list", "null", "float", "zero", "bool"])
+        {"dim_a": 0, "dim_b": 2}, {"dim_a": True, "dim_b": 2}, {"dim_a": 2, "dim_b": 2},
+    ], ids=["missing-dim-b", "string", "list", "null", "float", "zero", "bool", "does-not-split-rows"])
     def test_malformed_shape_field_named(self, shape):
         payload = matrix_to_payload(np.eye(2) / 2, kind="density")
         payload["shape"] = shape
+        with pytest.raises(MatrixFileError) as err:
+            matrix_from_payload(payload)
+        assert err.value.field == "shape"
+
+    def test_shape_field_on_a_non_square_matrix_named(self):
+        payload = matrix_to_payload(np.ones((2, 4)), kind="generic", shape=BipartiteShape(1, 2))
         with pytest.raises(MatrixFileError) as err:
             matrix_from_payload(payload)
         assert err.value.field == "shape"
@@ -220,6 +226,18 @@ class TestCliMain:
         assert main(["ppt-check", "--in", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["field"] == "shape"
 
+    @pytest.mark.parametrize("argv", [["ppt-check"], ["ppt-check", "--dims", "2x2"],
+                                      ["minimize"], ["minimize", "--dims", "2x2"]],
+                             ids=["ppt-check", "ppt-check-dims", "minimize", "minimize-dims"])
+    def test_exit_two_on_shape_field_that_does_not_split_the_matrix(self, tmp_path, argv, capsys):
+        # a 4x4 density saved with a 3x3 split: the file is wrong whether or not --dims overrides it
+        path = str(tmp_path / "mis-split.json")
+        save_matrix(np.eye(4) / 4, path, kind="density", shape=BipartiteShape(3, 3))
+        assert main([argv[0], "--in", path, *argv[1:]]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "MatrixFileError" and diagnostic["field"] == "shape"
+        assert "3x3" in diagnostic["error"]
+
     def test_generator_takes_seeds_in_32_bits(self):
         for seed in (-1, 2**32):
             with pytest.raises(ContractError):
@@ -346,6 +364,18 @@ class TestCliMain:
         results = [run_command(cfg)[1]["body"]["results"] for cfg in configs]
         assert results[0] == results[1]
         assert results[0]["converged"]
+
+    def test_minimize_timing_counts_the_solver(self, tmp_path, choi_map):
+        path = str(tmp_path / "choi.json")
+        save_matrix(choi_map, path, kind="hermitian", shape=BipartiteShape(3, 3))
+        _, report = run_command(RunConfig(command="minimize", in_path=path, iters=300))
+        timing = report["timing"]
+        assert set(timing) == {"seconds", "iterations", "certificate_checks"}
+        # a check at every CHECK_EVERY-th iteration, at the first and at the last, and any the screen adds
+        scheduled = timing["iterations"] // modular_ppt.optim.CHECK_EVERY + 1
+        assert scheduled + (timing["iterations"] % modular_ppt.optim.CHECK_EVERY > 0) <= timing["certificate_checks"]
+        assert timing["certificate_checks"] <= timing["iterations"] + 1
+        assert not set(timing) & set(report["body"]["results"])
 
     def test_negative_iters_exits_two(self, tmp_path, swap22, capsys):
         path = str(tmp_path / "swap.json")

@@ -136,6 +136,26 @@ class TestPartialTranspose:
         expected = [np.linalg.eigvalsh(hermitize(partial_transpose(m, shape, subsystem)))[0] for m in stack]
         assert np.array_equal(singles, expected)
 
+    @pytest.mark.parametrize("dims", [(a, b) for a in range(1, 5) for b in range(1, 5)], ids=lambda d: f"{d[0]}x{d[1]}")
+    @pytest.mark.parametrize("subsystem", ["A", "B"])
+    def test_gather_equals_the_reshape_reference(self, dims, subsystem):
+        shape = BipartiteShape(*dims)
+        rng = generator(73)
+        stack = np.stack([complex_gaussian(rng, shape.dim, shape.dim) for _ in range(3)])
+
+        def reference(m):
+            # transpose one factor of the (dim_a, dim_b, dim_a, dim_b) view
+            t = m.reshape(m.shape[:-2] + (*dims, *dims))
+            return (t.swapaxes(-3, -1) if subsystem == "B" else t.swapaxes(-4, -2)).reshape(m.shape)
+
+        assert np.array_equal(linalg._partial_transpose(stack, shape, subsystem), reference(stack))
+        for m in stack:
+            assert np.array_equal(linalg._partial_transpose(m, shape, subsystem), reference(m))
+
+    def test_unknown_subsystem(self, shape22):
+        with pytest.raises(ShapeError):
+            partial_transpose(np.eye(4), shape22, "C")
+
 
 class TestPartialTrace:
     def test_product_factorization(self, rng):

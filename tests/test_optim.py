@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modular_ppt import optim
+from modular_ppt.choi import random_decomposable
 from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
 from modular_ppt.optim import (
     PptSetSpec,
@@ -132,8 +137,9 @@ class TestMinTrace:
         spec = PptSetSpec(BipartiteShape(d, d))
         value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300)
         assert trace.lower_bound <= value
-        assert trace.gap == value - trace.lower_bound <= 1e-6
-        assert trace.converged and trace.iterates <= 30
+        # the screen runs the exact check at the iterate where the gap closes, well before the scheduled one
+        assert trace.gap == value - trace.lower_bound <= 1e-12
+        assert trace.converged and trace.iterates <= (0 if name == "identity" else 5)
         # the closed form lies in the bracket, up to rounding; value belongs to a feasible state
         assert trace.lower_bound - 1e-12 <= target <= value + 1e-12
         assert value >= target - 1e-12
@@ -191,6 +197,90 @@ class TestMinTrace:
         value, _, _ = min_trace_over_ppt(h, spec22, iters=150)
         start = float(np.trace(np.eye(4) / 4 @ h).real)
         assert value <= start + 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
+def test_simplex_equals_the_vectorized_reference(n):
+    # the sort-and-threshold projection written with numpy, as it stood before the threshold moved to Python floats
+    def reference(w):
+        desc = w[::-1]
+        excess = np.cumsum(desc) - 1.0
+        kept = np.count_nonzero(desc - excess / np.arange(1, len(w) + 1) > 0)
+        return np.maximum(w - excess[kept - 1] / kept, 0.0)
+
+    rng = generator(90 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(200):
+            w = np.sort(scale * rng.standard_normal(n))
+            w[rng.integers(n):] = w[-1]  # ties at the top of the spectrum
+            assert np.array_equal(optim._simplex(w), reference(w))
+
+
+def _exact_check(h, spec, x, x_gamma, u, rho):
+    """The value and the bound that min_trace_over_ppt's exact check computes at an iterate."""
+    n = spec.shape.dim
+    eps = max(0.0, -np.linalg.eigvalsh(x_gamma)[0])
+    lam = eps / (eps + 1 / n)
+    value = np.trace(((1 - lam) * x + lam * np.eye(n) / n) @ h).real
+    return value, np.linalg.eigvalsh(h + rho * partial_transpose(u, spec.shape))[0]
+
+
+class TestScreen:
+    """The screen between scheduled checks: sound bounds and never a later stop.  Its early
+    certificates are pinned by TestMinTrace.test_closed_form_is_certified."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(0, 2**31 - 1))
+    def test_bounds_are_sound(self, dims, seed):
+        spec = PptSetSpec(BipartiteShape(*dims))
+        seen = []
+        bounds = optim._Screen.bounds
+
+        def recording(screen, x, x_gamma, y, u, rho, near_least):
+            seen.append((screen.h, x, x_gamma, u, rho, bounds(screen, x, x_gamma, y, u, rho, near_least)))
+            return seen[-1][-1]
+
+        with mock.patch.object(optim._Screen, "bounds", recording):
+            min_trace_over_ppt(random_decomposable(spec.shape, seed=seed).h, spec, iters=300)
+        assert seen
+        for h, x, x_gamma, u, rho, (v_lo, b_hi) in seen:
+            value, bound = _exact_check(h, spec, x, x_gamma, u, rho)
+            slack = 1e-12 * np.linalg.norm(h)  # rounding of the two routes
+            assert v_lo <= value + slack and b_hi >= bound - slack
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(0, 2**31 - 1))
+    def test_bounds_hold_for_any_unit_vectors(self, dims, seed):
+        # Rayleigh-Ritz takes any unit vector and Weyl any PSD Y: random ones exercise both branches of v_lo
+        spec = PptSetSpec(BipartiteShape(*dims))
+        n = spec.shape.dim
+        rng = generator(seed)
+        h = hermitize(complex_gaussian(rng, n, n))
+        x = random_psd(rng, n)
+        x /= np.trace(x).real
+        x_gamma = partial_transpose(x, spec.shape)
+        y, u = random_psd(rng, n), hermitize(complex_gaussian(rng, n, n))
+        z, z_x, near = (v / np.linalg.norm(v) for v in complex_gaussian(rng, 3, n))
+        screen = optim._Screen(h, np.trace(h).real / n, np.outer(z_x, z_x.conj()), np.vdot(z, h @ z).real,
+                               partial_transpose(np.outer(z, z.conj()), spec.shape))
+        rho = float(rng.uniform(0.1, 10.0))
+        v_lo, b_hi = screen.bounds(x, x_gamma, y, u, rho, near)
+        value, bound = _exact_check(h, spec, x, x_gamma, u, rho)
+        slack = 1e-12 * np.linalg.norm(h)
+        assert v_lo <= value + slack and b_hi >= bound - slack
+
+    def test_never_stops_later_than_the_scheduled_checks(self, monkeypatch, choi_map):
+        cases = [(h, BipartiteShape(d, d)) for _, d, h, _ in CLOSED_FORMS] + [(choi_map, BipartiteShape(3, 3))]
+        cases += [(random_decomposable(BipartiteShape(*dims), seed=seed).h, BipartiteShape(*dims))
+                  for dims in ((2, 2), (2, 3), (3, 3)) for seed in range(1000, 1050)]
+        screened = [min_trace_over_ppt(h, PptSetSpec(shape), iters=300) for h, shape in cases]
+        monkeypatch.setattr(optim, "_may_close", lambda *args: False)
+        for (h, shape), (value, _, trace) in zip(cases, screened):
+            plain_value, _, plain = min_trace_over_ppt(h, PptSetSpec(shape), iters=300)
+            assert trace.iterates <= plain.iterates and trace.converged >= plain.converged
+            if trace.iterates == plain.iterates:  # a superset of the same checks: a bracket at least as tight
+                assert trace.checks >= plain.checks
+                assert value <= plain_value and trace.lower_bound >= plain.lower_bound and trace.gap <= plain.gap
 
 
 class TestNptWitness:
