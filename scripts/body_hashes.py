@@ -59,13 +59,13 @@ CONFIGS = (
     ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
     ("minimize", "--in", "choi_map.json", "--dims", "3x3", "--seed", "2"),
     ("hierarchy", "--dims", "3x3", "--seed", "1"),
+    ("hierarchy", "--dims", "2x2", "--seed", "4294967295"),  # the last seed: every command takes [0, 2^32)
     # out of range: each exits 2 before it draws or allocates anything
     ("gns-verify", "--dims", "0"),
     ("cone-check", "--dims", "0"),
     ("choi", "--dims", "2x2", "--seed", "-1"),
     ("experiment", "--dims", "2x2", "--seed", "-1"),
     ("experiment", "--dims", "2x2", "--seed", "4294967296"),
-    ("hierarchy", "--dims", "2x2", "--seed", "4294967295"),  # its block test draws at seed + 1
     ("ppt-check", "--in", "bad_shape.json"),
 )
 

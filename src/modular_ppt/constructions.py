@@ -41,29 +41,19 @@ class AnticommutatorInstance:
     rho: np.ndarray        # density on 2 (x) m
     f: np.ndarray          # unit vector in C^2
     a_op: np.ndarray       # Hermitian 2x2, nonzero
-    residual: float        # max |compressed anticommutator block|
 
 
-def _adapted_hermitian_basis(f: np.ndarray) -> list[np.ndarray]:
-    """Hermitian 2x2 basis of the operators acting nontrivially on f.
+def _anticommutator_blocks(rho: np.ndarray, f: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """V_f^* {A (x) 1, rho} V_f as an m x m matrix (V_f y = f (x) y), for one
+    Hermitian 2x2 A or each of a stack.
 
-    In the orthonormal basis {f, g} these are ff*, (fg* + gf*)/sqrt2 and
-    i(fg* - gf*)/sqrt2.  The missing fourth direction gg* annihilates f,
-    which makes the anticommutator condition vacuous; solutions along it
-    say nothing about rho, so the solver excludes it.
+    As (A (x) 1) V_f = V_{Af}, the block is sum_ij w_ij rho_ij over rho's
+    (2, m, 2, m) block view, with w = conj(Af) f^T + conj(f) (Af)^T.
     """
-    g = np.array([-f[1].conjugate(), f[0].conjugate()], dtype=complex)
-    ff = np.outer(f, f.conj())
-    fg = np.outer(f, g.conj())
-    return [ff, (fg + fg.conj().T) / np.sqrt(2), 1j * (fg - fg.conj().T) / np.sqrt(2)]
-
-
-def _compressed_block(rho: np.ndarray, f: np.ndarray, a_op: np.ndarray, m: int) -> np.ndarray:
-    """V_f^* {A (x) 1, rho} V_f as an m x m matrix (V_f y = f (x) y)."""
-    a_big = np.kron(a_op, np.eye(m))
-    anti = a_big @ rho + rho @ a_big
-    blocks = anti.reshape(2, m, 2, m)
-    return np.einsum("i,irjs,j->rs", f.conj(), blocks, f)
+    af = ops @ f
+    w = af.conj()[..., :, None] * f + f.conj()[:, None] * af[..., None, :]
+    m = rho.shape[0] // 2
+    return np.einsum("...ij,irjs->...rs", w, rho.reshape(2, m, 2, m))
 
 
 def find_anticommutator_solution(rho, f) -> np.ndarray | None:
@@ -75,46 +65,45 @@ def find_anticommutator_solution(rho, f) -> np.ndarray | None:
     homogeneous real system in three parameters.  Returns None when that
     system's nullspace is trivial (smallest singular value at least
     SOLUTION_SV_THRESHOLD), which is the generic situation.
+
+    The three parameters are the coordinates in the Hermitian basis of the
+    operators acting nontrivially on f: in the orthonormal basis {f, g}
+    these are ff*, (fg* + gf*)/sqrt2 and i(fg* - gf*)/sqrt2.  The missing
+    fourth direction gg* annihilates f, which makes the anticommutator
+    condition vacuous; solutions along it say nothing about rho, so the
+    solver excludes it.
     """
     rho = require_density(rho)
     if rho.shape[0] % 2 != 0:
         raise ContractError(f"state must live on 2 (x) m, got dim {rho.shape[0]}")
-    m = rho.shape[0] // 2
     f = np.asarray(f, dtype=complex).ravel()
     if f.size != 2:
         raise ContractError(f"f must live in C^2, got dim {f.size}")
     f = f / np.linalg.norm(f)
-    basis = _adapted_hermitian_basis(f)
-    columns = []
-    for basis_a in basis:
-        block = _compressed_block(rho, f, basis_a, m)
-        columns.append(np.concatenate([block.real.ravel(), block.imag.ravel()]))
-    system = np.stack(columns, axis=1)
+    g = np.array([-f[1].conjugate(), f[0].conjugate()], dtype=complex)
+    fg = np.outer(f, g.conj())
+    basis = np.stack([np.outer(f, f.conj()), (fg + fg.conj().T) / np.sqrt(2), 1j * (fg - fg.conj().T) / np.sqrt(2)])
+    blocks = _anticommutator_blocks(rho, f, basis).reshape(3, -1)
+    system = np.concatenate([blocks.real, blocks.imag], axis=1).T  # one column per basis operator
     _, svals, vt = np.linalg.svd(system)
     if svals[-1] >= SOLUTION_SV_THRESHOLD:
         return None
-    coeffs = vt[-1]
-    a_op = sum(c * b for c, b in zip(coeffs, basis))
-    a_op = a_op / np.linalg.norm(a_op)
-    return a_op
+    a_op = np.tensordot(vt[-1], basis, axes=1)
+    return a_op / np.linalg.norm(a_op)
 
 
 def instance_residual(rho, f, a_op) -> float:
-    f = np.asarray(f, dtype=complex).ravel()
-    f = f / np.linalg.norm(f)
-    return float(np.max(np.abs(_compressed_block(rho, f, a_op, rho.shape[0] // 2))))
+    """max |V_f^* {A (x) 1, rho} V_f|, with f normalized."""
+    f = np.asarray(f, dtype=complex).ravel() / np.linalg.norm(f)
+    return float(np.max(np.abs(_anticommutator_blocks(rho, f, a_op))))
 
 
 def make_instance(rho, f) -> AnticommutatorInstance | None:
     a_op = find_anticommutator_solution(rho, f)
     if a_op is None:
         return None
-    return AnticommutatorInstance(
-        rho=np.asarray(rho, dtype=complex),
-        f=np.asarray(f, dtype=complex).ravel() / np.linalg.norm(f),
-        a_op=a_op,
-        residual=instance_residual(rho, f, a_op),
-    )
+    return AnticommutatorInstance(rho=np.asarray(rho, dtype=complex),
+                                  f=np.asarray(f, dtype=complex).ravel() / np.linalg.norm(f), a_op=a_op)
 
 
 def random_anticommutator_instance(rng: np.random.Generator, m: int,
@@ -156,9 +145,10 @@ def random_anticommutator_instance(rng: np.random.Generator, m: int,
 def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     """The criterion's conclusion: the block transpose of rho stays positive.
 
-    An instance residual above RESIDUAL_TOL, recomputed from rho, f and A,
-    is a contract error.  A block transpose eigenvalue below -RESIDUAL_TOL
-    is a falsification event and ships the serialized instance in the report.
+    The instance residual (``instance_residual`` of rho, f and A) is
+    reported as ``residual``; above RESIDUAL_TOL it is a contract error.  A
+    block transpose eigenvalue below -RESIDUAL_TOL is a falsification event
+    and ships the serialized instance in the report.
     """
     residual = instance_residual(inst.rho, inst.f, inst.a_op)
     if residual > RESIDUAL_TOL:
@@ -166,7 +156,7 @@ def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     shape = BipartiteShape(2, inst.rho.shape[0] // 2)
     min_eig = float(_gamma_min(require_bipartite(inst.rho, shape), shape, "A"))
     falsified = min_eig < -RESIDUAL_TOL
-    report = {"min_gamma_eig": min_eig, "falsified": bool(falsified)}
+    report = {"residual": residual, "min_gamma_eig": min_eig, "falsified": bool(falsified)}
     if falsified:
         report["instance"] = {
             "rho_re": inst.rho.real.tolist(),

@@ -75,7 +75,7 @@ def inner(x: GnsVector, y: GnsVector) -> complex:
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Tr x^dagger y of each pair of matrices of two stacks."""
-    return np.trace(x.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
+    return np.einsum("...ij,...ij->...", x.conj(), y)
 
 
 @dataclass(frozen=True, eq=False)

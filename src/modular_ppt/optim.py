@@ -373,7 +373,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         eps = max(0.0, -w[0])
         lam = eps / (eps + 1 / n)
         d = (1 - lam) * x + lam * center
-        value = float(_trace(d @ h))
+        value = float(np.vdot(h, d).real)  # Tr(d h), as h is Hermitian
         if value < upper:
             upper, minimizer = value, d
         least_gamma = v[:, 0]

@@ -177,8 +177,7 @@ def test_criterion_09_functional_positivity():
         a = optim.sample_ppt_density(rng, spec)
         xs = [random_unit_vector(rng, 2) for _ in range(2)]
         hs = [random_unit_vector(rng, 2) for _ in range(2)]
-        _, report = choi.lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs,
-                                             check_samples=100, seed=SEED + i)
+        _, report = choi.lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs)
         worst = min(worst, report["min_functional_value"],
                     report["min_functional_value_after_transpose"])
     _line("criterion 9 functional positivity", worst >= -1e-9,
@@ -194,9 +193,10 @@ def test_criterion_10_anticommutator_criterion():
     for k in range(200):
         m = 2 if k < 100 else 3
         inst = constructions.random_anticommutator_instance(rng, m, kinds[k % 4])
-        assert inst is not None and inst.residual <= 1e-9
+        assert inst is not None
         produced += 1
         report = constructions.verify_anticommutator_ppt(inst)
+        assert report["residual"] <= 1e-9
         falsifications += report["falsified"]
         worst = min(worst, report["min_gamma_eig"])
     ok = produced == 200 and falsifications == 0 and worst >= -1e-9

@@ -334,38 +334,38 @@ class TestStackedSampleConsumers:
         assert stormer_block_test(t, k=2, samples=300, seed=6) == reference_stormer_block_test(t, 2, 300, 6)
 
 
-def reference_functional_positivity(psi, shape, samples, seed):
-    """The positivity report of lemma_fi_functional, one PSD sample at a time."""
+def sampled_functional_values(psi, shape, samples, seed):
+    """Tr(Psi C) and Tr(Psi C^Gamma) on random PSD C, the draws the positivity
+    report of lemma_fi_functional once took its minimum over."""
     rng = generator(seed)
     n, m = shape.dim_a, shape.dim_b
-    worst = worst_tau = np.inf
+    values = []
     for _ in range(samples):
         g = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
         p = g @ g.conj().T
         c = p / np.trace(p).real
-        worst = min(worst, float(np.trace(psi @ c).real))
         c_tau = c.reshape(n, m, n, m).swapaxes(0, 2).reshape(n * m, n * m)
-        worst_tau = min(worst_tau, float(np.trace(psi @ c_tau).real))
-    return {
-        "min_functional_value": float(worst),
-        "min_functional_value_after_transpose": float(worst_tau),
-        "kernel_herm_defect": float(np.max(np.abs(psi - psi.conj().T))),
-        "passed": bool(worst >= -1e-9 and worst_tau >= -1e-9),
-    }
+        values.append((float(np.trace(psi @ c).real), float(np.trace(psi @ c_tau).real)))
+    return np.array(values)
+
+
+def exact_functional_minima(psi, shape):
+    """lambda_min of the Hermitian parts of Psi and of its partial transpose on the first factor."""
+    n, m = shape.dim_a, shape.dim_b
+    psi_tau = psi.reshape(n, m, n, m).swapaxes(0, 2).reshape(n * m, n * m)
+    return tuple(float(np.linalg.eigvalsh((x + x.conj().T) / 2)[0]) for x in (psi, psi_tau))
 
 
 class TestLemmaFi:
     def test_scalar_case(self):
         a = np.array([[1.0]])
-        psi, report = lemma_fi_functional(a, k=1, n=1, xs=[np.array([1.0, 0.0])],
-                                          hs=[np.array([1.0])], check_samples=50, seed=6)
+        psi, report = lemma_fi_functional(a, k=1, n=1, xs=[np.array([1.0, 0.0])], hs=[np.array([1.0])])
         assert report["passed"]
 
     def test_identity_input(self, rng):
         xs = [random_unit_vector(rng, 2) for _ in range(2)]
         hs = [random_unit_vector(rng, 2) for _ in range(2)]
-        psi, report = lemma_fi_functional(np.eye(4) / 4, k=2, n=2, xs=xs, hs=hs,
-                                          check_samples=100, seed=7)
+        psi, report = lemma_fi_functional(np.eye(4) / 4, k=2, n=2, xs=xs, hs=hs)
         assert report["passed"]
         assert report["kernel_herm_defect"] <= 1e-12
 
@@ -376,22 +376,60 @@ class TestLemmaFi:
             a = sample_ppt_density(rng, spec)
             xs = [random_unit_vector(rng, 2) for _ in range(2)]
             hs = [random_unit_vector(rng, 2) for _ in range(2)]
-            psi, report = lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs,
-                                              check_samples=100, seed=8)
+            psi, report = lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs)
             assert report["min_functional_value"] >= -1e-9
             assert report["min_functional_value_after_transpose"] >= -1e-9
 
     @pytest.mark.parametrize("k,n,m", [(1, 1, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3)])
-    def test_report_equals_reference_loop(self, k, n, m):
+    def test_report_equals_exact_reference(self, k, n, m):
         rng = generator(302 + n * m)
         a = sample_ppt_density(rng, PptSetSpec(BipartiteShape(k, n)))
         xs = [random_unit_vector(rng, m) for _ in range(k)]
         hs = [random_unit_vector(rng, k) for _ in range(k)]
+        psi, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs)
+        exact = exact_functional_minima(psi, BipartiteShape(n, m))
+        reported = (report["min_functional_value"], report["min_functional_value_after_transpose"])
+        assert np.max(np.abs(np.subtract(reported, exact))) <= 1e-15
+        assert report["kernel_herm_defect"] == float(np.max(np.abs(psi - psi.conj().T)))
+        # the exact minima lie below every value the sampled check could see
         for samples in (1, 40):
-            psi, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs, check_samples=samples, seed=samples)
-            assert report == reference_functional_positivity(psi, BipartiteShape(n, m), samples, samples)
-        with pytest.raises(ContractError):
-            lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs, check_samples=0)
+            assert np.all(sampled_functional_values(psi, BipartiteShape(n, m), samples, samples) >= reported)
+
+    @pytest.mark.parametrize("k,n,m", [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 2, 2)])
+    def test_minima_obey_the_derived_bound(self, k, n, m):
+        # lambda_min(Psi) >= min(0, lambda_min A) s^2, and with A's k-side partial transpose after
+        # transposition, s = sum_j ||h_j|| ||x_j||; checked up to rounding on vectors of norm 0.5 to 2
+        rng = generator(310 + 10 * k + n * m)
+        for _ in range(25):
+            a = sample_ppt_density(rng, PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9))
+            xs = [rng.uniform(0.5, 2) * random_unit_vector(rng, m) for _ in range(k)]
+            hs = [rng.uniform(0.5, 2) * random_unit_vector(rng, k) for _ in range(k)]
+            s = sum(np.linalg.norm(h) * np.linalg.norm(x) for h, x in zip(hs, xs))
+            _, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs)
+            least = np.linalg.eigvalsh(a)[0]
+            least_pt = np.linalg.eigvalsh(partial_transpose(a, BipartiteShape(k, n), "A"))[0]
+            assert report["min_functional_value"] >= min(0.0, least) * s**2 - 1e-14 * s**2
+            assert report["min_functional_value_after_transpose"] >= min(0.0, least_pt) * s**2 - 1e-14 * s**2
+            assert report["passed"]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_passed_follows_the_scaled_bound(self, k):
+        # A = I/(kn) + (lam - 1/(kn)) P, P the projector on the product h (x) u, with lam = -0.9e-9
+        # admitted by the input check; equal h_j and equal x_j make the bound sharp:
+        # both minima are lam s^2, below a flat -1e-9 once s^2 > 1.12, yet above -1e-9 s^2
+        n, m, lam = 2, 3, -0.9e-9
+        rng = generator(320 + k)
+        h, u = random_unit_vector(rng, k), random_unit_vector(rng, n)
+        p = np.kron(np.outer(h, h.conj()), np.outer(u, u.conj()))
+        a = hermitize(np.eye(k * n) / (k * n) + (lam - 1 / (k * n)) * p)
+        x = random_unit_vector(rng, m)
+        hs, xs = [2.0 * h] * k, [1.5 * x] * k
+        s = k * 2.0 * 1.5
+        _, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs)
+        for key in ("min_functional_value", "min_functional_value_after_transpose"):
+            assert report[key] == pytest.approx(lam * s**2, rel=1e-6)
+            assert report[key] < -1e-9
+        assert report["passed"]
 
     def test_npt_input_rejected(self, singlet):
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -406,7 +444,7 @@ class TestLemmaFi:
         a = sample_ppt_density(gen, spec)
         xs = [random_unit_vector(gen, 3) for _ in range(2)]
         hs = [random_unit_vector(gen, 2) for _ in range(2)]
-        psi, _ = lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs, check_samples=10, seed=9)
+        psi, _ = lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs)
         c = complex_gaussian(gen, 6, 6)
         a4 = a.reshape(2, 2, 2, 2)
         c4 = c.reshape(2, 3, 2, 3)
@@ -438,12 +476,14 @@ class TestHierarchy:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_separable_rung_equals_the_per_mixture_loop(self, dims, monkeypatch):
         shape = BipartiteShape(*dims)
-        made = []
-        monkeypatch.setattr(choi, "generator", lambda seed: made.append(generator(seed)) or made[-1])
+        made, seeds = [], []
+        monkeypatch.setattr(choi, "generator",
+                            lambda seed: seeds.append(seed) or made.append(generator(seed)) or made[-1])
         report = hierarchy_report(shape, seed=10, separable_samples=100)
         rng = generator(10)
         random_psd(rng, shape.dim)  # the CP map's operator is drawn first
         assert report["separable_min_gamma_eig"] == reference_separable_rung(rng, shape, 100)
+        assert seeds == [10, int(rng.integers(2**32))]  # then the block test's seed
         assert np.array_equal(made[0].standard_normal(8), rng.standard_normal(8))  # same stream position
 
     def test_separable_samples_must_be_positive(self):

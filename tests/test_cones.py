@@ -715,7 +715,7 @@ def reference_commutant_cone_check(comp, samples, seed, terms, tol=1e-10):
     min_pairing = np.inf
     for x in flipped_p:
         for y in commutant_gen:
-            min_pairing = min(min_pairing, np.trace(x.conj().T @ y).real)
+            min_pairing = min(min_pairing, np.einsum("ij,ij->", x.conj(), y).real)  # Tr x^dagger y
     return {
         "generator_identity_residual": worst_residual,
         "min_cross_pairing": float(min_pairing),

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from modular_ppt.constructions import (
+    RESIDUAL_TOL,
     AnticommutatorInstance,
     construct_ppt_from_cone,
     find_anticommutator_solution,
@@ -45,7 +48,7 @@ class TestAnticommutatorSolver:
         for _ in range(5):
             inst = random_anticommutator_instance(rng, m, kind)
             assert inst is not None
-            assert inst.residual <= 1e-10
+            assert instance_residual(inst.rho, inst.f, inst.a_op) <= 1e-10
             assert np.linalg.norm(inst.a_op) == pytest.approx(1.0)
 
     def test_residual_cross_check_loop_vs_vectorized(self):
@@ -93,19 +96,20 @@ class TestAnticommutatorVerdict:
     def test_bad_residual_rejected(self):
         rng = generator(404)
         rho = np.kron(random_faithful_density(rng, 2), random_faithful_density(rng, 2))
-        bad = AnticommutatorInstance(rho=rho, f=np.array([1.0, 0.0]),
-                                     a_op=np.eye(2, dtype=complex), residual=0.5)
+        bad = AnticommutatorInstance(rho=rho, f=np.array([1.0, 0.0]), a_op=np.eye(2, dtype=complex))
+        assert instance_residual(bad.rho, bad.f, bad.a_op) > RESIDUAL_TOL
         with pytest.raises(ContractError):
             verify_anticommutator_ppt(bad)
 
     def test_forged_residual_rejected(self):
-        # the verdict recomputes the residual rather than trusting the instance's field
+        # the verdict reports the residual it computes from rho, f and A, so an instance
+        # carrying a valid state with a foreign A is caught
         rng = generator(404)
-        rho = np.kron(random_faithful_density(rng, 2), random_faithful_density(rng, 2))
-        forged = AnticommutatorInstance(rho=rho, f=np.array([1.0, 0.0]),
-                                        a_op=np.eye(2, dtype=complex), residual=0.0)
+        inst = random_anticommutator_instance(rng, 2, "product")
+        report = verify_anticommutator_ppt(inst)
+        assert 0.0 < report["residual"] == instance_residual(inst.rho, inst.f, inst.a_op) <= RESIDUAL_TOL
         with pytest.raises(ContractError):
-            verify_anticommutator_ppt(forged)
+            verify_anticommutator_ppt(replace(inst, a_op=np.eye(2, dtype=complex)))
 
     def test_product_instance_explicit(self):
         # rho_A = I/2 makes the compressed condition <f|A|f> rho_B = 0

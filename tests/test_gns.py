@@ -252,6 +252,11 @@ def ref_gaussian(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def ref_inner(x, y):
+    """Tr x^dagger y = sum_ij conj(x_ij) y_ij, as one contraction."""
+    return complex(np.einsum("ij,ij->", x.conj(), y))
+
+
 def reference_identities(ctx, samples, seed):
     """verify_modular_identities as a numpy loop over one sample at a time."""
     rng = generator(seed)
@@ -275,7 +280,7 @@ def reference_identities(ctx, samples, seed):
         bump("delta_half_j", ref_j(ctx, ref_delta(ctx, 0.5, xi)), ref_delta(ctx, 0.5, ref_j(ctx, xi)))
         bump("u_delta_flip", ref_u(ctx, ref_delta(ctx, 1.0, xi)), ref_delta(ctx, -1.0, u_xi))
     for xi, eta in zip(vecs, vecs[1:] + vecs[:1]):
-        skew = complex(np.trace(xi.conj().T @ ref_u(ctx, eta))) - complex(np.trace(ref_u(ctx, xi).conj().T @ eta))
+        skew = ref_inner(xi, ref_u(ctx, eta)) - ref_inner(ref_u(ctx, xi), eta)
         res["u_selfadjoint"] = max(res["u_selfadjoint"], abs(skew))
     for xi in vecs:
         a = ref_gaussian(rng, ctx.dim)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import modular_ppt
+from modular_ppt import gns
 from modular_ppt.cli import RunConfig, config_from_args, build_parser, main, run_command
+from modular_ppt.constructions import instance_residual, random_anticommutator_instance
 from modular_ppt.errors import ContractError
 from modular_ppt.io import (
     MatrixFileError,
@@ -210,13 +212,17 @@ class TestCliMain:
         ["choi", "--dims", "100x100"],
         ["choi", "--dims", "2x2", "--seed", "-1"],
         ["experiment", "--dims", "2x2", "--seed", str(2**32)],
-        ["hierarchy", "--dims", "2x2", "--seed", str(2**32 - 1)],  # its block test draws at seed + 1
     ], ids=["gns-verify-zero", "cone-check-zero", "negative", "gns-verify-over-cap", "experiment-over-cap",
-            "anticomm-over-cap", "choi-over-cap", "negative-seed", "seed-2^32", "hierarchy-seed-2^32-1"])
+            "anticomm-over-cap", "choi-over-cap", "negative-seed", "seed-2^32"])
     def test_exit_two_on_dims_or_seed_out_of_range(self, argv, capsys):
         assert main(argv) == 2
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic["kind"] == "ContractError" and argv[-2] in diagnostic["error"]
+
+    def test_hierarchy_runs_at_the_last_seed(self, capsys):
+        # the block test draws its seed from the report's generator, so every seed below 2^32 runs
+        assert main(["hierarchy", "--dims", "2x2", "--seed", str(2**32 - 1), "--samples", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_exit_two_on_malformed_shape_field(self, tmp_path, capsys):
         path = tmp_path / "noshape.json"
@@ -265,6 +271,26 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic == {"error": "routes disagree", "kind": "ConsistencyError"}
 
+    @pytest.mark.parametrize("route", ["natural-cone", "pn-intersection"])
+    def test_exit_three_on_cone_route_disagreement(self, route, capsys, monkeypatch):
+        # force one route of each two-route membership test to the wrong side, clear of the boundary
+        from modular_ppt import cones
+        from modular_ppt.errors import ConsistencyError
+
+        comp = cones.build_composite(*(gns.build_gns(random_faithful_density(generator(5), 2)) for _ in "ab"))
+        if route == "natural-cone":
+            monkeypatch.setattr(cones, "v_beta_membership",
+                                lambda ctx, beta, xi, tol: cones.MembershipVerdict(inside=False, certificate=-1.0))
+            with pytest.raises(ConsistencyError, match="natural-cone routes disagree"):
+                cones.natural_cone_membership(comp.joint, comp.joint.omega)
+        else:
+            monkeypatch.setattr(cones, "_gamma_min", lambda *args: -1.0)
+            with pytest.raises(ConsistencyError, match="PPT-cone routes disagree"):
+                cones.pn_intersection_membership(comp, comp.joint.omega)
+        assert main(["construct", "--dims", "2x2"]) == 3
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ConsistencyError" and "routes disagree" in diagnostic["error"]
+
     def test_exit_zero_on_composite_with_large_delta_images(self, capsys):
         # the Delta images of this seed's states reach a rounding residual of 1.1e-10
         assert main(["experiment", "--dims", "3x3", "--seed", "79020364", "--samples", "1"]) == 0
@@ -308,6 +334,47 @@ class TestCliMain:
         assert main(["cone-check", "--dims", "2"]) == 1
         body = json.loads(capsys.readouterr().out)
         assert body["failure"] == "duality[1]"
+
+    @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2", "--samples", "10"],
+                                      ["anticomm", "--dims", "2x2", "--samples", "8"]],
+                             ids=["cone-check", "anticomm"])
+    def test_exit_zero_with_byte_identical_bodies(self, argv, capsys):
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert json.loads(first)["passed"] is True
+
+    def test_cone_check_reads_its_membership_tolerance(self, capsys, monkeypatch):
+        from modular_ppt import cones
+
+        seen = []
+        for name in ("duality_check", "u_maps_cones"):
+            check = getattr(cones, name)
+            monkeypatch.setattr(cones, name,
+                                lambda *args, check=check, **kw: seen.append(kw["tol"]) or check(*args, **kw))
+        assert main(["cone-check", "--dims", "2", "--samples", "5", "--tol", "membership=1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == {"membership": 1e-9}
+        assert seen == [1e-9] * 10
+        seen.clear()
+        assert main(["cone-check", "--dims", "2", "--samples", "5"]) == 0
+        assert seen == [cones.DEFAULT_TOL] * 10
+
+    def test_anticomm_counts_its_instances(self, capsys):
+        assert main(["anticomm", "--dims", "2x3", "--samples", "8"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["instances"] == 8 and results["falsifications"] == 0
+        rng = generator(0)
+        kinds = ("product", "block_diag", "herm_offdiag", "antiherm_offdiag")
+        instances = [random_anticommutator_instance(rng, 3, kinds[k % 4]) for k in range(8)]
+        residuals = [instance_residual(inst.rho, inst.f, inst.a_op) for inst in instances]
+        assert 0.0 < results["max_instance_residual"] == max(residuals) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2x2"], ["anticomm", "--dims", "3x2"]],
+                             ids=["cone-check-bipartite", "anticomm-not-a-qubit"])
+    def test_exit_two_on_the_wrong_split(self, argv, capsys):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["kind"] == "ContractError"
 
     def test_tol_override_parsing(self):
         parser = build_parser()

@@ -296,18 +296,14 @@ class TestMatSqrtPsd:
 
 class TestRequireCount:
     @pytest.mark.parametrize("samples", [0, -1])
-    @pytest.mark.parametrize("check", ["duality_check", "u_maps_cones", "stormer_block_test",
-                                       "lemma_fi_functional"])
+    @pytest.mark.parametrize("check", ["duality_check", "u_maps_cones", "stormer_block_test"])
     def test_sampled_check_rejects_no_samples(self, check, samples):
         # with no sample these checks would report a minimum over nothing, +inf, as a pass
         ctx = build_gns(random_faithful_density(generator(5), 3))
-        units = [[1.0, 0.0], [0.0, 1.0]]
         calls = {
             "duality_check": lambda: cones.duality_check(ctx, 0.25, samples=samples),
             "u_maps_cones": lambda: cones.u_maps_cones(ctx, 0.25, samples=samples),
             "stormer_block_test": lambda: choi.stormer_block_test(choi.identity_map_table(2), samples=samples),
-            "lemma_fi_functional": lambda: choi.lemma_fi_functional(np.eye(4) / 4, 2, 2, units, units,
-                                                                    check_samples=samples),
         }
         with pytest.raises(ContractError, match=f"samples must be >= 1, got {samples}"):
             calls[check]()
