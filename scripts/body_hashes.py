@@ -36,6 +36,8 @@ CONFIGS = (
     *(("experiment", "--dims", "3x3", "--seed", str(s)) for s in range(2, 5)),
     ("experiment", "--dims", "2x4", "--seed", "0"),
     ("experiment", "--dims", "3x3", "--seed", "4", "--samples", "300"),  # has a snapped sample
+    # 14 counterexamples on both sides of sample 256, of which 10 are reported
+    ("experiment", "--dims", "2x2", "--seed", "3", "--samples", "300"),
     ("construct", "--dims", "2x2"),
     ("construct", "--dims", "2x3"),
     ("construct", "--dims", "3x3"),

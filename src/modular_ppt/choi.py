@@ -8,9 +8,9 @@ with every PPT state.  ``dual_pairing_test`` decides that pairing from the
 certified bracket of ``optim.min_trace_over_ppt``: it hands back either the
 decomposition H = h1 + h2^Gamma read off the solver's dual, or a PPT state
 that pairs negatively with H, or says that the bracket left it undecided;
-it samples no state.  ``stormer_block_test`` takes each chunk of
-``optim._sample_stacks`` as one stack (one product and one spectrum call
-per chunk), and the positivity report of ``lemma_fi_functional`` gives the
+it samples no state.  ``stormer_block_test`` projects all its sampled
+inputs as one Dykstra stack (one product and one spectrum call for the
+whole stack), and the positivity report of ``lemma_fi_functional`` gives the
 exact minima of its functional over states, two eigenvalues, not a minimum
 over sampled states.  The generalized Choi maps of Cho, Kye & Lee
 (1992), whose positivity and decomposability are known in closed form, pin
@@ -37,7 +37,7 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-from .optim import PptSetSpec, _sample_stacks, min_trace_over_ppt
+from .optim import PptSetSpec, _dykstra, _seedlings, min_trace_over_ppt
 from .rand import SEED_LIMIT, _factor_draws, _unit_trace_gram, generator, random_psd
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's verdicts: lower bound >= -tol, or value < -tol
@@ -202,12 +202,10 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     n, m = t.dim_in, t.dim_out
     # inputs sampled one decade tighter than the -1e-8 output verdict
     in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
-    min_eig = np.inf
-    for a, *_ in _sample_stacks(rng, in_spec, samples):
-        out = np.einsum("xsirj,ijkl->xskrl", a.reshape(-1, k, n, k, n), t.blocks)
-        w = np.linalg.eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))
-        min_eig = min(min_eig, float(np.min(w[:, 0])))
-    return {"k": k, "samples": samples, "min_output_eigenvalue": float(min_eig),
+    a = _dykstra(_seedlings(rng, in_spec, samples), in_spec)[0]
+    out = np.einsum("xsirj,ijkl->xskrl", a.reshape(-1, k, n, k, n), t.blocks)
+    min_eig = float(np.min(np.linalg.eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))[:, 0]))
+    return {"k": k, "samples": samples, "min_output_eigenvalue": min_eig,
             "passed": bool(min_eig >= -1e-8)}
 
 

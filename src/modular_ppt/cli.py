@@ -9,6 +9,9 @@ names the offending residual), 2 input or contract error, 3 a numerical
 computation failed: two independent computation routes disagreed
 (ConsistencyError) or a LAPACK routine did not converge (LinAlgError).
 For 2 and 3 a JSON diagnostic object is emitted instead of a report.
+Exit 2 comes before anything is drawn for a bad --tol, --seed, --samples
+or --dims, and for samples * N^2 over linalg.MAX_STACK_ENTRIES on the
+commands that stack --samples N x N matrices (READS).
 
 ``minimize`` reports a certified bracket of min Tr(DH) over PPT states:
 ``value`` (Tr(DH) at a PPT state, whose diagonal is ``minimizer_diag``),
@@ -208,14 +211,16 @@ def run_anticomm(cfg: RunConfig) -> tuple[dict, bool]:
         inst = constructions.random_anticommutator_instance(rng, shape.dim_b, kinds[k % len(kinds)])
         if inst is not None:
             reports.append(constructions.verify_anticommutator_ppt(inst))
-    falsified = sum(rep["falsified"] for rep in reports)
+    falsified = [rep for rep in reports if rep["falsified"]]
     body = {
         "instances": len(reports),
-        "falsifications": falsified,
+        "falsifications": len(falsified),
         "min_gamma_eig": float(min((rep["min_gamma_eig"] for rep in reports), default=np.inf)),
         "max_instance_residual": max((rep["residual"] for rep in reports), default=0.0),
-        "passed": falsified == 0 and len(reports) == cfg.samples,
+        "passed": not falsified and len(reports) == cfg.samples,
     }
+    if falsified:  # the first 10, each with its serialized instance (rho, f, A)
+        body["falsified_instances"] = [{**rep, "passed": False} for rep in falsified[:10]]
     return body, bool(body["passed"])
 
 
@@ -241,8 +246,11 @@ RUNNERS = {
     "experiment": run_experiment,
     "hierarchy": run_hierarchy,
 }
-# the --in, --iters and --tol settings each command reads; run_command rejects any other that is set
-READS = {"cone-check": ("--tol membership",), "ppt-check": ("--in", "--tol psd"), "minimize": ("--in", "--iters")}
+# the --in, --iters and --tol settings each command reads; run_command rejects any other that is set.
+# --samples is listed where it sizes a stack of N x N matrices, whose entries config_from_args budgets
+READS = {"gns-verify": ("--samples",), "cone-check": ("--samples", "--tol membership"),
+         "ppt-check": ("--in", "--tol psd"), "minimize": ("--in", "--iters"),
+         "experiment": ("--samples",), "hierarchy": ("--samples",)}
 
 
 def run_command(cfg: RunConfig) -> tuple[int, dict]:
@@ -311,6 +319,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if not 0 <= args.seed < rand.SEED_LIMIT:
         raise ContractError(f"--seed must lie in [0, 2^32), got {args.seed}")
     dims = _parse_dims(args.dims) if args.dims else None
+    if dims and "--samples" in READS.get(args.command, ()):
+        dim = math.prod(dims) if isinstance(dims, tuple) else dims
+        if args.samples * dim * dim > linalg.MAX_STACK_ENTRIES:
+            raise ContractError(f"--samples {args.samples} at --dims {args.dims} stacks samples * N^2 ="
+                                f" {args.samples * dim * dim} entries, over the cap {linalg.MAX_STACK_ENTRIES}")
     return RunConfig(
         command=args.command, seed=args.seed, dims=dims, samples=args.samples,
         iters=args.iters, tol=tol, in_path=args.in_path, out_path=args.out_path,

@@ -4,8 +4,9 @@ Three things live here: the dim-2 anticommutator criterion (vanishing of
 <f (x) y, {A (x) 1, rho} f (x) y> for all y forces the block transpose of
 rho to stay positive), the recipe that manufactures PPT states from
 cone-intersection vectors, and an exploratory harness probing how PPT-ness
-of a state relates to PPT-ness of its square root.  The harness tallies
-and reports; it never asserts an answer to the open correspondence.
+of a state relates to PPT-ness of its square root.  The harness projects
+its sampled states as one Dykstra stack, then tallies and reports; it
+never asserts an answer to the open correspondence.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .linalg import (
     require_count,
     require_density,
 )
-from .optim import PptSetSpec, _sample_stacks, sample_ppt_density
+from .optim import PptSetSpec, _dykstra, _seedlings, sample_ppt_density
 from .rand import complex_gaussian, generator, random_faithful_density
 
 SOLUTION_SV_THRESHOLD = 1e-9
@@ -220,8 +221,8 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     of D^{1/2}, runs the always-true control (the flip unitary realizes
     the full transpose at the state level), and measures how far
     (1 (x) U_B) acts like a partial transpose on the state of the cone
-    vector of D.  Only tallies and residuals are reported; each chunk of
-    sampled states runs as one stack.
+    vector of D.  Only tallies and residuals are reported; the sampled
+    states run as one stack.
 
     Returns (report, tallies): ``report`` is the ``experiment`` command's
     results, ``tallies`` the sampler's ``dykstra_*`` counters, which stay
@@ -235,29 +236,22 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     joint = comp.joint
     spec = PptSetSpec(shape)
 
-    counts = {"ppt_and_sqrt_ppt": 0, "ppt_and_sqrt_npt": 0, "input_not_ppt": 0}
-    counterexamples = []
-    controls, probes, chunks = [], [], []
-    for d_raw, *chunk in _sample_stacks(rng, spec, samples):
-        chunks.append(chunk)
-        d = _project_psd(d_raw)
-        d = d / np.trace(d, axis1=-2, axis2=-1).real[:, None, None]
-        ppt = _gamma_min(d, shape) >= -1e-7
-        counts["input_not_ppt"] += int(np.sum(~ppt))
-        d = d[ppt]
-        root = _mat_sqrt_psd(d)
-        root_gamma_min = _gamma_min(root, shape)
-        npt = root_gamma_min < -RESIDUAL_TOL
-        counts["ppt_and_sqrt_ppt"] += int(np.sum(~npt))
-        counts["ppt_and_sqrt_npt"] += int(np.sum(npt))
-        for i in np.flatnonzero(npt)[:10 - len(counterexamples)]:
-            counterexamples.append({"d_re": d[i].real.tolist(), "d_im": d[i].imag.tolist(),
-                                    "sqrt_gamma_min_eig": float(root_gamma_min[i])})
-        xi = GnsVector(root, joint)  # the natural-cone vector of each d is its PSD root
-        controls.append(np.max(np.abs(density_of(apply_u(joint, xi)) - _flip(joint, d)), axis=(1, 2)))
-        eigen_pt = one_otimes_ub(comp, GnsVector(d, joint)).mat  # d^Gamma in rho_B's eigenbasis
-        probes.append(np.max(np.abs(density_of(one_otimes_ub(comp, xi)) - eigen_pt), axis=(1, 2)))
-    controls, probes = np.concatenate(controls), np.concatenate(probes)
+    d, sweeps, snapped, residual = _dykstra(_seedlings(rng, spec, samples), spec)
+    d = _project_psd(d)
+    d = d / np.trace(d, axis1=-2, axis2=-1).real[:, None, None]
+    ppt = _gamma_min(d, shape) >= -1e-7
+    d = d[ppt]
+    root = _mat_sqrt_psd(d)
+    root_gamma_min = _gamma_min(root, shape)
+    npt = root_gamma_min < -RESIDUAL_TOL
+    counts = {"ppt_and_sqrt_ppt": int(np.sum(~npt)), "ppt_and_sqrt_npt": int(np.sum(npt)),
+              "input_not_ppt": int(np.sum(~ppt))}
+    counterexamples = [{"d_re": d[i].real.tolist(), "d_im": d[i].imag.tolist(),
+                        "sqrt_gamma_min_eig": float(root_gamma_min[i])} for i in np.flatnonzero(npt)[:10]]
+    xi = GnsVector(root, joint)  # the natural-cone vector of each d is its PSD root
+    controls = np.max(np.abs(density_of(apply_u(joint, xi)) - _flip(joint, d)), axis=(1, 2))
+    eigen_pt = one_otimes_ub(comp, GnsVector(d, joint)).mat  # d^Gamma in rho_B's eigenbasis
+    probes = np.max(np.abs(density_of(one_otimes_ub(comp, xi)) - eigen_pt), axis=(1, 2))
     control_failures = int(np.sum(controls > 1e-10))
     report = {
         "samples": samples,
@@ -272,7 +266,6 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
         },
         "passed": control_failures == 0,
     }
-    sweeps, snapped, residual = (np.concatenate(a) for a in zip(*chunks))
     tallies = {
         "dykstra_sweeps": int(np.sum(sweeps)),
         "dykstra_sweeps_p90": int(np.percentile(sweeps, 90, method="inverted_cdf")),  # nearest rank

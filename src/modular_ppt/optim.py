@@ -24,9 +24,11 @@ independent problems of shape (k, n, n); a single matrix is a stack of
 one.  Every sample keeps its own stopping rules, its own entry in the
 sweep, snap and residual arrays returned with the stack, and the same
 bits as when projected alone.  ``project_ppt`` and ``sample_ppt_density``
-project a stack of one, and ``_sample_stacks`` projects its samples in
-stacks of SAMPLE_CHUNK.  ``min_trace_over_ppt`` solves one problem, from
-one start at I/n, on single matrices.
+project a stack of one; ``constructions.sqrt_ppt_experiment`` and
+``choi.stormer_block_test`` project all their k seedlings as one stack,
+``_dykstra(_seedlings(rng, spec, k), spec)``, whose size the CLI bounds
+(``linalg.MAX_STACK_ENTRIES``).  ``min_trace_over_ppt`` solves one
+problem, from one start at I/n, on single matrices.
 
 Dykstra's iterates are exactly Hermitian: after the input is hermitized,
 each is a sum or difference of Hermitian matrices, a partial transpose of
@@ -48,7 +50,6 @@ other sample takes the same exact check as before, one matrix at a time.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,7 +81,6 @@ __all__ = [
     "sample_ppt_density",
 ]
 
-SAMPLE_CHUNK = 256  # samples projected together by _sample_stacks
 MAX_SWEEPS = 5000  # Dykstra sweeps before a sample stops (and is snapped if still infeasible)
 SCREEN_MARGIN = 1e-12  # slack of _dykstra's screen, far above the n * eps * ||x|| rounding of its bounds
 GAP_TOL = 1e-7  # min_trace_over_ppt stops at a certified gap below GAP_TOL * ||h||_F
@@ -260,7 +260,8 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _seedlings(rng: np.random.Generator, spec: PptSetSpec, k: int) -> np.ndarray:
-    """A stack of k trace-one Hermitian matrices in random directions."""
+    """A stack of k trace-one Hermitian matrices in random directions: the
+    seedlings of k ``sample_ppt_density`` calls, from the same stream."""
     n = spec.shape.dim
     seedlings = hermitize(complex_gaussians(rng, k, n, n))
     seedlings /= _norms(seedlings)[:, None, None]
@@ -272,20 +273,6 @@ def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray
     """Random PPT state: Dykstra projection of a trace-one Hermitian sample."""
     out, _ = project_ppt(_seedlings(rng, spec, 1)[0], spec)
     return out
-
-
-def _sample_stacks(rng: np.random.Generator, spec: PptSetSpec, k: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The k states that k calls to ``sample_ppt_density`` return, one
-    chunk at a time, each as the ``_dykstra`` tuple (stack, sweeps,
-    snapped, residual).
-
-    Seedlings are drawn from ``rng`` in the same order, SAMPLE_CHUNK at a
-    time, and each chunk is projected as one stack, so memory is bounded
-    for any k.  Each chunk is drawn when iteration reaches it: draw nothing
-    else from ``rng`` while iterating.
-    """
-    for start in range(0, k, SAMPLE_CHUNK):
-        yield _dykstra(_seedlings(rng, spec, min(SAMPLE_CHUNK, k - start)), spec)
 
 
 def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | None = None,

@@ -315,7 +315,7 @@ def reference_stormer_block_test(t, k, samples, seed):
 
 
 class TestStackedSampleConsumers:
-    """The Størmer test takes the sampler's chunks as stacks and reports what
+    """The Størmer test takes its sampled inputs as one stack and reports what
     a loop over single draws reports.  dual_pairing_test samples no state: it
     has one certified route, and keeps the ``samples`` and ``optimizer``
     keywords only because the benchmark passes them (TestPairingVerdicts)."""
@@ -329,7 +329,7 @@ class TestStackedSampleConsumers:
                 reference_stormer_block_test(t, k, samples, k)
 
     def test_stormer_across_a_chunk(self):
-        assert 300 > optim.SAMPLE_CHUNK
+        # 300 samples: past the 256-sample chunks the sampler once projected in
         t = transposition_map_table(2)
         assert stormer_block_test(t, k=2, samples=300, seed=6) == reference_stormer_block_test(t, 2, 300, 6)
 

@@ -520,7 +520,8 @@ class TestSeparableDistance:
         # only to tol_feas, so a 1e-6 blend with the identity makes each state PPT
         comp = composite(*dims)
         n = comp.shape.dim
-        [(states, *_)] = optim._sample_stacks(generator(74), PptSetSpec(comp.shape), 3)
+        spec = PptSetSpec(comp.shape)
+        states = optim._dykstra(optim._seedlings(generator(74), spec, 3), spec)[0]
         for d in states:
             d = (1 - 1e-6) * d + 1e-6 * np.eye(n) / n
             bound, approx, info = separable_cone_distance(comp, unit_vector_of(comp, d), seed=75)

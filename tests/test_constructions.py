@@ -256,7 +256,7 @@ class TestStackedSqrtExperiment:
         ((2, 2), 40, 0),   # 3 counterexamples
         ((2, 3), 40, 1),   # 1 counterexample
         ((3, 3), 80, 0),   # 9 counterexamples
-        ((2, 2), optim.SAMPLE_CHUNK + 44, 3),  # two sampler chunks, 14 counterexamples: the first 10 are kept
+        ((2, 2), 300, 3),  # 14 counterexamples: the first 10 are kept
     ])
     def test_fields_equal_the_per_sample_loop(self, dims, samples, seed):
         shape = BipartiteShape(*dims)

@@ -313,6 +313,54 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic["kind"] == "ContractError" and "--samples" in diagnostic["error"]
 
+    @pytest.mark.parametrize("argv,kind,names", [
+        (["cone-check", "--dims", "2", "--tol", "membership"], "ContractError", "KEY=VAL"),
+        (["ppt-check", "--dims", "2x2"], "ContractError", "--in"),
+        (["minimize", "--dims", "2x2"], "ContractError", "--in"),
+        (["gns-verify"], "ContractError", "--dims"),
+        (["minimize", "--in", "UNSPLIT"], "ContractError", "--dims"),
+        (["construct", "--dims", "10x9"], "ShapeError", "cap 81"),
+    ], ids=["tol-without-equals", "ppt-check-without-in", "minimize-without-in", "gns-verify-without-dims",
+            "minimize-without-split", "construct-over-joint-cap"])
+    def test_exit_two_names_the_missing_or_bad_input(self, argv, kind, names, tmp_path, swap22, capsys):
+        path = str(tmp_path / "unsplit.json")
+        save_matrix(swap22, path, kind="hermitian")  # no shape field
+        assert main([path if arg == "UNSPLIT" else arg for arg in argv]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == kind and names in diagnostic["error"]
+
+    @pytest.mark.parametrize("argv,admitted", [
+        (["gns-verify", "--dims", "4096", "--samples", "1"], False),
+        (["gns-verify", "--dims", "4096"], False),
+        (["gns-verify", "--dims", "64", "--samples", "512"], True),
+        (["gns-verify", "--dims", "64", "--samples", "513"], False),
+        (["cone-check", "--dims", "145"], False),
+        (["experiment", "--dims", "3x3", "--samples", "25890"], True),
+        (["experiment", "--dims", "3x3", "--samples", "25891"], False),
+        (["experiment", "--dims", "2x2", "--samples", "131072"], True),
+        (["hierarchy", "--dims", "2x2", "--samples", "131073"], False),
+        (["anticomm", "--dims", "2x2048", "--samples", "1000000"], True),  # builds one instance at a time
+        (["choi", "--dims", "64x64", "--samples", "1000000"], True),  # reads no --samples
+    ], ids=["gns-verify-4096-one-sample", "gns-verify-4096", "gns-verify-64-at-cap", "gns-verify-64-over",
+            "cone-check-145", "experiment-3x3-at-cap", "experiment-3x3-over", "experiment-2x2-at-cap",
+            "hierarchy-2x2-over", "anticomm-not-budgeted", "choi-not-budgeted"])
+    def test_config_budgets_the_sample_stacks(self, argv, admitted):
+        # config_from_args allocates nothing, so over-budget configurations are safe to check here
+        args = build_parser().parse_args(argv)
+        if admitted:
+            assert config_from_args(args).samples == args.samples
+        else:
+            with pytest.raises(ContractError, match="--samples .* at --dims"):
+                config_from_args(args)
+
+    def test_exit_two_on_a_stack_over_budget(self, capsys):
+        for argv in (["gns-verify", "--dims", "4096"], ["experiment", "--dims", "3x3", "--samples", "25891"]):
+            assert main(argv) == 2
+            diagnostic = json.loads(capsys.readouterr().out)
+            assert diagnostic["kind"] == "ContractError"
+            assert "--samples" in diagnostic["error"] and "--dims" in diagnostic["error"]
+            assert str(modular_ppt.linalg.MAX_STACK_ENTRIES) in diagnostic["error"]
+
     def test_exit_three_on_lapack_failure(self, capsys, monkeypatch):
         from modular_ppt import cli as cli_mod
 
@@ -334,6 +382,38 @@ class TestCliMain:
         assert main(["cone-check", "--dims", "2"]) == 1
         body = json.loads(capsys.readouterr().out)
         assert body["failure"] == "duality[1]"
+
+    def test_exit_one_names_a_failing_residual_suite(self, capsys, monkeypatch):
+        verify = gns.verify_modular_identities
+        monkeypatch.setattr(gns, "verify_modular_identities",
+                            lambda *args, **kw: {**verify(*args, **kw), "passed": False})
+        assert main(["gns-verify", "--dims", "2", "--samples", "5"]) == 1
+        body = json.loads(capsys.readouterr().out)
+        assert body["failure"] == "residuals" and body["results"]["residuals"]["passed"] is False
+
+    def test_exit_one_names_a_failing_bool(self, capsys, monkeypatch):
+        from modular_ppt import choi
+
+        to_table = choi.map_from_choi
+        monkeypatch.setattr(choi, "map_from_choi", lambda h, shape: to_table(2 * h, shape))
+        assert main(["choi", "--dims", "2x2"]) == 1
+        body = json.loads(capsys.readouterr().out)
+        assert body["failure"] == "round_trip_bit_exact" and body["results"]["round_trip_bit_exact"] is False
+
+    def test_anticomm_ships_its_falsified_instances(self, capsys, monkeypatch):
+        from modular_ppt import constructions
+
+        monkeypatch.setattr(constructions, "_gamma_min", lambda *args: np.float64(-1.0))
+        assert main(["anticomm", "--dims", "2x2", "--samples", "12"]) == 1
+        body = json.loads(capsys.readouterr().out)
+        results = body["results"]
+        assert body["failure"] == "falsified_instances[0]"
+        assert results["falsifications"] == 12 and len(results["falsified_instances"]) == 10
+        for entry in results["falsified_instances"]:
+            inst = {key: np.array(entry["instance"][key + "_re"]) + 1j * np.array(entry["instance"][key + "_im"])
+                    for key in ("rho", "f", "a")}
+            assert instance_residual(inst["rho"], inst["f"], inst["a"]) == entry["residual"]
+            assert entry["min_gamma_eig"] == -1.0 and entry["falsified"] and entry["passed"] is False
 
     @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2", "--samples", "10"],
                                       ["anticomm", "--dims", "2x2", "--samples", "8"]],
@@ -461,6 +541,14 @@ class TestCliMain:
             assert main(["ppt-check", "--in", path, "--dims", "2x2", *tol]) == 0
             verdicts.append(json.loads(capsys.readouterr().out)["results"]["ppt"])
         assert verdicts == [True, False]
+
+    def test_minimize_zero_operator(self, tmp_path, capsys):
+        path = str(tmp_path / "zero.json")
+        save_matrix(np.zeros((4, 4)), path, kind="hermitian", shape=BipartiteShape(2, 2))
+        assert main(["minimize", "--in", path]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["value"] == results["lower_bound"] == results["gap"] == 0.0 and results["converged"]
+        assert results["minimizer_diag"] == [0.25] * 4
 
     def test_minimize_swap_value(self, tmp_path, swap22, capsys):
         path = str(tmp_path / "swap.json")

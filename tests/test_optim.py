@@ -120,6 +120,13 @@ class TestMinTrace:
         assert value == pytest.approx(1.0, abs=1e-12)
         assert trace.lower_bound <= value and trace.gap <= 1e-12 and trace.converged
 
+    def test_zero_operator(self, spec22):
+        # every state is a minimizer: the bracket is [0, 0] with no check, and the state is I/n
+        value, minimizer, trace = min_trace_over_ppt(np.zeros((4, 4)), spec22)
+        assert value == trace.lower_bound == trace.gap == 0.0
+        assert trace.converged and trace.checks == 0
+        assert np.array_equal(minimizer, np.eye(4) / 4)
+
     def test_swap_target(self, swap22, spec22):
         value, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=1500)
         assert trace.lower_bound <= 0.0 <= value + 1e-12
@@ -156,7 +163,8 @@ class TestMinTrace:
         assert_feasible_state(minimizer, spec)
         # sampled states are feasible to tol_feas, so they may undercut the bound by that much
         slack = spec.tol_feas * spec.shape.dim * np.linalg.norm(h)
-        pairings = [np.trace(d @ h).real for states, *_ in optim._sample_stacks(rng, spec, 200) for d in states]
+        states = optim._dykstra(optim._seedlings(rng, spec, 200), spec)[0]
+        pairings = [np.trace(d @ h).real for d in states]
         assert min(pairings) >= trace.lower_bound - slack
 
     def test_value_is_scale_invariant(self, spec22):
@@ -349,9 +357,9 @@ class TestStackedDykstra:
 
     def test_densities_match_single_draws_across_a_chunk(self):
         spec = PptSetSpec(BipartiteShape(2, 2))
-        k = optim.SAMPLE_CHUNK + 3
+        k = 259  # past the 256-sample chunks the sampler once projected in
         stacked_rng, single_rng = generator(311), generator(311)
-        stacked = [d for states, *_ in optim._sample_stacks(stacked_rng, spec, k) for d in states]
+        stacked = list(optim._dykstra(optim._seedlings(stacked_rng, spec, k), spec)[0])
         single = [sample_ppt_density(single_rng, spec) for _ in range(k)]
         assert len(stacked) == k
         assert all(np.array_equal(a, b) for a, b in zip(stacked, single))
