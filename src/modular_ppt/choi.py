@@ -5,12 +5,12 @@ The block table {B_ij = S_H(E_ij)} and H = sum_ij E_ij (x) B_ij are exact
 inverses (pure reindexing, bit-exact).  A map is decomposable (CP + CP
 composed with transposition) exactly when its operator pairs nonnegatively
 with every PPT state.  ``dual_pairing_test`` decides that pairing from the
-certified bracket of ``optim.min_trace_over_ppt``: it hands back either the
-decomposition H = h1 + h2^Gamma read off the solver's dual, or a PPT state
-that pairs negatively with H, or says that the bracket left it undecided;
-it samples no state.  ``stormer_block_test`` projects all its sampled
-inputs as one Dykstra stack (one product and one spectrum call for the
-whole stack), and the positivity report of ``lemma_fi_functional`` gives the
+certified bracket of ``optim.min_trace_over_ppt``, stopped at the first
+certified sign: it hands back either the decomposition H = h1 + h2^Gamma
+read off the solver's dual, or a PPT state that pairs negatively with H, or
+says that the bracket left it undecided; it samples no state.
+``stormer_block_test`` projects all its sampled inputs as one Dykstra stack
+(one product and one spectrum call for the whole stack), and the positivity report of ``lemma_fi_functional`` gives the
 exact minima of its functional over states, two eigenvalues, not a minimum
 over sampled states.  The generalized Choi maps of Cho, Kye & Lee
 (1992), whose positivity and decomposability are known in closed form, pin
@@ -41,7 +41,7 @@ from .optim import PptSetSpec, _dykstra, _seedlings, min_trace_over_ppt
 from .rand import SEED_LIMIT, _factor_draws, _unit_trace_gram, generator, random_psd
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's verdicts: lower bound >= -tol, or value < -tol
-OPT_ITERS = 300  # ADMM iterations of dual_pairing_test's solve
+OPT_ITERS = 300  # ADMM iteration cap of dual_pairing_test's solve
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,14 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed
     """Does h pair nonnegatively with every PPT state, i.e. is S_h decomposable?
 
     The verdict comes from the certified bracket of ``min_trace_over_ppt``
-    alone, run for OPT_ITERS iterations; no state is sampled.
+    alone; no state is sampled.  The solve asks only for the sign: it stops
+    at the first exact check whose bracket excludes [-VERDICT_TOL,
+    VERDICT_TOL], and otherwise at a closed gap or after OPT_ITERS
+    iterations.  The bounds are monotone, so the verdict is the one a
+    gap-closing solve would give, but the bracket is in general wider.
     ``min_pairing`` is ``optimizer_value``, next to ``optimizer_lower_bound``
-    and ``optimizer_gap``.  ``verdict`` is
+    and ``optimizer_gap``; ``optimizer_iterations`` and ``optimizer_checks``
+    count the solver's iterations and exact checks.  ``verdict`` is
 
     - "decomposable" when the lower bound s >= -VERDICT_TOL.  ``decomposition``
       is DecomposableWitness(h1 = h - Q^Gamma, h2 = Q^T) from the solver's
@@ -162,7 +167,8 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed
       so its ``.h`` reproduces h;
     - "not_decomposable" when the value < -VERDICT_TOL.  ``ppt_state`` is the
       solver's minimizer D, a PPT state with Tr(D h) < 0;
-    - "undecided" otherwise: the gap did not close in OPT_ITERS iterations.
+    - "undecided" otherwise: the bracket still straddles the tolerance
+      after OPT_ITERS iterations.
 
     The one of ``decomposition`` and ``ppt_state`` that the verdict does not
     name is None.  ``samples``, ``seed`` and ``optimizer`` remain only
@@ -173,10 +179,17 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed
     h = require_hermitian(require_bipartite(h, shape))
     if not optimizer:
         raise ContractError("dual_pairing_test has no sampling route; it decides from the certified bracket")
-    spec = PptSetSpec(shape)
-    value, minimizer, trace = min_trace_over_ppt(h, spec, iters=OPT_ITERS)
+    return _pairing_report(h, shape, VERDICT_TOL)
+
+
+def _pairing_report(h: np.ndarray, shape: BipartiteShape, sign_tol: float | None) -> dict:
+    """The report of ``dual_pairing_test`` on a checked h, from a solve that
+    stops at the first bracket excluding [-sign_tol, sign_tol] or, with
+    None, only at a closed gap (``hierarchy_report``'s full bracket)."""
+    value, minimizer, trace = min_trace_over_ppt(h, PptSetSpec(shape), iters=OPT_ITERS, _sign_tol=sign_tol)
     report = {"optimizer_value": float(value), "optimizer_lower_bound": trace.lower_bound,
-              "optimizer_gap": trace.gap, "min_pairing": float(value), "verdict": "undecided",
+              "optimizer_gap": trace.gap, "optimizer_iterations": trace.iterates,
+              "optimizer_checks": trace.checks, "min_pairing": float(value), "verdict": "undecided",
               "decomposition": None, "ppt_state": None}
     if trace.lower_bound >= -VERDICT_TOL:
         q = trace.dual
@@ -263,9 +276,10 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     (d) the singlet is not PPT;
     (e) the 3x3 Choi map Phi[2,0,1] is positive but not decomposable.  Its
         positivity rests on the Cho-Kye-Lee theorem, not on sampling;
-        ``dual_pairing_test`` certifies a PPT state D with
-        Tr(D C) < 0, which is therefore entangled (the bracket and verdict
-        are reported).
+        ``dual_pairing_test``'s solve, run here until the gap closes,
+        certifies a PPT state D with Tr(D C) < 0, which is therefore
+        entangled (the bracket, near 1 - 2/sqrt(3), and the verdict are
+        reported).
     """
     require_count(separable_samples, "separable_samples")
     rng = generator(seed)
@@ -292,7 +306,7 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
         "separable_min_gamma_eig": float(min_sep_gamma),
         "singlet_gamma_min_eig": singlet_gamma_min,
     }
-    choi_map = dual_pairing_test(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3))
+    choi_map = _pairing_report(choi_from_map(generalized_choi_map(2, 0, 1)), BipartiteShape(3, 3), None)
     report.update({
         "choi_map_value": choi_map["optimizer_value"],
         "choi_map_lower_bound": choi_map["optimizer_lower_bound"],

@@ -12,12 +12,17 @@ eigendecompositions per iteration, no nested projection) and returns a
 certified bracket: the value of a feasible state above, and below a dual
 bound from a decomposition h - s I = P + Q^Gamma with P, Q PSD, the
 decomposable-witness side of the duality.  It is the executable form of
-the dual-cone pairing test.  Its exact check of the bracket runs every
-CHECK_EVERY iterations and, between those, wherever a screen of a few
-inner products (Rayleigh-Ritz and Weyl bounds on the check's two
-eigenvalues, with eigenvectors kept from the last check) cannot prove
-that the gap stays open; the screen changes no iterate, so the loop never
-stops later than with the scheduled checks alone.
+the dual-cone pairing test.  The loop has two stop rules: a gap below
+GAP_TOL * ||h||_F, which ``minimize`` asks for, and, chosen by the private
+keyword ``_sign_tol``, a bracket that excludes [-tol, tol], which is all
+that ``choi.dual_pairing_test`` needs to decide the sign of the minimum;
+with ``_sign_tol=None`` only the gap rule applies.  Its exact check of the
+bracket runs every CHECK_EVERY iterations and, between those, wherever a
+screen of a few inner products (Rayleigh-Ritz and Weyl bounds on the
+check's two eigenvalues, with eigenvectors kept from the last check)
+cannot prove that the check leaves the loop running; the screen changes
+no iterate, so the loop never stops later than with the scheduled checks
+alone.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
@@ -276,7 +281,8 @@ def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray
 
 
 def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | None = None,
-                       seed: int | None = None) -> tuple[float, np.ndarray, SolveTrace]:
+                       seed: int | None = None, *,
+                       _sign_tol: float | None = None) -> tuple[float, np.ndarray, SolveTrace]:
     """min Tr(D h) over the PPT set, bracketed by a certified gap.
 
     One scaled-form ADMM loop over the split D = X, D^Gamma = Y, with X a
@@ -298,6 +304,12 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     The value is the least upper bound, ``trace.lower_bound`` the greatest
     lower bound, and the loop stops once their gap is below
     GAP_TOL * ||h||_F (``trace.converged``) or after ``iters`` iterations.
+    With a ``_sign_tol`` (private: the sign stop of
+    ``choi.dual_pairing_test``), it also stops at the first exact check
+    whose bracket excludes [-_sign_tol, _sign_tol]: lower bound
+    >= -_sign_tol or value < -_sign_tol.  Both bounds are monotone, so the
+    sign so certified is the one the gap-closing solve would certify;
+    ``None`` (the default) leaves the gap rule alone, iterate for iterate.
     ``trace.dual`` is the Q of the greatest lower bound, so
     h = (h - Q^Gamma) + Q^Gamma is the decomposition that bound certifies.
 
@@ -317,7 +329,8 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
       b_hi.
 
     The check is skipped iff min(upper, v_lo) - max(lower, b_hi) > the
-    gap tolerance (``_may_close``): the skipped check could not have
+    gap tolerance and, with a ``_sign_tol``, max(lower, b_hi) < -_sign_tol
+    <= min(upper, v_lo) (``_may_close``): the skipped check could not have
     stopped the loop.  The screen moves neither the iterates nor rho,
     which change only at the scheduled checks, and every check it adds
     can only lower the value or raise the bound.  So no problem stops
@@ -353,7 +366,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
             vh = v.conj().T
             y, u = (v * np.maximum(w, 0.0)) @ vh, (v * np.minimum(w, 0.0)) @ vh
             if it % CHECK_EVERY and it != iters and not _may_close(
-                    upper, lower, *screen.bounds(x, x_gamma, y, u, rho, v[:, 0]), tol):
+                    upper, lower, *screen.bounds(x, x_gamma, y, u, rho, v[:, 0]), tol, _sign_tol):
                 continue
         checks += 1
         w, v = np.linalg.eigh(x_gamma)
@@ -368,7 +381,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         bound = float(w[0])
         if bound > lower:
             lower, q = bound, -rho * u
-        if upper - lower <= tol:
+        if _stops(upper, lower, tol, _sign_tol):
             break
         z = v[:, 0]
         screen = _Screen(h, h.trace().real / n, least_gamma[:, None] * least_gamma.conj(), np.vdot(z, h @ z).real,
@@ -422,11 +435,17 @@ class _Screen(NamedTuple):
         return t + eps / (eps + 1 / len(x)) * step, self.hz + rho * np.vdot(self.u_probe, u).real
 
 
-def _may_close(upper: float, lower: float, v_lo: float, b_hi: float, tol: float) -> bool:
-    """Whether an exact check could leave a gap <= tol, given the bracket so
-    far and the screen's bounds on the check's value (>= v_lo) and bound
+def _stops(upper: float, lower: float, tol: float, sign_tol: float | None) -> bool:
+    """Whether the bracket [lower, upper] stops ``min_trace_over_ppt``: a gap
+    <= tol or, with a ``sign_tol``, a bracket that excludes [-sign_tol, sign_tol]."""
+    return upper - lower <= tol or sign_tol is not None and (lower >= -sign_tol or upper < -sign_tol)
+
+
+def _may_close(upper: float, lower: float, v_lo: float, b_hi: float, tol: float, sign_tol: float | None) -> bool:
+    """Whether an exact check could stop the loop, given the bracket so far
+    and the screen's bounds on the check's value (>= v_lo) and bound
     (<= b_hi)."""
-    return min(upper, v_lo) - max(lower, b_hi) <= tol
+    return _stops(min(upper, v_lo), max(lower, b_hi), tol, sign_tol)
 
 
 def _simplex(w: np.ndarray) -> np.ndarray:

@@ -281,6 +281,64 @@ class TestChoiMap:
         assert report["optimizer_lower_bound"] <= -0.15470053838
 
 
+class TestSignStop:
+    """dual_pairing_test stops its solve at the first certified sign, and hierarchy_report keeps
+    the gap-closing solve; each verdict is the full solve's, and each certificate holds."""
+
+    @staticmethod
+    def cases(choi_map):
+        shape33 = BipartiteShape(3, 3)
+        yield choi_map, shape33
+        for abc in CHO_KYE_LEE_DECOMPOSABLE[:8] + CHO_KYE_LEE_INDECOMPOSABLE[:8]:
+            yield choi_from_map(generalized_choi_map(*abc)), shape33
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            for seed in range(1000, 1010):
+                yield random_decomposable(BipartiteShape(*dims), seed=seed).h, BipartiteShape(*dims)
+
+    def test_same_verdict_as_the_full_solve(self, choi_map):
+        stopped_early = 0
+        for h, shape in self.cases(choi_map):
+            signed, full = dual_pairing_test(h, shape), choi._pairing_report(h, shape, None)
+            assert signed["verdict"] == full["verdict"] != "undecided"
+            assert signed["optimizer_iterations"] <= full["optimizer_iterations"]
+            stopped_early += signed["optimizer_iterations"] < full["optimizer_iterations"]
+        assert stopped_early > 0
+
+    def test_certificates_hold(self, choi_map):
+        verdicts = set()
+        for h, shape in self.cases(choi_map):
+            report = dual_pairing_test(h, shape)
+            verdicts.add(report["verdict"])
+            if report["verdict"] == "decomposable":
+                witness = report["decomposition"]
+                for part in (witness.h1, witness.h2):
+                    assert np.linalg.eigvalsh(hermitize(part))[0] >= -1e-10
+                assert np.max(np.abs(witness.h - h)) <= 1e-10
+            else:
+                assert report["verdict"] == "not_decomposable"
+                d = report["ppt_state"]
+                assert np.linalg.eigvalsh(d)[0] >= -1e-12
+                assert np.linalg.eigvalsh(hermitize(partial_transpose(d, shape)))[0] >= -1e-12
+                assert np.trace(d).real == pytest.approx(1.0, abs=1e-12)
+                assert np.trace(d @ h).real < -choi.VERDICT_TOL
+        assert verdicts == {"decomposable", "not_decomposable"}
+
+    def test_report_counts_the_solver(self, choi_map):
+        shape = BipartiteShape(3, 3)
+        _, _, trace = min_trace_over_ppt(choi_map, PptSetSpec(shape), iters=choi.OPT_ITERS)
+        full = choi._pairing_report(choi_map, shape, None)
+        assert (full["optimizer_iterations"], full["optimizer_checks"]) == (trace.iterates, trace.checks)
+        signed = dual_pairing_test(choi_map, shape)
+        assert 1 <= signed["optimizer_checks"] <= trace.checks
+        assert signed["optimizer_iterations"] < trace.iterates
+
+    def test_hierarchy_keeps_the_full_bracket(self):
+        report = hierarchy_report(BipartiteShape(2, 2), seed=0, separable_samples=20)
+        assert not any(key.startswith("optimizer") for key in report)
+        assert report["choi_map_lower_bound"] <= 1 - 2 / np.sqrt(3) <= report["choi_map_value"]
+        assert report["choi_map_value"] - report["choi_map_lower_bound"] <= 1e-6
+
+
 class TestStormerBlock:
     def test_identity_map(self, shape22):
         report = stormer_block_test(identity_map_table(2), k=2, samples=20, seed=3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,16 @@ class TestStackedIdentitySuite:
             polar, transp = reference_gns_verify_checks(ctx, 25, seed)
             assert results["residuals"]["polar_decomposition"] == polar
             assert results["residuals"]["operator_transpose_via_j"] == transp
+
+    def test_cli_peak_is_a_few_stacks(self):
+        # each residual is reduced as soon as its pair exists: 512 samples of 32 x 32 peak near
+        # 7 stacks of 8 MB (tracemalloc sees numpy's buffers)
+        samples, dim = 512, 32
+        cfg = RunConfig(command="gns-verify", seed=0, dims=dim, samples=samples)
+        tracemalloc.start()
+        try:
+            run_gns_verify(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples * dim * dim * np.dtype(complex).itemsize

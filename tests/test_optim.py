@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modular_ppt import optim
-from modular_ppt.choi import random_decomposable
+from modular_ppt.choi import VERDICT_TOL, choi_from_map, generalized_choi_map, random_decomposable
 from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
 from modular_ppt.optim import (
     PptSetSpec,
@@ -289,6 +290,65 @@ class TestScreen:
             if trace.iterates == plain.iterates:  # a superset of the same checks: a bracket at least as tight
                 assert trace.checks >= plain.checks
                 assert value <= plain_value and trace.lower_bound >= plain.lower_bound and trace.gap <= plain.gap
+
+
+# (iterates, checks) of the gap-closing solves at iters=300, which the sign stop must leave as they are
+GAP_STOP_COUNTS = {"identity-2x2": (0, 1), "swap-2x2": (2, 2), "minus-phi-2x2": (2, 2),
+                   "identity-3x3": (0, 1), "swap-3x3": (3, 2), "minus-phi-3x3": (2, 2), "choi-map": (30, 8)}
+
+
+class TestSignStop:
+    """The private ``_sign_tol`` stop: the first exact check whose bracket excludes
+    [-tol, tol].  None leaves the gap stop alone."""
+
+    @pytest.mark.parametrize("name", GAP_STOP_COUNTS)
+    def test_none_keeps_the_gap_stop(self, name, choi_map):
+        d, h = (3, choi_map) if name == "choi-map" else next((d, h) for n, d, h, _ in CLOSED_FORMS if n == name)
+        spec = PptSetSpec(BipartiteShape(d, d))
+        default = min_trace_over_ppt(h, spec, iters=300)
+        value, minimizer, trace = min_trace_over_ppt(h, spec, iters=300, _sign_tol=None)
+        assert (trace.iterates, trace.checks) == (default[2].iterates, default[2].checks) == GAP_STOP_COUNTS[name]
+        assert value == default[0] and np.array_equal(minimizer, default[1])
+        assert (trace.lower_bound, trace.gap) == (default[2].lower_bound, default[2].gap)
+
+    def test_stops_at_the_first_certified_sign(self, choi_map):
+        spec = PptSetSpec(BipartiteShape(3, 3))
+        value, minimizer, trace = min_trace_over_ppt(choi_map, spec, iters=300, _sign_tol=VERDICT_TOL)
+        assert value < -VERDICT_TOL and trace.iterates < GAP_STOP_COUNTS["choi-map"][0]
+        assert not trace.converged and trace.lower_bound <= 1 - 2 / np.sqrt(3) <= value
+        assert np.trace(minimizer @ choi_map).real == pytest.approx(value, abs=1e-12)
+        witness = random_decomposable(BipartiteShape(3, 3), seed=1000).h
+        _, _, full = min_trace_over_ppt(witness, spec, iters=300)
+        _, _, trace = min_trace_over_ppt(witness, spec, iters=300, _sign_tol=VERDICT_TOL)
+        assert trace.lower_bound >= -VERDICT_TOL and trace.iterates < full.iterates
+
+    def test_may_close_asks_for_the_sign(self):
+        tol, sign_tol = 1e-7, 1e-10
+        straddling = dict(upper=0.5, lower=-0.5, v_lo=0.1, b_hi=-0.1)
+        assert not optim._may_close(*straddling.values(), tol, None)
+        assert not optim._may_close(*straddling.values(), tol, sign_tol)
+        # a bound that could reach -sign_tol, or a value that could fall below it, may decide the sign
+        for key, value, decides in (("b_hi", -sign_tol, True), ("b_hi", -2 * sign_tol, False),
+                                    ("v_lo", -2 * sign_tol, True), ("v_lo", -sign_tol, False)):
+            bracket = {**straddling, key: value}
+            assert optim._may_close(*bracket.values(), tol, sign_tol) == decides
+            assert not optim._may_close(*bracket.values(), tol, None)
+
+    def test_never_stops_later_than_the_scheduled_checks(self, monkeypatch, choi_map):
+        cases = [(h, BipartiteShape(d, d)) for _, d, h, _ in CLOSED_FORMS] + [(choi_map, BipartiteShape(3, 3))]
+        cases += [(random_decomposable(BipartiteShape(*dims), seed=seed).h, BipartiteShape(*dims))
+                  for dims in ((2, 2), (2, 3), (3, 3)) for seed in range(1000, 1030)]
+        cases += [(choi_from_map(generalized_choi_map(a, b, c)), BipartiteShape(3, 3))
+                  for a in (1.0, 1.5, 2.0, 2.5) for b in (0.0, 0.5, 1.5) for c in (0.5, 1.5)]
+        solve = functools.partial(min_trace_over_ppt, iters=300, _sign_tol=VERDICT_TOL)
+        screened = [solve(h, PptSetSpec(shape)) for h, shape in cases]
+        monkeypatch.setattr(optim, "_may_close", lambda *args: False)
+        for (h, shape), (value, _, trace) in zip(cases, screened):
+            plain_value, _, plain = solve(h, PptSetSpec(shape))
+            assert trace.iterates <= plain.iterates
+            if trace.iterates == plain.iterates:  # a superset of the same checks: a bracket at least as tight
+                assert trace.checks >= plain.checks
+                assert value <= plain_value and trace.lower_bound >= plain.lower_bound
 
 
 class TestNptWitness:
