@@ -69,6 +69,8 @@ CONFIGS = (
     ("experiment", "--dims", "2x2", "--seed", "-1"),
     ("experiment", "--dims", "2x2", "--seed", "4294967296"),
     ("ppt-check", "--in", "bad_shape.json"),
+    ("choi", "--dims", "1x3"),  # transposition on M_1 is the identity map
+    ("hierarchy", "--dims", "1x2"),
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]

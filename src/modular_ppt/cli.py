@@ -9,9 +9,11 @@ names the offending residual), 2 input or contract error, 3 a numerical
 computation failed: two independent computation routes disagreed
 (ConsistencyError) or a LAPACK routine did not converge (LinAlgError).
 For 2 and 3 a JSON diagnostic object is emitted instead of a report.
-Exit 2 comes before anything is drawn for a bad --tol, --seed, --samples
-or --dims, and for samples * N^2 over linalg.MAX_STACK_ENTRIES on the
-commands that stack --samples N x N matrices (READS).
+Exit 2 comes before anything is drawn for a bad --tol (malformed, not
+finite or negative), --seed, --samples or --dims (``choi`` and
+``hierarchy`` need dim_a >= 2), and for samples * N^2 over
+linalg.MAX_STACK_ENTRIES on the commands that stack --samples N x N
+matrices (READS).
 
 ``minimize`` reports a certified bracket of min Tr(DH) over PPT states:
 ``value`` (Tr(DH) at a PPT state, whose diagonal is ``minimizer_diag``),
@@ -316,10 +318,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             tol[key] = float(val)
         except ValueError:
             raise ContractError(f"--tol {key} expects a number, got {val!r}") from None
+        if not math.isfinite(tol[key]) or tol[key] < 0:
+            raise ContractError(f"--tol {key} must be finite and >= 0, got {val!r}")
     require_count(args.samples, "--samples")
     if not 0 <= args.seed < rand.SEED_LIMIT:
         raise ContractError(f"--seed must lie in [0, 2^32), got {args.seed}")
     dims = _parse_dims(args.dims) if args.dims else None
+    if args.command in ("choi", "hierarchy") and isinstance(dims, tuple) and dims[0] < 2:
+        # on M_1 transposition is the identity map, so "positive but not CP" cannot hold there
+        raise ContractError(f"{args.command} needs --dims NxM with N >= 2, got {args.dims!r}")
     if dims and "--samples" in READS.get(args.command, ()):
         dim = math.prod(dims) if isinstance(dims, tuple) else dims
         if args.samples * dim * dim > linalg.MAX_STACK_ENTRIES:

@@ -44,9 +44,10 @@ hermitizes at the public boundary.
 Dykstra's feasibility test is screened.  Before the exact check
 (``_residuals``: one ``eigvalsh`` of x and one of x^Gamma), ``_dykstra``
 bounds both least eigenvalues from above with what the sweep already
-holds: lambda_min(x^Gamma) <= min(w+) + max(x - x_Gamma) by Weyl, where w+
-is the Gamma step's clipped spectrum and x - x_Gamma the trace step's real
-diagonal shift, and lambda_min(x) <= u^dagger x u by Rayleigh-Ritz, for a
+holds: lambda_min(x^Gamma) <= max(w_min, 0) + (c - c_prev) by Weyl, where
+w_min is the least eigenvalue the Gamma step clipped and c, c_prev the
+trace step's shifts c I in this sweep and the last (x - x_Gamma is
+(c - c_prev) I), and lambda_min(x) <= u^dagger x u by Rayleigh-Ritz, for a
 recent least eigenvector u of the sample.  A sample that a bound proves
 infeasible skips the exact check.  No bit changes: the screen is
 conservative by SCREEN_MARGIN, far above the bounds' rounding, and every
@@ -186,17 +187,27 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
     Between checkpoints, a sample takes the exact feasibility check only
     when neither screen bound (see the module docstring) lies below
     -(tol_feas + SCREEN_MARGIN).  The Gamma bound holds because the trace
-    step adds a real diagonal, its own partial transpose, to the Gamma
-    step's output, whose partial transpose has the clipped spectrum w+.  The
-    x bound holds for any unit vector u: the least eigenvector of the first
-    PSD step's input, refreshed by one ``eigh`` of x whenever the sample
-    takes the exact check and stays infeasible.  The exact check can pass
-    only on a near-density matrix, whose norm is about 1; there both bounds
-    lie within ~n * eps of the least eigenvalues, far inside SCREEN_MARGIN,
-    so a screened sample would have failed the check, and every sample
-    stops at the same sweep with the same bits as without the screen.  Every
+    step sets x = x_Gamma + T + c I, where the trace increment T is what the
+    last trace step subtracted, -c_prev I up to rounding (0 at the first
+    sweep).  So x - x_Gamma = (c - c_prev) I, its own partial transpose,
+    and x^Gamma is the Gamma step's PSD output, with least eigenvalue
+    max(w_min, 0), shifted by c - c_prev: two numbers per sample, no pass
+    over the stack.  The x bound holds for any unit vector u: the least
+    eigenvector of the first PSD step's input, refreshed by one ``eigh`` of
+    x whenever the sample takes the exact check and stays infeasible; its
+    Rayleigh quotient is formed only for the samples that the Gamma bound
+    lets through, and a sweep whose screen rules out every live sample
+    goes straight to the next.  The exact check can pass only on a
+    near-density matrix, whose norm is about 1; there both bounds lie
+    within ~n * eps of the least eigenvalues, far inside SCREEN_MARGIN, so
+    a screened sample would have failed the check, and every sample stops
+    at the same sweep with the same bits as without the screen.  Every
     live sample takes the exact check at each multiple of 100 sweeps and at
     MAX_SWEEPS, where the tangential rule and the final residual need it.
+
+    Every eigensolve goes through ``np.linalg``, where the benchmark's
+    tracer counts it, and each increment is written over the shifted stack
+    it is taken from.
     """
     x = hermitize(m)
     n = x.shape[-1]
@@ -204,39 +215,49 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
     cut = -(spec.tol_feas + SCREEN_MARGIN)
 
     def proj_psd(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pi_+ of each matrix of an exactly Hermitian stack, with the eigh it clipped."""
+        """Pi_+ of each matrix of an exactly Hermitian stack, with the eigh it clipped;
+        hermitized in place, with the bits of ``hermitize``."""
         w, v = np.linalg.eigh(y)
-        return hermitize(_spectral(v, np.clip(w, 0.0, None))), w, v
+        p = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        p += p.conj().swapaxes(-1, -2)
+        p *= 0.5
+        return p, w, v
 
     out = np.empty_like(x)
     sweeps = np.zeros(len(x), dtype=int)
     final = np.empty(len(x))
     live = np.arange(len(x))
-    incr = np.zeros((3,) + x.shape, dtype=x.dtype)
+    psd_incr, gamma_incr, trace_incr = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    shift = np.zeros(len(x))  # the trace step's last shift c_prev; trace_incr = -c_prev I up to rounding
     checkpoint = np.full(len(x), np.inf)  # residual at the last multiple of 100 sweeps; first read at 200
     for sweep in range(1, MAX_SWEEPS + 1):
-        shifted = x + incr[0]
+        shifted = x + psd_incr
         x, _, v = proj_psd(shifted)
-        incr[0] = shifted - x
+        psd_incr = np.subtract(shifted, x, out=shifted)
         if sweep == 1:
             least_vec = v[..., 0]
-        shifted = x + incr[1]
+        shifted = x + gamma_incr
         x_gamma, w, _ = proj_psd(_partial_transpose(shifted, spec.shape))
         x_gamma = _partial_transpose(x_gamma, spec.shape)
-        incr[1] = shifted - x_gamma
-        shifted = x_gamma + incr[2]
-        x = shifted + ((1.0 - _trace(shifted)) / n)[:, None, None] * eye
-        incr[2] = shifted - x
+        gamma_incr = np.subtract(shifted, x_gamma, out=shifted)
+        shifted = x_gamma + trace_incr
+        c = (1.0 - _trace(shifted)) / n
+        x = shifted + c[:, None, None] * eye
+        trace_incr = np.subtract(shifted, x, out=shifted)
+        shift, rise = c, c - shift  # x - x_gamma = (c - c_prev) I, up to rounding
         if sweep % 100 and sweep != MAX_SWEEPS:
-            # the screen: upper bounds on lambda_min(x^Gamma) and lambda_min(x), no eigensolve
-            gamma_bound = np.maximum(w[:, 0], 0.0) + np.diagonal(x - x_gamma, axis1=1, axis2=2).real.max(axis=1)
-            x_bound = np.einsum("ki,kij,kj->k", least_vec.conj(), x, least_vec).real
-            checked = np.minimum(gamma_bound, x_bound) >= cut
+            # the screen: upper bounds on lambda_min(x^Gamma), then on lambda_min(x), no eigensolve
+            gamma_open = np.maximum(w[:, 0], 0.0) + rise >= cut
+            if not gamma_open.any():
+                continue
+            checked = np.flatnonzero(gamma_open)
+            u = least_vec[checked]
+            checked = checked[np.einsum("ki,kij,kj->k", u.conj(), x[checked], u).real >= cut]
+            if not checked.size:
+                continue
         else:
-            checked = np.ones(len(x), dtype=bool)
-        residual = np.full(len(x), np.inf)
-        if checked.any():
-            residual[checked] = _residuals(x[checked], spec)
+            checked = np.arange(len(x))
+        residual = _residuals(x[checked], spec)
         done = residual <= spec.tol_feas
         if sweep % 100 == 0:
             if sweep >= 200:
@@ -244,17 +265,17 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
             checkpoint = residual
         if sweep == MAX_SWEEPS:
             done[:] = True
-        refresh = checked & ~done
-        if refresh.any():
+        refresh = checked[~done]
+        if refresh.size:
             least_vec[refresh] = np.linalg.eigh(x[refresh])[1][..., 0]
         if done.any():
-            finished = live[done]
-            sweeps[finished] = sweep
-            out[finished] = x[done]
-            final[finished] = residual[done]
-            keep = ~done
-            live, x, incr = live[keep], x[keep], incr[:, keep]
-            checkpoint, least_vec = checkpoint[keep], least_vec[keep]
+            finished = checked[done]
+            at = live[finished]
+            sweeps[at], out[at], final[at] = sweep, x[finished], residual[done]
+            keep = np.ones(len(x), dtype=bool)
+            keep[finished] = False
+            live, x, checkpoint, least_vec, shift = live[keep], x[keep], checkpoint[keep], least_vec[keep], shift[keep]
+            psd_incr, gamma_incr, trace_incr = psd_incr[keep], gamma_incr[keep], trace_incr[keep]
             if not live.size:
                 break
     snapped = final > spec.tol_feas

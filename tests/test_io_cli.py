@@ -450,9 +450,11 @@ class TestCliMain:
         residuals = [instance_residual(inst.rho, inst.f, inst.a_op) for inst in instances]
         assert 0.0 < results["max_instance_residual"] == max(residuals) <= 1e-9
 
-    @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2x2"], ["anticomm", "--dims", "3x2"]],
-                             ids=["cone-check-bipartite", "anticomm-not-a-qubit"])
+    @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2x2"], ["anticomm", "--dims", "3x2"],
+                                      ["choi", "--dims", "1x3"], ["hierarchy", "--dims", "1x2"]],
+                             ids=["cone-check-bipartite", "anticomm-not-a-qubit", "choi-on-m1", "hierarchy-on-m1"])
     def test_exit_two_on_the_wrong_split(self, argv, capsys):
+        # on M_1 transposition is the identity map, so choi and hierarchy have no claim to check there
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["kind"] == "ContractError"
 
@@ -541,6 +543,29 @@ class TestCliMain:
             assert main(["ppt-check", "--in", path, "--dims", "2x2", *tol]) == 0
             verdicts.append(json.loads(capsys.readouterr().out)["results"]["ppt"])
         assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("argv", [
+        ["ppt-check", "--in", "MIXED", "--dims", "2x2", "--tol", "psd=nan"],
+        ["ppt-check", "--in", "MIXED", "--dims", "2x2", "--tol", "psd=inf"],
+        ["ppt-check", "--in", "MIXED", "--dims", "2x2", "--tol", "psd=-inf"],
+        ["ppt-check", "--in", "MIXED", "--dims", "2x2", "--tol", "psd=-1"],
+        ["cone-check", "--dims", "2", "--tol", "membership=-5"],
+    ], ids=["psd-nan", "psd-inf", "psd-minus-inf", "psd-negative", "membership-negative"])
+    def test_exit_two_on_a_tolerance_not_finite_and_nonnegative(self, argv, tmp_path, capsys):
+        # each used to pass unchecked and give a wrong verdict: I/4 reported not PPT, or a failed duality check
+        path = str(tmp_path / "mixed.json")
+        save_matrix(np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        assert main([path if arg == "MIXED" else arg for arg in argv]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        key = argv[-1].split("=")[0]
+        assert diagnostic["kind"] == "ContractError" and f"--tol {key}" in diagnostic["error"]
+
+    def test_a_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        path = str(tmp_path / "mixed.json")
+        save_matrix(np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        assert main(["ppt-check", "--in", path, "--dims", "2x2", "--tol", "psd=0"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["config"]["tol"] == {"psd": 0.0} and body["results"]["ppt"] is True
 
     def test_minimize_zero_operator(self, tmp_path, capsys):
         path = str(tmp_path / "zero.json")

@@ -514,7 +514,7 @@ class TestLeanDykstraSweep:
     screening the exact feasibility check, change no bit."""
 
     @pytest.mark.parametrize("dims,max_iters", [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5),
-                                                ((2, 4), 5000)])
+                                                ((2, 4), 5000), ((3, 4), 5000)])
     def test_same_bits_as_the_hermitizing_sweep(self, monkeypatch, dims, max_iters):
         monkeypatch.setattr(optim, "MAX_SWEEPS", max_iters)
         spec = PptSetSpec(BipartiteShape(*dims))
@@ -528,6 +528,9 @@ class TestLeanDykstraSweep:
         assert np.array_equal(sweeps, expected_sweeps)
         assert np.array_equal(snapped, expected_snapped)
         assert np.array_equal(residual, expected_residual)
+        # a stack of one seedling, as project_ppt and construct project it
+        for got, expected in zip(optim._dykstra(stack[:1], spec), _reference_dykstra(stack[:1], spec)):
+            assert np.array_equal(got, expected)
         if max_iters == 5:
             assert snapped.any() and not snapped.all()
         if dims in ((3, 3), (2, 4)):
