@@ -69,13 +69,16 @@ CONFIGS = (
     ("experiment", "--dims", "2x2", "--seed", "-1"),
     ("experiment", "--dims", "2x2", "--seed", "4294967296"),
     ("ppt-check", "--in", "bad_shape.json"),
+    ("ppt-check", "--in", "."),  # a directory, not a matrix file
+    ("ppt-check", "--in", "null.json"),  # valid JSON that is not an object
     ("choi", "--dims", "1x3"),  # transposition on M_1 is the identity map
     ("hierarchy", "--dims", "1x2"),
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
 # Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, the 2x2 singlet density
-# and the 2x2 maximally mixed density I/4, and that density with a shape field lacking dim_b
+# and the 2x2 maximally mixed density I/4, that density with a shape field lacking dim_b,
+# and a JSON null
 WRITE_INPUTS = (
     "import numpy as np\n"
     "from modular_ppt.choi import choi_from_map, generalized_choi_map, transposition_map_table\n"
@@ -92,6 +95,7 @@ WRITE_INPUTS = (
     "payload = json.load(open('mixed.json'))\n"
     "payload['shape'] = {'dim_a': 2}\n"
     "json.dump(payload, open('bad_shape.json', 'w'))\n"
+    "json.dump(None, open('null.json', 'w'))\n"
 )
 
 

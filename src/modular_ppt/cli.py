@@ -11,9 +11,10 @@ computation failed: two independent computation routes disagreed
 For 2 and 3 a JSON diagnostic object is emitted instead of a report.
 Exit 2 comes before anything is drawn for a bad --tol (malformed, not
 finite or negative), --seed, --samples or --dims (``choi`` and
-``hierarchy`` need dim_a >= 2), and for samples * N^2 over
+``hierarchy`` need dim_a >= 2), for samples * N^2 over
 linalg.MAX_STACK_ENTRIES on the commands that stack --samples N x N
-matrices (READS).
+matrices (READS), and for an --out that is a directory or lies in a
+missing one.
 
 ``minimize`` reports a certified bracket of min Tr(DH) over PPT states:
 ``value`` (Tr(DH) at a PPT state, whose diagonal is ``minimizer_diag``),
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -321,6 +323,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not math.isfinite(tol[key]) or tol[key] < 0:
             raise ContractError(f"--tol {key} must be finite and >= 0, got {val!r}")
     require_count(args.samples, "--samples")
+    if args.out_path and (os.path.isdir(args.out_path) or not os.path.isdir(os.path.dirname(args.out_path) or ".")):
+        raise ContractError(f"--out must name a file in an existing directory, got {args.out_path!r}")
     if not 0 <= args.seed < rand.SEED_LIMIT:
         raise ContractError(f"--seed must lie in [0, 2^32), got {args.seed}")
     dims = _parse_dims(args.dims) if args.dims else None

@@ -24,6 +24,7 @@ from .linalg import (
     _gamma_min,
     _mat_sqrt_psd,
     _project_psd,
+    hermitize,
     require_bipartite,
     require_count,
     require_density,
@@ -128,10 +129,10 @@ def random_anticommutator_instance(rng: np.random.Generator, m: int,
         f = e1
     elif kind in ("herm_offdiag", "antiherm_offdiag"):
         g = complex_gaussian(rng, m, m)
-        s = (g + g.conj().T) / 2 if kind == "herm_offdiag" else (g - g.conj().T) / 2
+        s = hermitize(g) if kind == "herm_offdiag" else (g - g.conj().T) / 2
         big = np.zeros((2 * m, 2 * m), dtype=complex)
-        big[:m, :m] = (lambda x: (x + x.conj().T) / 2)(complex_gaussian(rng, m, m))
-        big[m:, m:] = (lambda x: (x + x.conj().T) / 2)(complex_gaussian(rng, m, m))
+        big[:m, :m] = hermitize(complex_gaussian(rng, m, m))
+        big[m:, m:] = hermitize(complex_gaussian(rng, m, m))
         big[:m, m:] = s
         big[m:, :m] = s.conj().T
         shift = -float(np.linalg.eigvalsh(big)[0]) + 0.2

@@ -49,6 +49,8 @@ def matrix_to_payload(m: np.ndarray, kind: str = "generic",
 
 
 def matrix_from_payload(payload: dict) -> tuple[np.ndarray, dict]:
+    if not isinstance(payload, dict):
+        raise MatrixFileError(f"matrix file must hold a JSON object, got {type(payload).__name__}", field="json")
     for key in ("schema_version", "rows", "cols", "re", "im"):
         if key not in payload:
             raise MatrixFileError(f"matrix file is missing field {key!r}", field=key)
@@ -110,9 +112,9 @@ def load_matrix(path: str) -> tuple[np.ndarray, dict]:
     try:
         with open(path) as handle:
             payload = json.load(handle)
-    except FileNotFoundError:
-        raise MatrixFileError(f"no such file: {path}", field="path")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise MatrixFileError(f"cannot read {path}: {exc.strerror}", field="path") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MatrixFileError(f"not valid JSON: {exc}", field="json") from exc
     return matrix_from_payload(payload)
 

@@ -42,7 +42,7 @@ DEGENERACY_GAP = 1e-9
 
 MAX_DIM = 4096  # dense-dimension cap
 # cap on samples * N^2 for a CLI command that draws a stack of --samples N x N matrices (cli.READS);
-# at the cap the heaviest per entry, gns-verify, peaks at 0.87 GB RSS and the others at 0.39-0.66 GB
+# numpy's buffers peak at ~7 stacks for gns-verify (225 MB at the cap), ~13 for hierarchy, ~17 for experiment
 MAX_STACK_ENTRIES = 2**21
 
 

@@ -43,15 +43,16 @@ hermitizes at the public boundary.
 
 Dykstra's feasibility test is screened.  Before the exact check
 (``_residuals``: one ``eigvalsh`` of x and one of x^Gamma), ``_dykstra``
-bounds both least eigenvalues from above with what the sweep already
-holds: lambda_min(x^Gamma) <= max(w_min, 0) + (c - c_prev) by Weyl, where
-w_min is the least eigenvalue the Gamma step clipped and c, c_prev the
-trace step's shifts c I in this sweep and the last (x - x_Gamma is
-(c - c_prev) I), and lambda_min(x) <= u^dagger x u by Rayleigh-Ritz, for a
-recent least eigenvector u of the sample.  A sample that a bound proves
-infeasible skips the exact check.  No bit changes: the screen is
-conservative by SCREEN_MARGIN, far above the bounds' rounding, and every
-other sample takes the same exact check as before, one matrix at a time.
+bounds both least eigenvalues from above with what the sweep already holds:
+lambda_min(x^Gamma) = max(w_min, 0) + c up to rounding, where w_min is the
+least eigenvalue the Gamma step clipped and c I the shift of the trace step,
+which needs no correction term as the hyperplane is affine (the partial
+transpose fixes the diagonal, so x^Gamma is the Gamma step's PSD output plus
+c I), and lambda_min(x) <= u^dagger x u by Rayleigh-Ritz, for a recent least
+eigenvector u of the sample.  A sample that a bound proves infeasible skips
+the exact check.  No bit changes: the screen is conservative by
+SCREEN_MARGIN, far above the bounds' rounding, and every other sample takes
+the same exact check as before, one matrix at a time.
 """
 
 from __future__ import annotations
@@ -155,16 +156,16 @@ def _interior_snap(x: np.ndarray, residual: np.ndarray) -> np.ndarray:
 def project_ppt(m, spec: PptSetSpec) -> tuple[np.ndarray, SolveTrace]:
     """A feasible point of the PPT set near m, by early-stopped Dykstra.
 
-    Cycles the PSD cone, the Gamma-transported PSD cone and the trace
-    hyperplane, each with its own correction term, and stops at the first
-    sweep whose iterate is feasible to tol_feas.  That point is feasible
-    and near m, but it is not the Frobenius-nearest point: Dykstra's
-    correction terms have not converged by then.  A member of the set is
-    returned unchanged by the first sweep.  On the rare tangential
-    instances where the residual stays above tol_feas, the iterate is
-    blended minimally toward the interior point I/n so that the
-    output is always feasible; the trace records the blend as ``snapped``.
-    Non-convergence is reported, never raised.
+    Cycles the PSD cone and the Gamma-transported PSD cone, each with its
+    own correction term, then the trace hyperplane, which is affine and so
+    needs none, and stops at the first sweep whose iterate is feasible to
+    tol_feas.  That point is feasible and near m, but it is not the
+    Frobenius-nearest point: Dykstra's correction terms have not converged
+    by then.  A member of the set is returned unchanged by the first sweep.
+    On the rare tangential instances where the residual stays above
+    tol_feas, the iterate is blended minimally toward the interior point
+    I/n so that the output is always feasible; the trace records the blend
+    as ``snapped``.  Non-convergence is reported, never raised.
     """
     x, sweeps, snapped, residual = _dykstra(require_bipartite(require_hermitian(m), spec.shape)[None], spec)
     return x[0], SolveTrace(iterates=int(sweeps[0]), feasibility_residual=float(residual[0]),
@@ -187,22 +188,23 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
     Between checkpoints, a sample takes the exact feasibility check only
     when neither screen bound (see the module docstring) lies below
     -(tol_feas + SCREEN_MARGIN).  The Gamma bound holds because the trace
-    step sets x = x_Gamma + T + c I, where the trace increment T is what the
-    last trace step subtracted, -c_prev I up to rounding (0 at the first
-    sweep).  So x - x_Gamma = (c - c_prev) I, its own partial transpose,
-    and x^Gamma is the Gamma step's PSD output, with least eigenvalue
-    max(w_min, 0), shifted by c - c_prev: two numbers per sample, no pass
-    over the stack.  The x bound holds for any unit vector u: the least
-    eigenvector of the first PSD step's input, refreshed by one ``eigh`` of
-    x whenever the sample takes the exact check and stays infeasible; its
-    Rayleigh quotient is formed only for the samples that the Gamma bound
-    lets through, and a sweep whose screen rules out every live sample
-    goes straight to the next.  The exact check can pass only on a
-    near-density matrix, whose norm is about 1; there both bounds lie
+    step sets x = x_Gamma + c I with no correction term: Dykstra's
+    correction for the affine trace hyperplane would be a multiple of its
+    normal I, which the next trace projection cancels.  The partial
+    transpose fixes the diagonal, so x^Gamma is the Gamma step's PSD output
+    plus c I, entry for entry, with least eigenvalue max(w_min, 0) + c: two
+    numbers per sample, no pass over the stack, and no invariant of an
+    accumulated increment.  The x bound holds for any unit vector u: the
+    least eigenvector of the first PSD step's input, refreshed by one
+    ``eigh`` of x whenever the sample takes the exact check and stays
+    infeasible; its Rayleigh quotient is formed only for the samples that
+    the Gamma bound lets through, and a sweep whose screen rules out every
+    live sample goes straight to the next.  The exact check can pass only
+    on a near-density matrix, whose norm is about 1; there both bounds lie
     within ~n * eps of the least eigenvalues, far inside SCREEN_MARGIN, so
     a screened sample would have failed the check, and every sample stops
-    at the same sweep with the same bits as without the screen.  Every
-    live sample takes the exact check at each multiple of 100 sweeps and at
+    at the same sweep with the same bits as without the screen.  Every live
+    sample takes the exact check at each multiple of 100 sweeps and at
     MAX_SWEEPS, where the tangential rule and the final residual need it.
 
     Every eigensolve goes through ``np.linalg``, where the benchmark's
@@ -227,8 +229,7 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
     sweeps = np.zeros(len(x), dtype=int)
     final = np.empty(len(x))
     live = np.arange(len(x))
-    psd_incr, gamma_incr, trace_incr = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
-    shift = np.zeros(len(x))  # the trace step's last shift c_prev; trace_incr = -c_prev I up to rounding
+    psd_incr, gamma_incr = np.zeros_like(x), np.zeros_like(x)
     checkpoint = np.full(len(x), np.inf)  # residual at the last multiple of 100 sweeps; first read at 200
     for sweep in range(1, MAX_SWEEPS + 1):
         shifted = x + psd_incr
@@ -240,14 +241,11 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
         x_gamma, w, _ = proj_psd(_partial_transpose(shifted, spec.shape))
         x_gamma = _partial_transpose(x_gamma, spec.shape)
         gamma_incr = np.subtract(shifted, x_gamma, out=shifted)
-        shifted = x_gamma + trace_incr
-        c = (1.0 - _trace(shifted)) / n
-        x = shifted + c[:, None, None] * eye
-        trace_incr = np.subtract(shifted, x, out=shifted)
-        shift, rise = c, c - shift  # x - x_gamma = (c - c_prev) I, up to rounding
+        c = (1.0 - _trace(x_gamma)) / n
+        x = x_gamma + c[:, None, None] * eye  # x^Gamma is the Gamma step's PSD output plus c I
         if sweep % 100 and sweep != MAX_SWEEPS:
             # the screen: upper bounds on lambda_min(x^Gamma), then on lambda_min(x), no eigensolve
-            gamma_open = np.maximum(w[:, 0], 0.0) + rise >= cut
+            gamma_open = np.maximum(w[:, 0], 0.0) + c >= cut
             if not gamma_open.any():
                 continue
             checked = np.flatnonzero(gamma_open)
@@ -274,8 +272,8 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
             sweeps[at], out[at], final[at] = sweep, x[finished], residual[done]
             keep = np.ones(len(x), dtype=bool)
             keep[finished] = False
-            live, x, checkpoint, least_vec, shift = live[keep], x[keep], checkpoint[keep], least_vec[keep], shift[keep]
-            psd_incr, gamma_incr, trace_incr = psd_incr[keep], gamma_incr[keep], trace_incr[keep]
+            live, x, checkpoint, least_vec = live[keep], x[keep], checkpoint[keep], least_vec[keep]
+            psd_incr, gamma_incr = psd_incr[keep], gamma_incr[keep]
             if not live.size:
                 break
     snapped = final > spec.tol_feas

@@ -232,6 +232,33 @@ class TestCliMain:
         assert main(["ppt-check", "--in", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["field"] == "shape"
 
+    @pytest.mark.parametrize("name,content,field", [
+        ("missing.json", None, "path"),
+        (".", None, "path"),  # the directory itself
+        ("latin1.json", b'{"kind": "\xe9"}', "json"),
+        ("number.json", b"4", "json"),
+        ("null.json", b"null", "json"),
+        ("list.json", b"[]", "json"),
+    ], ids=["missing", "directory", "not-utf-8", "number", "null", "list"])
+    def test_exit_two_on_unreadable_matrix_file(self, tmp_path, capsys, name, content, field):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["ppt-check", "--in", str(path), "--dims", "2x2"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "MatrixFileError" and diagnostic["field"] == field
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+    def test_exit_two_on_unwritable_out_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        def run_command(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(modular_ppt.cli, "run_command", run_command)
+        assert main(["choi", "--dims", "2x2", "--out", str(tmp_path / out)]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ContractError" and "--out" in diagnostic["error"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["ppt-check"], ["ppt-check", "--dims", "2x2"],
                                       ["minimize"], ["minimize", "--dims", "2x2"]],
                              ids=["ppt-check", "ppt-check-dims", "minimize", "minimize-dims"])

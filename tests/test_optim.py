@@ -427,10 +427,14 @@ class TestStackedDykstra:
         assert np.array_equal(stacked_rng.integers(0, 2**62, 8), single_rng.integers(0, 2**62, 8))
 
 
-def _reference_dykstra(m, spec):
+def _reference_dykstra(m, spec, correct_trace=False):
     """The Dykstra loop as it ran with a hermitize after every step and in
     every residual, and with one matrix at a time in its bookkeeping and its
-    blend toward I/n, kept to pin the lean, stacked loop's bits."""
+    blend toward I/n, kept to pin the lean, stacked loop's bits.  Only the
+    two cones carry correction terms; with ``correct_trace`` the trace
+    hyperplane carries one too, as the loop once did, which is the same
+    algorithm in exact arithmetic (the correction is a multiple of I, which
+    the next trace projection cancels)."""
     def residuals(x):
         return np.maximum.reduce([
             -np.linalg.eigvalsh(hermitize(x))[:, 0],
@@ -450,19 +454,21 @@ def _reference_dykstra(m, spec):
 
     x = hermitize(m)
     n = x.shape[-1]
-    projectors = (proj_psd, proj_gamma_psd, proj_trace)
+    corrected = (proj_psd, proj_gamma_psd, proj_trace) if correct_trace else (proj_psd, proj_gamma_psd)
     out = np.empty_like(x)
     sweeps = np.zeros(len(x), dtype=int)
     snapped = np.zeros(len(x), dtype=bool)
     final = np.empty(len(x))
     live = np.arange(len(x))
-    incr = np.zeros((len(projectors),) + x.shape, dtype=x.dtype)
+    incr = np.zeros((len(corrected),) + x.shape, dtype=x.dtype)
     checkpoint = np.full(len(x), np.inf)
     for sweep in range(1, optim.MAX_SWEEPS + 1):
-        for k, proj in enumerate(projectors):
+        for k, proj in enumerate(corrected):
             shifted = x + incr[k]
             x = hermitize(proj(shifted))
             incr[k] = shifted - x
+        if not correct_trace:
+            x = hermitize(proj_trace(x))
         residual = residuals(x)
         done = residual <= spec.tol_feas
         if sweep % 100 == 0:
@@ -513,15 +519,21 @@ class TestLeanDykstraSweep:
     """Dropping the hermitize calls that act on exactly Hermitian iterates, and
     screening the exact feasibility check, change no bit."""
 
-    @pytest.mark.parametrize("dims,max_iters", [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5),
-                                                ((2, 4), 5000), ((3, 4), 5000)])
+    CASES = [((2, 2), 5000), ((2, 3), 5000), ((3, 3), 5000), ((2, 2), 5), ((2, 4), 5000), ((3, 4), 5000)]
+
+    @staticmethod
+    def stack(spec, dims):
+        """40 seedlings and 10 Hermitian matrices that are not trace one."""
+        rng = generator(320 + dims[0] * dims[1])
+        return np.concatenate([optim._seedlings(rng, spec, 40)]
+                              + [hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))[None]
+                                 for _ in range(10)])
+
+    @pytest.mark.parametrize("dims,max_iters", CASES)
     def test_same_bits_as_the_hermitizing_sweep(self, monkeypatch, dims, max_iters):
         monkeypatch.setattr(optim, "MAX_SWEEPS", max_iters)
         spec = PptSetSpec(BipartiteShape(*dims))
-        rng = generator(320 + dims[0] * dims[1])
-        stack = np.concatenate([optim._seedlings(rng, spec, 40)]
-                               + [hermitize(complex_gaussian(rng, spec.shape.dim, spec.shape.dim))[None]
-                                  for _ in range(10)])
+        stack = self.stack(spec, dims)
         out, sweeps, snapped, residual = optim._dykstra(stack, spec)
         expected, expected_sweeps, expected_snapped, expected_residual = _reference_dykstra(stack, spec)
         assert np.array_equal(out, expected)
@@ -536,6 +548,20 @@ class TestLeanDykstraSweep:
         if dims in ((3, 3), (2, 4)):
             # the checkpoints run: samples pass sweep 200, and some stop there tangentially and are snapped
             assert np.any(sweeps > 200) and np.any(snapped & (sweeps < max_iters))
+
+    @pytest.mark.parametrize("dims,max_iters", CASES)
+    def test_trace_correction_changes_only_rounding(self, monkeypatch, dims, max_iters):
+        # the trace hyperplane is affine: a correction term for it changes no iterate in exact arithmetic
+        monkeypatch.setattr(optim, "MAX_SWEEPS", max_iters)
+        spec = PptSetSpec(BipartiteShape(*dims))
+        stack = self.stack(spec, dims)
+        out, sweeps, snapped, residual = optim._dykstra(stack, spec)
+        expected, expected_sweeps, expected_snapped, expected_residual = _reference_dykstra(
+            stack, spec, correct_trace=True)
+        assert np.array_equal(sweeps, expected_sweeps)
+        assert np.array_equal(snapped, expected_snapped)
+        assert np.max(np.abs(out - expected)) <= 1e-13
+        assert np.max(np.abs(residual - expected_residual)) <= 1e-13
 
     def test_screen_skips_most_exact_checks(self, monkeypatch):
         spec = PptSetSpec(BipartiteShape(3, 3))
