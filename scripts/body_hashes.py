@@ -60,6 +60,8 @@ CONFIGS = (
     ("cone-check", "--dims", "3", "--tol", "membership=1e-9"),
     ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
     ("minimize", "--in", "choi_map.json", "--dims", "3x3", "--seed", "2"),
+    # ends uncertified: pins the check at the last iteration and an open bracket
+    ("minimize", "--in", "choi_map.json", "--dims", "3x3", "--iters", "12"),
     ("hierarchy", "--dims", "3x3", "--seed", "1"),
     ("hierarchy", "--dims", "2x2", "--seed", "4294967295"),  # the last seed: every command takes [0, 2^32)
     # out of range: each exits 2 before it draws or allocates anything
@@ -73,6 +75,7 @@ CONFIGS = (
     ("ppt-check", "--in", "null.json"),  # valid JSON that is not an object
     ("choi", "--dims", "1x3"),  # transposition on M_1 is the identity map
     ("hierarchy", "--dims", "1x2"),
+    ("construct", "--dims", "10x9"),  # over the construction cap 81, refused before any GNS context is built
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]

@@ -162,9 +162,11 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed
     count the solver's iterations and exact checks.  ``verdict`` is
 
     - "decomposable" when the lower bound s >= -VERDICT_TOL.  ``decomposition``
-      is DecomposableWitness(h1 = h - Q^Gamma, h2 = Q^T) from the solver's
-      PSD dual Q: h1 = P + s I with P PSD, and (Q^T)^{Gamma_A} = Q^{Gamma_B},
-      so its ``.h`` reproduces h;
+      is DecomposableWitness(h1 = h - Q^Gamma - min(s, 0) I, h2 = Q^T) from
+      the solver's PSD dual Q: h - Q^Gamma = P + s I with P PSD, so h1's
+      least eigenvalue is max(s, 0) up to rounding, and
+      (Q^T)^{Gamma_A} = Q^{Gamma_B}, so its ``.h`` is h + max(0, -s) I,
+      within VERDICT_TOL I of h;
     - "not_decomposable" when the value < -VERDICT_TOL.  ``ppt_state`` is the
       solver's minimizer D, a PPT state with Tr(D h) < 0;
     - "undecided" otherwise: the bracket still straddles the tolerance
@@ -174,18 +176,17 @@ def dual_pairing_test(h, shape: BipartiteShape, samples: int | None = None, seed
     name is None.  ``samples``, ``seed`` and ``optimizer`` remain only
     because the benchmark still passes them: ``samples`` and ``seed`` are
     not read, and ``optimizer=False`` (the retired sampling route) raises
-    ContractError.
+    ContractError.  ``min_trace_over_ppt`` checks h.
     """
-    h = require_hermitian(require_bipartite(h, shape))
     if not optimizer:
         raise ContractError("dual_pairing_test has no sampling route; it decides from the certified bracket")
-    return _pairing_report(h, shape, VERDICT_TOL)
+    return _pairing_report(np.asarray(h), shape, VERDICT_TOL)
 
 
 def _pairing_report(h: np.ndarray, shape: BipartiteShape, sign_tol: float | None) -> dict:
-    """The report of ``dual_pairing_test`` on a checked h, from a solve that
-    stops at the first bracket excluding [-sign_tol, sign_tol] or, with
-    None, only at a closed gap (``hierarchy_report``'s full bracket)."""
+    """The report of ``dual_pairing_test`` on h, which the solve checks, from
+    a solve that stops at the first bracket excluding [-sign_tol, sign_tol]
+    or, with None, only at a closed gap (``hierarchy_report``'s full bracket)."""
     value, minimizer, trace = min_trace_over_ppt(h, PptSetSpec(shape), iters=OPT_ITERS, _sign_tol=sign_tol)
     report = {"optimizer_value": float(value), "optimizer_lower_bound": trace.lower_bound,
               "optimizer_gap": trace.gap, "optimizer_iterations": trace.iterates,
@@ -194,8 +195,10 @@ def _pairing_report(h: np.ndarray, shape: BipartiteShape, sign_tol: float | None
     if trace.lower_bound >= -VERDICT_TOL:
         q = trace.dual
         report["verdict"] = "decomposable"
+        # shifted by the certified bound s when s < 0, so the witness's PSD check sees max(s, 0)
         report["decomposition"] = DecomposableWitness(
-            h1=h - _partial_transpose(q, shape, "B"), h2=q.T, shape=shape)
+            h1=h - _partial_transpose(q, shape, "B") - min(trace.lower_bound, 0.0) * np.eye(shape.dim),
+            h2=q.T, shape=shape)
     elif value < -VERDICT_TOL:
         report["verdict"] = "not_decomposable"
         report["ppt_state"] = minimizer

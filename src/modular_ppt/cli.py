@@ -11,7 +11,8 @@ computation failed: two independent computation routes disagreed
 For 2 and 3 a JSON diagnostic object is emitted instead of a report.
 Exit 2 comes before anything is drawn for a bad --tol (malformed, not
 finite or negative), --seed, --samples or --dims (``choi`` and
-``hierarchy`` need dim_a >= 2), for samples * N^2 over
+``hierarchy`` need dim_a >= 2, ``construct`` a joint dimension within
+constructions.MAX_CONSTRUCT_DIM), for samples * N^2 over
 linalg.MAX_STACK_ENTRIES on the commands that stack --samples N x N
 matrices (READS), and for an --out that is a directory or lies in a
 missing one.
@@ -187,7 +188,7 @@ def run_minimize(cfg: RunConfig) -> tuple[dict, bool, dict]:
         "lower_bound": trace.lower_bound,
         "gap": trace.gap,
         "converged": trace.converged,
-        "feasibility_residual": trace.feasibility_residual,
+        "feasibility_residual": optim.feasibility_residual(minimizer, spec),
         "minimizer_diag": np.diag(minimizer).real.tolist(),
     }
     return body, True, {"iterations": trace.iterates, "certificate_checks": trace.checks}
@@ -331,6 +332,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command in ("choi", "hierarchy") and isinstance(dims, tuple) and dims[0] < 2:
         # on M_1 transposition is the identity map, so "positive but not CP" cannot hold there
         raise ContractError(f"{args.command} needs --dims NxM with N >= 2, got {args.dims!r}")
+    if args.command == "construct" and isinstance(dims, tuple):
+        constructions.require_construct_dim(math.prod(dims))
     if dims and "--samples" in READS.get(args.command, ()):
         dim = math.prod(dims) if isinstance(dims, tuple) else dims
         if args.samples * dim * dim > linalg.MAX_STACK_ENTRIES:

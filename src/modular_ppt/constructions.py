@@ -34,7 +34,7 @@ from .rand import complex_gaussian, generator, random_faithful_density
 
 SOLUTION_SV_THRESHOLD = 1e-9
 RESIDUAL_TOL = 1e-9
-SEPARABLE_ROUNDS = 120  # rounds of construct_ppt_from_cone's separable bound
+MAX_CONSTRUCT_DIM = 81  # joint dimension cap of construct_ppt_from_cone
 CANDIDATE_BOUND = 0.05  # a PPT vector whose separable bound exceeds this is flagged as a candidate
 
 
@@ -171,6 +171,11 @@ def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     return report
 
 
+def require_construct_dim(dim: int) -> None:
+    if dim > MAX_CONSTRUCT_DIM:
+        raise ShapeError(f"joint dimension {dim} exceeds the construction cap {MAX_CONSTRUCT_DIM}")
+
+
 def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0) -> tuple[np.ndarray, dict]:
     """State construction from a vector in the PPT cone intersection.
 
@@ -180,16 +185,14 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0) -> tuple[n
     be PPT; that relation is exactly what the square-root experiment
     probes -- and (iii) a bracket on the distance from xi to the product
     cone: the upper bound ``separable_bound`` (distance to an exhibited
-    sum of ``separable_terms`` products, after at most SEPARABLE_ROUNDS
-    rounds) and ``separable_lower_bound`` (distance to the PSD and
-    partial-transpose constraints, so 0 on PPT vectors up to their
-    feasibility slack).  An upper bound above CANDIDATE_BOUND flags the
-    vector as a candidate for PPT-but-not-separable; nothing stronger is
-    claimed.
+    sum of ``separable_terms`` products) and ``separable_lower_bound``
+    (distance to the PSD and partial-transpose constraints, so 0 on PPT
+    vectors up to their feasibility slack).  An upper bound above
+    CANDIDATE_BOUND flags the vector as a candidate for
+    PPT-but-not-separable; nothing stronger is claimed.
     """
     joint = comp.joint
-    if joint.dim > 81:
-        raise ShapeError(f"joint dimension {joint.dim} exceeds the construction cap 81")
+    require_construct_dim(joint.dim)
     rng = generator(seed)
     spec = PptSetSpec(comp.shape)
     a = sample_ppt_density(rng, spec)
@@ -200,7 +203,7 @@ def construct_ppt_from_cone(comp: CompositeGnsContext, seed: int = 0) -> tuple[n
     dens = density_of(xi)
     dens = dens / np.trace(dens).real
     gamma_min = float(_gamma_min(dens, comp.shape))
-    bound, _, info = cones_mod.separable_cone_distance(comp, xi, iters=SEPARABLE_ROUNDS, seed=seed)
+    bound, _, info = cones_mod.separable_cone_distance(comp, xi, seed=seed)
     report = {
         "xi_certificate": verdict.certificate,
         "xi_inside": verdict.inside,

@@ -18,11 +18,12 @@ keyword ``_sign_tol``, a bracket that excludes [-tol, tol], which is all
 that ``choi.dual_pairing_test`` needs to decide the sign of the minimum;
 with ``_sign_tol=None`` only the gap rule applies.  Its exact check of the
 bracket runs every CHECK_EVERY iterations and, between those, wherever a
-screen of a few inner products (Rayleigh-Ritz and Weyl bounds on the
-check's two eigenvalues, with eigenvectors kept from the last check)
-cannot prove that the check leaves the loop running; the screen changes
-no iterate, so the loop never stops later than with the scheduled checks
-alone.
+screen of a few inner products (Rayleigh-Ritz bounds on the check's two
+eigenvalues, with eigenvectors kept from the last check, and the centre's
+value Tr(h)/n, which bounds the check's value from below when Tr(X h)
+exceeds it) cannot prove that the check leaves the loop running; the
+screen changes no iterate, so the loop never stops later than with the
+scheduled checks alone.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
@@ -114,8 +115,12 @@ class PptSetSpec:
 
 @dataclass
 class SolveTrace:
+    # project_ppt sets iterates (sweeps), feasibility_residual, converged and
+    # snapped; min_trace_over_ppt sets iterates, converged and the fields from
+    # lower_bound on, and leaves feasibility_residual None (``feasibility_residual``
+    # of its minimizer gives it)
     iterates: int = 0
-    feasibility_residual: float = 0.0
+    feasibility_residual: float | None = None
     converged: bool = True
     snapped: bool = False
     lower_bound: float | None = None  # certified bracket of min_trace_over_ppt
@@ -339,11 +344,12 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     least eigenvectors z' of X^Gamma and z of h + rho U^Gamma.  The screen
     bounds the next check from them:
 
-    - the value is Tr(X h) + lam (Tr(h)/n - Tr(X h)), monotone in lam.
-      eps is at least -z'^dagger X^Gamma z', and -v^dagger X^Gamma v for
-      the least eigenvector v of X^Gamma + U from the Y step
-      (Rayleigh-Ritz), and at most ||X^Gamma - Y||_F (Weyl, as Y is PSD);
-      the end of that range that lowers the value gives v_lo;
+    - the value is Tr(X h) + lam (Tr(h)/n - Tr(X h)), monotone in lam,
+      with lam in [0, 1).  When Tr(X h) exceeds the centre's value Tr(h)/n,
+      the value is at least that centre's value, v_lo.  Otherwise the
+      least lam gives v_lo: eps is at least -z'^dagger X^Gamma z', and
+      -v^dagger X^Gamma v for the least eigenvector v of X^Gamma + U from
+      the Y step (Rayleigh-Ritz);
     - the bound is at most z^dagger (h + rho U^Gamma) z (Rayleigh-Ritz),
       b_hi.
 
@@ -385,7 +391,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
             vh = v.conj().T
             y, u = (v * np.maximum(w, 0.0)) @ vh, (v * np.minimum(w, 0.0)) @ vh
             if it % CHECK_EVERY and it != iters and not _may_close(
-                    upper, lower, *screen.bounds(x, x_gamma, y, u, rho, v[:, 0]), tol, _sign_tol):
+                    upper, lower, *screen.bounds(x, x_gamma, u, rho, v[:, 0]), tol, _sign_tol):
                 continue
         checks += 1
         w, v = np.linalg.eigh(x_gamma)
@@ -415,15 +421,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     minimizer = hermitize(minimizer)
     lower = min(lower, upper)  # the two meet within rounding; a smaller lower bound stays valid
     gap = upper - lower
-    trace = SolveTrace(
-        iterates=it,
-        feasibility_residual=feasibility_residual(minimizer, spec),
-        converged=bool(gap <= tol),
-        lower_bound=lower,
-        gap=gap,
-        dual=q,
-        checks=checks,
-    )
+    trace = SolveTrace(iterates=it, converged=bool(gap <= tol), lower_bound=lower, gap=gap, dual=q, checks=checks)
     return upper, minimizer, trace
 
 
@@ -438,20 +436,21 @@ class _Screen(NamedTuple):
     hz: float  # z^dagger h z
     u_probe: np.ndarray  # (z z^dagger)^Gamma: Tr(U (z z^dagger)^Gamma) = z^dagger U^Gamma z
 
-    def bounds(self, x: np.ndarray, x_gamma: np.ndarray, y: np.ndarray, u: np.ndarray, rho: float,
+    def bounds(self, x: np.ndarray, x_gamma: np.ndarray, u: np.ndarray, rho: float,
                near_least: np.ndarray) -> tuple[float, float]:
         """(v_lo, b_hi): a lower bound on the value and an upper bound on the
-        bound that an exact check would give at the iterate (X, Y, U, rho).
+        bound that an exact check would give at the iterate (X, U, rho).
         ``near_least`` is a second unit vector for the Rayleigh quotient of
         X^Gamma."""
         t = np.vdot(self.h, x).real  # Tr(X h)
-        step = self.center_value - t  # the value is t + lam * step, lam = eps / (eps + 1/n)
+        step = self.center_value - t  # the value is t + lam * step, lam = eps / (eps + 1/n) in [0, 1)
         if step >= 0:  # the least eps, by Rayleigh-Ritz
             rayleigh = min(np.vdot(self.x_gamma_probe, x_gamma).real, np.vdot(near_least, x_gamma @ near_least).real)
             eps = max(0.0, -rayleigh)
-        else:  # the greatest eps, by Weyl, as Y is PSD
-            eps = np.linalg.norm(x_gamma - y)
-        return t + eps / (eps + 1 / len(x)) * step, self.hz + rho * np.vdot(self.u_probe, u).real
+            v_lo = t + eps / (eps + 1 / len(x)) * step
+        else:  # at least t + step, the centre's value
+            v_lo = self.center_value
+        return v_lo, self.hz + rho * np.vdot(self.u_probe, u).real
 
 
 def _stops(upper: float, lower: float, tol: float, sign_tol: float | None) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modular_ppt.choi import (
+    VERDICT_TOL,
     DecomposableWitness,
     MapTable,
     apply_map,
@@ -156,6 +157,35 @@ class TestPairingVerdicts:
         for seed in range(4):
             h = random_decomposable(shape, seed=seed).h
             self.assert_reproduces(dual_pairing_test(h, shape), h)
+
+    def test_witness_accepts_a_bound_at_the_tolerance(self, shape22):
+        # least eigenvalue -c just inside -VERDICT_TOL: the solver certifies s >= -VERDICT_TOL, and the
+        # witness's own PSD check, a second rounding of the same eigenvalue, must accept the h1 it is given
+        for seed in range(30):
+            q = np.linalg.qr(complex_gaussian(generator(seed), 4, 4))[0]
+            for k in range(40):
+                c = VERDICT_TOL * (1 - k * 1e-7)
+                h = hermitize(q @ (np.diag([0.0, 0.3, 0.6, 1.0]) - c * np.eye(4)) @ q.conj().T)
+                report = dual_pairing_test(h, shape22)
+                assert report["verdict"] == "decomposable"
+                s = report["optimizer_lower_bound"]
+                shift = report["decomposition"].h - h  # max(0, -s) I up to rounding
+                assert np.max(np.abs(shift - max(0.0, -s) * np.eye(4))) <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_solve_counts_its_eigensolves(self, dims, monkeypatch):
+        # two eigh per iteration and per exact check, and only the witness's two PSD checks besides
+        shape = BipartiteShape(*dims)
+        h = random_decomposable(shape, seed=1000).h
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        report = dual_pairing_test(h, shape)
+        assert report["verdict"] == "decomposable"
+        assert calls == {"eigh": 2 * (report["optimizer_iterations"] + report["optimizer_checks"]), "eigvalsh": 2}
 
     def test_swap_decomposition_round_trip(self, swap22, shape22):
         self.assert_reproduces(dual_pairing_test(swap22, shape22), swap22)

@@ -356,6 +356,14 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic["kind"] == kind and names in diagnostic["error"]
 
+    def test_construct_refuses_the_joint_cap_before_building_contexts(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("construct built a GNS context for a --dims over its cap")
+        monkeypatch.setattr(gns, "build_gns", forbidden)
+        assert main(["construct", "--dims", "10x9"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic["kind"] == "ShapeError" and "cap 81" in diagnostic["error"]
+
     @pytest.mark.parametrize("argv,admitted", [
         (["gns-verify", "--dims", "4096", "--samples", "1"], False),
         (["gns-verify", "--dims", "4096"], False),

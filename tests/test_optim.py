@@ -128,6 +128,12 @@ class TestMinTrace:
         assert trace.converged and trace.checks == 0
         assert np.array_equal(minimizer, np.eye(4) / 4)
 
+    def test_trace_leaves_the_minimizer_residual_to_the_caller(self, swap22, spec22):
+        # the ADMM loop sets no residual; feasibility_residual of its minimizer gives it
+        _, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=50)
+        assert trace.feasibility_residual is None
+        assert feasibility_residual(minimizer, spec22) <= spec22.tol_feas
+
     def test_swap_target(self, swap22, spec22):
         value, minimizer, trace = min_trace_over_ppt(swap22, spec22, iters=1500)
         assert trace.lower_bound <= 0.0 <= value + 1e-12
@@ -245,8 +251,8 @@ class TestScreen:
         seen = []
         bounds = optim._Screen.bounds
 
-        def recording(screen, x, x_gamma, y, u, rho, near_least):
-            seen.append((screen.h, x, x_gamma, u, rho, bounds(screen, x, x_gamma, y, u, rho, near_least)))
+        def recording(screen, x, x_gamma, u, rho, near_least):
+            seen.append((screen.h, x, x_gamma, u, rho, bounds(screen, x, x_gamma, u, rho, near_least)))
             return seen[-1][-1]
 
         with mock.patch.object(optim._Screen, "bounds", recording):
@@ -260,7 +266,8 @@ class TestScreen:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(0, 2**31 - 1))
     def test_bounds_hold_for_any_unit_vectors(self, dims, seed):
-        # Rayleigh-Ritz takes any unit vector and Weyl any PSD Y: random ones exercise both branches of v_lo
+        # Rayleigh-Ritz takes any unit vector: random ones exercise both branches of v_lo (the centre's value
+        # when Tr(X h) exceeds it); the PSD draw keeps u's place in the stream
         spec = PptSetSpec(BipartiteShape(*dims))
         n = spec.shape.dim
         rng = generator(seed)
@@ -268,12 +275,12 @@ class TestScreen:
         x = random_psd(rng, n)
         x /= np.trace(x).real
         x_gamma = partial_transpose(x, spec.shape)
-        y, u = random_psd(rng, n), hermitize(complex_gaussian(rng, n, n))
+        _, u = random_psd(rng, n), hermitize(complex_gaussian(rng, n, n))
         z, z_x, near = (v / np.linalg.norm(v) for v in complex_gaussian(rng, 3, n))
         screen = optim._Screen(h, np.trace(h).real / n, np.outer(z_x, z_x.conj()), np.vdot(z, h @ z).real,
                                partial_transpose(np.outer(z, z.conj()), spec.shape))
         rho = float(rng.uniform(0.1, 10.0))
-        v_lo, b_hi = screen.bounds(x, x_gamma, y, u, rho, near)
+        v_lo, b_hi = screen.bounds(x, x_gamma, u, rho, near)
         value, bound = _exact_check(h, spec, x, x_gamma, u, rho)
         slack = 1e-12 * np.linalg.norm(h)
         assert v_lo <= value + slack and b_hi >= bound - slack
