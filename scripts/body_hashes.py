@@ -76,12 +76,13 @@ CONFIGS = (
     ("choi", "--dims", "1x3"),  # transposition on M_1 is the identity map
     ("hierarchy", "--dims", "1x2"),
     ("construct", "--dims", "10x9"),  # over the construction cap 81, refused before any GNS context is built
+    ("minimize", "--in", "huge.json"),  # finite entries whose Frobenius norm overflows
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
 # Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, the 2x2 singlet density
 # and the 2x2 maximally mixed density I/4, that density with a shape field lacking dim_b,
-# and a JSON null
+# a JSON null, and diag(1, -1, 2, 0.5) * 1e160 on 2x2, finite with an infinite Frobenius norm
 WRITE_INPUTS = (
     "import numpy as np\n"
     "from modular_ppt.choi import choi_from_map, generalized_choi_map, transposition_map_table\n"
@@ -99,6 +100,8 @@ WRITE_INPUTS = (
     "payload['shape'] = {'dim_a': 2}\n"
     "json.dump(payload, open('bad_shape.json', 'w'))\n"
     "json.dump(None, open('null.json', 'w'))\n"
+    "save_matrix(np.diag([1.0, -1.0, 2.0, 0.5]) * 1e160, 'huge.json', kind='hermitian',"
+    " shape=BipartiteShape(2, 2))\n"
 )
 
 

@@ -37,7 +37,7 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-from .optim import PptSetSpec, _dykstra, _seedlings, min_trace_over_ppt
+from .optim import PptSetSpec, _sample_ppt, min_trace_over_ppt
 from .rand import SEED_LIMIT, _factor_draws, _unit_trace_gram, generator, random_psd
 
 VERDICT_TOL = 1e-10  # dual_pairing_test's verdicts: lower bound >= -tol, or value < -tol
@@ -218,7 +218,7 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     n, m = t.dim_in, t.dim_out
     # inputs sampled one decade tighter than the -1e-8 output verdict
     in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
-    a = _dykstra(_seedlings(rng, in_spec, samples), in_spec)[0]
+    a = _sample_ppt(rng, in_spec, samples)[0]
     out = np.einsum("xsirj,ijkl->xskrl", a.reshape(-1, k, n, k, n), t.blocks)
     min_eig = float(np.min(np.linalg.eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))[:, 0]))
     return {"k": k, "samples": samples, "min_output_eigenvalue": min_eig,

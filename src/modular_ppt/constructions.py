@@ -4,9 +4,9 @@ Three things live here: the dim-2 anticommutator criterion (vanishing of
 <f (x) y, {A (x) 1, rho} f (x) y> for all y forces the block transpose of
 rho to stay positive), the recipe that manufactures PPT states from
 cone-intersection vectors, and an exploratory harness probing how PPT-ness
-of a state relates to PPT-ness of its square root.  The harness projects
-its sampled states as one Dykstra stack, then tallies and reports; it
-never asserts an answer to the open correspondence.
+of a state relates to PPT-ness of its square root.  The harness draws
+its PPT states as one stack from ``optim``'s sampler, then tallies and
+reports; it never asserts an answer to the open correspondence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .linalg import (
     require_count,
     require_density,
 )
-from .optim import PptSetSpec, _dykstra, _seedlings, sample_ppt_density
+from .optim import PptSetSpec, _sample_ppt, sample_ppt_density
 from .rand import complex_gaussian, generator, random_faithful_density
 
 SOLUTION_SV_THRESHOLD = 1e-9
@@ -229,8 +229,8 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     states run as one stack.
 
     Returns (report, tallies): ``report`` is the ``experiment`` command's
-    results, ``tallies`` the sampler's ``dykstra_*`` counters, which stay
-    out of report bodies.
+    results, ``tallies`` the ``dykstra_*`` counters of ``optim._sample_ppt``,
+    which stay out of report bodies.
     """
     require_count(samples, "samples")
     rng = generator(seed)
@@ -238,9 +238,8 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
     ctx_b = build_gns(random_faithful_density(rng, shape.dim_b))
     comp = build_composite(ctx_a, ctx_b)
     joint = comp.joint
-    spec = PptSetSpec(shape)
 
-    d, sweeps, snapped, residual = _dykstra(_seedlings(rng, spec, samples), spec)
+    d, tallies = _sample_ppt(rng, PptSetSpec(shape), samples)
     d = _project_psd(d)
     d = d / np.trace(d, axis1=-2, axis2=-1).real[:, None, None]
     ppt = _gamma_min(d, shape) >= -1e-7
@@ -269,12 +268,6 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
             "matches_at_1e-9": int(np.sum(probes <= 1e-9)),
         },
         "passed": control_failures == 0,
-    }
-    tallies = {
-        "dykstra_sweeps": int(np.sum(sweeps)),
-        "dykstra_sweeps_p90": int(np.percentile(sweeps, 90, method="inverted_cdf")),  # nearest rank
-        "dykstra_snaps": int(np.count_nonzero(snapped)),
-        "dykstra_unconverged": int(np.count_nonzero(residual > spec.tol_feas)),
     }
     return report, tallies
 

@@ -18,12 +18,12 @@ eigenpairs it is given, with the faithfulness check, so that
 its factors.
 
 Delta^beta, the flip U and the inner product each have one unchecked
-kernel (``_delta_power``, ``_flip``, ``_inner``) that takes a matrix or a
+kernel (``_delta_factor``, ``_flip``, ``_inner``) that takes a matrix or a
 stack of shape (k, n, n) and acts on each matrix of it, with the same bits
-as on the matrix alone.  ``_delta_power`` changes basis around
-``_delta_factor``, the one Delta kernel: in the eigen coordinates
-X^dagger m X (``GnsContext.to_eigbasis``) Delta^beta is the Hadamard
-product with (lambda_i / lambda_j)^beta, which ``cones`` applies directly.
+as on the matrix alone.  ``_delta_factor`` is the one Delta kernel: in the
+eigen coordinates X^dagger m X (``GnsContext.to_eigbasis``) Delta^beta is
+the Hadamard product with (lambda_i / lambda_j)^beta, which ``cones``
+applies directly and ``apply_delta_power`` wraps in the change of basis.
 The public ``apply_delta_power``, ``apply_u``, ``transpose_operator`` and
 ``inner`` check their inputs once and call them;
 ``_check_delta_power`` is the Delta-power overflow check.  ``apply_u``,
@@ -169,20 +169,13 @@ def _delta_factor(ctx: GnsContext, beta: float, coords: np.ndarray) -> np.ndarra
     return coords * np.exp(beta * ctx.log_ratio)
 
 
-def _delta_power(ctx: GnsContext, beta: float, mats: np.ndarray) -> np.ndarray:
-    """Delta^beta on a matrix or a stack, unchecked; Delta^0 returns its input."""
-    if beta == 0.0:
-        return mats
-    return ctx.from_eigbasis(_delta_factor(ctx, beta, ctx.to_eigbasis(mats)))
-
-
 def apply_delta_power(ctx: GnsContext, beta: float, xi: GnsVector) -> GnsVector:
     """Delta^beta: scales the (i, j) eigenbasis coordinate by (l_i/l_j)^beta."""
     mat = xi.mat_in(ctx)
     if beta == 0.0:
         return xi
     _check_delta_power(ctx, beta)
-    return GnsVector(_delta_power(ctx, beta, mat), ctx)
+    return GnsVector(ctx.from_eigbasis(_delta_factor(ctx, beta, ctx.to_eigbasis(mat))), ctx)
 
 
 def apply_jm(ctx: GnsContext, xi: GnsVector) -> GnsVector:

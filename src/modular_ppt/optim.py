@@ -16,23 +16,20 @@ the dual-cone pairing test.  The loop has two stop rules: a gap below
 GAP_TOL * ||h||_F, which ``minimize`` asks for, and, chosen by the private
 keyword ``_sign_tol``, a bracket that excludes [-tol, tol], which is all
 that ``choi.dual_pairing_test`` needs to decide the sign of the minimum;
-with ``_sign_tol=None`` only the gap rule applies.  Its exact check of the
-bracket runs every CHECK_EVERY iterations and, between those, wherever a
-screen of a few inner products (Rayleigh-Ritz bounds on the check's two
-eigenvalues, with eigenvectors kept from the last check, and the centre's
-value Tr(h)/n, which bounds the check's value from below when Tr(X h)
-exceeds it) cannot prove that the check leaves the loop running; the
-screen changes no iterate, so the loop never stops later than with the
-scheduled checks alone.
+with ``_sign_tol=None`` only the gap rule applies.  Each loop screens its
+exact checks; the screens are derived in ``_dykstra`` and
+``min_trace_over_ppt``.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
 independent problems of shape (k, n, n); a single matrix is a stack of
 one.  Every sample keeps its own stopping rules, its own entry in the
 sweep, snap and residual arrays returned with the stack, and the same
 bits as when projected alone.  ``project_ppt`` and ``sample_ppt_density``
-project a stack of one; ``constructions.sqrt_ppt_experiment`` and
-``choi.stormer_block_test`` project all their k seedlings as one stack,
-``_dykstra(_seedlings(rng, spec, k), spec)``, whose size the CLI bounds
+(one seedling through ``project_ppt``, whose nesting the benchmark's
+tracer counts) project a stack of one.  ``_sample_ppt`` is the one stack
+sampler: it projects k seedlings as one stack and tallies the sweeps and
+snaps; ``constructions.sqrt_ppt_experiment`` and ``choi.stormer_block_test``
+draw all their states from it, a stack whose size the CLI bounds
 (``linalg.MAX_STACK_ENTRIES``).  ``min_trace_over_ppt`` solves one
 problem, from one start at I/n, on single matrices.
 
@@ -41,19 +38,6 @@ each is a sum or difference of Hermitian matrices, a partial transpose of
 one, or one plus a real diagonal shift.  Only the outputs of the two PSD
 projections (spectral products) are hermitized; ``feasibility_residual``
 hermitizes at the public boundary.
-
-Dykstra's feasibility test is screened.  Before the exact check
-(``_residuals``: one ``eigvalsh`` of x and one of x^Gamma), ``_dykstra``
-bounds both least eigenvalues from above with what the sweep already holds:
-lambda_min(x^Gamma) = max(w_min, 0) + c up to rounding, where w_min is the
-least eigenvalue the Gamma step clipped and c I the shift of the trace step,
-which needs no correction term as the hyperplane is affine (the partial
-transpose fixes the diagonal, so x^Gamma is the Gamma step's PSD output plus
-c I), and lambda_min(x) <= u^dagger x u by Rayleigh-Ritz, for a recent least
-eigenvector u of the sample.  A sample that a bound proves infeasible skips
-the exact check.  No bit changes: the screen is conservative by
-SCREEN_MARGIN, far above the bounds' rounding, and every other sample takes
-the same exact check as before, one matrix at a time.
 """
 
 from __future__ import annotations
@@ -190,16 +174,19 @@ def _dykstra(m: np.ndarray, spec: PptSetSpec) -> tuple[np.ndarray, np.ndarray, n
     sweeps (checked at each multiple of 100 from 200 on, which also stops
     an iterate that no longer moves), or after MAX_SWEEPS.
 
-    Between checkpoints, a sample takes the exact feasibility check only
-    when neither screen bound (see the module docstring) lies below
-    -(tol_feas + SCREEN_MARGIN).  The Gamma bound holds because the trace
-    step sets x = x_Gamma + c I with no correction term: Dykstra's
+    The feasibility test is screened.  Between checkpoints, a sample takes
+    the exact check (``_residuals``: one ``eigvalsh`` of x and one of
+    x^Gamma) only when neither of two upper bounds on its least eigenvalues
+    lies below -(tol_feas + SCREEN_MARGIN).  The Gamma bound is
+    max(w_min, 0) + c, with w_min the least eigenvalue the Gamma step
+    clipped and c I the shift of the trace step.  It holds because the
+    trace step sets x = x_Gamma + c I with no correction term: Dykstra's
     correction for the affine trace hyperplane would be a multiple of its
     normal I, which the next trace projection cancels.  The partial
     transpose fixes the diagonal, so x^Gamma is the Gamma step's PSD output
-    plus c I, entry for entry, with least eigenvalue max(w_min, 0) + c: two
-    numbers per sample, no pass over the stack, and no invariant of an
-    accumulated increment.  The x bound holds for any unit vector u: the
+    plus c I, entry for entry: two numbers per sample, no pass over the
+    stack, and no invariant of an accumulated increment.  The x bound is
+    u^dagger x u >= lambda_min(x) (Rayleigh-Ritz) for a unit vector u: the
     least eigenvector of the first PSD step's input, refreshed by one
     ``eigh`` of x whenever the sample takes the exact check and stays
     infeasible; its Rayleigh quotient is formed only for the samples that
@@ -298,6 +285,21 @@ def _seedlings(rng: np.random.Generator, spec: PptSetSpec, k: int) -> np.ndarray
     return seedlings
 
 
+def _sample_ppt(rng: np.random.Generator, spec: PptSetSpec, k: int) -> tuple[np.ndarray, dict]:
+    """k random PPT states, the Dykstra projections of k seedlings as one
+    stack, and the sampler's tallies: the total sweeps (``dykstra_sweeps``),
+    their nearest-rank 90th percentile (``dykstra_sweeps_p90``) and the
+    samples blended toward I/n (``dykstra_snaps``).  Every state is feasible
+    to tol_feas: the seedlings have unit norm and trace one, so a snapped
+    sample's blend leaves both least eigenvalues above zero."""
+    states, sweeps, snapped, _ = _dykstra(_seedlings(rng, spec, k), spec)
+    return states, {
+        "dykstra_sweeps": int(np.sum(sweeps)),
+        "dykstra_sweeps_p90": int(np.percentile(sweeps, 90, method="inverted_cdf")),
+        "dykstra_snaps": int(np.count_nonzero(snapped)),
+    }
+
+
 def sample_ppt_density(rng: np.random.Generator, spec: PptSetSpec) -> np.ndarray:
     """Random PPT state: Dykstra projection of a trace-one Hermitian sample."""
     out, _ = project_ppt(_seedlings(rng, spec, 1)[0], spec)
@@ -317,7 +319,8 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         Y <- Pi_+(X^Gamma + U)                 one eigh
         U <- U + X^Gamma - Y                   the negative part of X^Gamma + U
 
-    rho starts at ||h||_F and is rebalanced between the primal and dual
+    rho starts at ||h||_F, so an h whose ||h||_F overflows is refused
+    (ContractError), and is rebalanced between the primal and dual
     residuals every CHECK_EVERY iterations.  An exact check certifies both
     sides of the bracket.  The upper bound is Tr(D h) at the feasible point
     D = (1 - lam) X + lam I/n, the least blend toward the centre that makes
@@ -366,12 +369,17 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     ``restarts`` and ``seed`` remain only because the benchmark still
     passes them; neither is read.
     """
-    h = hermitize(require_bipartite(require_hermitian(h), spec.shape))
+    given = require_bipartite(require_hermitian(h), spec.shape)
+    # rho = ||h||_F must be finite, or inf * 0 reaches eigh as NaN; refuse it without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hermitize(given)
+        nrm = float(np.linalg.norm(h))
+        if not nrm < np.inf:
+            raise ContractError(f"h has entries up to {np.max(np.abs(given)):.3e}: its Frobenius norm overflows")
     if iters < 0:
         raise ContractError(f"iters must be >= 0, got {iters}")
     n = spec.shape.dim
     center = np.eye(n, dtype=complex) / n
-    nrm = float(np.linalg.norm(h))
     if nrm == 0:
         return 0.0, center, SolveTrace(lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
 

@@ -756,7 +756,7 @@ class TestStackedConeLayer:
         ctx = build_gns(random_faithful_density(rng, dim))
         stack = np.stack([complex_gaussian(rng, dim, dim) for _ in range(20)])
         for beta in (-0.5, -0.125, 0.0, 0.25, 0.5, 1.0):
-            out = gns._delta_power(ctx, beta, stack)
+            out = apply_delta_power(ctx, beta, gns.GnsVector(stack, ctx)).mat
             for m, o in zip(stack, out):
                 assert np.array_equal(o, apply_delta_power(ctx, beta, ctx.vector(m)).mat)
 

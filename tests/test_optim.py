@@ -1,4 +1,6 @@
 import functools
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modular_ppt import optim
-from modular_ppt.choi import VERDICT_TOL, choi_from_map, generalized_choi_map, random_decomposable
+from modular_ppt.choi import (
+    VERDICT_TOL,
+    choi_from_map,
+    dual_pairing_test,
+    generalized_choi_map,
+    identity_map_table,
+    random_decomposable,
+    stormer_block_test,
+)
+from modular_ppt.constructions import sqrt_ppt_experiment
+from modular_ppt.errors import ContractError
 from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
 from modular_ppt.optim import (
     PptSetSpec,
@@ -190,6 +202,19 @@ class TestMinTrace:
         assert trace.gap > optim.GAP_TOL * np.linalg.norm(choi_map)
         assert trace.lower_bound <= 1 - 2 / np.sqrt(3) <= value
         assert_feasible_state(minimizer, spec)
+
+    def test_an_overflowing_norm_is_refused_before_any_iterate(self, spec22):
+        # finite entries, but ||h||_F overflows: rho = inf would reach eigh as NaN; at 1e308
+        # hermitizing alone would overflow, so the refusal must name the input's entries
+        h = np.diag([1.0, -1.0, 2.0, 0.5]) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            for big, peak in ((h, "2.000e+160"), (np.diag([1.0, -1.0, 1.5, 0.5]) * 1e308, "1.500e+308")):
+                for solve in (min_trace_over_ppt, lambda m, s: dual_pairing_test(m, s.shape)):
+                    with pytest.raises(ContractError, match=re.escape(f"entries up to {peak}: its")):
+                        solve(big, spec22)
+        value, _, trace = min_trace_over_ppt(h * 1e-10, spec22, iters=300)
+        assert trace.converged and value == pytest.approx(-1e150, rel=1e-6)
 
     def test_no_dykstra_projection(self, monkeypatch, swap22, spec22):
         def forbidden(*args, **kwargs):
@@ -388,6 +413,27 @@ class TestSamplePpt:
         for _ in range(20):
             d = sample_ppt_density(rng, spec22)
             assert feasibility_residual(d, spec22) <= spec22.tol_feas
+
+    def test_every_sampler_projects_one_stack(self, monkeypatch):
+        # sample_ppt_density, sqrt_ppt_experiment and stormer_block_test reach _dykstra once per call;
+        # only sample_ppt_density goes through project_ppt, as the benchmark's tracer test expects
+        stacks, calls = [], []
+        dykstra, project = optim._dykstra, optim.project_ppt
+
+        def counting(m, spec):
+            stacks.append(len(m))
+            return dykstra(m, spec)
+
+        def projecting(m, spec):
+            calls.append(len(stacks))
+            return project(m, spec)
+
+        monkeypatch.setattr(optim, "_dykstra", counting)
+        monkeypatch.setattr(optim, "project_ppt", projecting)
+        sample_ppt_density(generator(207), PptSetSpec(BipartiteShape(2, 2)))
+        sqrt_ppt_experiment(BipartiteShape(2, 2), samples=20, seed=0)
+        stormer_block_test(identity_map_table(2), k=2, samples=15, seed=0)
+        assert stacks == [1, 20, 15] and calls == [0]
 
 
 class TestStackedDykstra:
