@@ -50,7 +50,8 @@ CONFIGS = (
     *(("gns-verify", "--dims", d) for d in ("2", "4", "9")),
     ("minimize", "--in", "swap.json", "--dims", "2x2"),
     ("minimize", "--in", "swap.json", "--dims", "2x2", "--iters", "300"),
-    ("minimize", "--in", "choi_map.json", "--dims", "3x3"),
+    ("minimize", "--in", "choi_map.json", "--dims", "3x3"),  # real: the solver's float64 loop
+    ("minimize", "--in", "choi_map_rotated.json", "--dims", "3x3"),  # complex: its complex128 loop
     ("anticomm", "--dims", "2x2"),
     ("anticomm", "--dims", "2x3"),
     ("anticomm", "--dims", "2x4"),
@@ -80,7 +81,8 @@ CONFIGS = (
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]
-# Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3, the 2x2 singlet density
+# Phi(X) = diag(2x11 + x33, 2x22 + x11, 2x33 + x22) - X on M_3 and its rotation
+# (U (x) V) C (U (x) V)^dagger by two fixed-seed unitaries (complex, same minimum), the 2x2 singlet density
 # and the 2x2 maximally mixed density I/4, that density with a shape field lacking dim_b,
 # a JSON null, and diag(1, -1, 2, 0.5) * 1e160 on 2x2, finite with an infinite Frobenius norm
 WRITE_INPUTS = (
@@ -90,8 +92,12 @@ WRITE_INPUTS = (
     "from modular_ppt.linalg import BipartiteShape\n"
     "save_matrix(choi_from_map(transposition_map_table(2)), 'swap.json', kind='hermitian',"
     " shape=BipartiteShape(2, 2))\n"
-    "save_matrix(choi_from_map(generalized_choi_map(2, 0, 1)), 'choi_map.json', kind='hermitian',"
-    " shape=BipartiteShape(3, 3))\n"
+    "c = choi_from_map(generalized_choi_map(2, 0, 1))\n"
+    "save_matrix(c, 'choi_map.json', kind='hermitian', shape=BipartiteShape(3, 3))\n"
+    "rng = np.random.default_rng(7)\n"
+    "u, v = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0] for _ in range(2))\n"
+    "w = np.kron(u, v)\n"
+    "save_matrix(w @ c @ w.conj().T, 'choi_map_rotated.json', kind='hermitian', shape=BipartiteShape(3, 3))\n"
     "psi = np.array([0, 1, -1, 0]) / np.sqrt(2)\n"
     "save_matrix(np.outer(psi, psi), 'singlet.json', kind='density', shape=BipartiteShape(2, 2))\n"
     "save_matrix(np.eye(4) / 4, 'mixed.json', kind='density', shape=BipartiteShape(2, 2))\n"

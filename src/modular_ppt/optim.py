@@ -8,16 +8,19 @@ Dykstra's correction terms have not converged by then.  A member of the
 set is a fixed point of the first sweep, so distance-to-output still
 doubles as a membership oracle.  ``min_trace_over_ppt`` minimizes a
 linear objective over the same set with one ADMM loop from I/n (two
-eigendecompositions per iteration, no nested projection) and returns a
-certified bracket: the value of a feasible state above, and below a dual
-bound from a decomposition h - s I = P + Q^Gamma with P, Q PSD, the
-decomposable-witness side of the duality.  It is the executable form of
-the dual-cone pairing test.  The loop has two stop rules: a gap below
-GAP_TOL * ||h||_F, which ``minimize`` asks for, and, chosen by the private
-keyword ``_sign_tol``, a bracket that excludes [-tol, tol], which is all
-that ``choi.dual_pairing_test`` needs to decide the sign of the minimum;
-with ``_sign_tol=None`` only the gap rule applies.  Each loop screens its
-exact checks; the screens are derived in ``_dykstra`` and
+eigendecompositions per iteration, no nested projection; the first exact
+check, at X = I/n, costs one) and returns a certified bracket: the value
+of a feasible state above, and below a dual bound from a decomposition
+h - s I = P + Q^Gamma with P, Q PSD, the decomposable-witness side of the
+duality.  It is the executable form of the dual-cone pairing test.  The
+loop has two stop rules: a gap below GAP_TOL * ||h||_F, which ``minimize``
+asks for, and, chosen by the private keyword ``_sign_tol``, a bracket that
+excludes [-tol, tol], which is all that ``choi.dual_pairing_test`` needs
+to decide the sign of the minimum; with ``_sign_tol=None`` only the gap
+rule applies.  A real symmetric h (the Choi maps, the swap, -|Phi><Phi|)
+is solved in float64: every iterate and eigensolve of the loop is real,
+and the minimizer and dual it returns are complex128 whatever h is.  Each
+loop screens its exact checks; the screens are derived in ``_dykstra`` and
 ``min_trace_over_ppt``.
 
 Stack convention: the one Dykstra loop, ``_dykstra``, projects a stack of
@@ -42,6 +45,7 @@ hermitizes at the public boundary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,8 +95,8 @@ class PptSetSpec:
     tol_feas: float = 1e-8
 
     def __post_init__(self):
-        if self.tol_feas <= 0:
-            raise ContractError(f"tol_feas must be positive, got {self.tol_feas}")
+        if not 0 < self.tol_feas < np.inf:  # also refuses NaN, which no comparison lets through
+            raise ContractError(f"tol_feas must be finite and positive, got {self.tol_feas}")
         if self.shape.dim > MAX_DIM:
             raise DimensionLimitError(f"PPT set dimension {self.shape.dim} exceeds cap {MAX_DIM}")
 
@@ -330,10 +334,10 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     Tr(D h) = Tr(D (h - Q^Gamma)) + Tr(D^Gamma Q) >= lambda_min(h - Q^Gamma).
     The value is the least upper bound, ``trace.lower_bound`` the greatest
     lower bound, and the loop stops once their gap is below
-    GAP_TOL * ||h||_F (``trace.converged``) or after ``iters`` iterations.
-    With a ``_sign_tol`` (private: the sign stop of
-    ``choi.dual_pairing_test``), it also stops at the first exact check
-    whose bracket excludes [-_sign_tol, _sign_tol]: lower bound
+    GAP_TOL * ||h||_F (``trace.converged``) or after ``iters`` iterations,
+    an integer >= 0 (else ContractError).  With a ``_sign_tol`` (private:
+    the sign stop of ``choi.dual_pairing_test``), it also stops at the first
+    exact check whose bracket excludes [-_sign_tol, _sign_tol]: lower bound
     >= -_sign_tol or value < -_sign_tol.  Both bounds are monotone, so the
     sign so certified is the one the gap-closing solve would certify;
     ``None`` (the default) leaves the gap rule alone, iterate for iterate.
@@ -365,6 +369,17 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
     later than with the scheduled checks alone (up to rounding), a loose
     screen costs time and never correctness, and every bracket is
     certified by an exact check.  ``trace.checks`` counts the exact checks.
+    The first one, at iteration 0, has X = X^Gamma = I/n: its eigenpairs
+    are taken in closed form (eigenvalue 1/n, eps = 0, D = I/n, z' = e_0,
+    the bits ``eigh`` returns for I/n), so it costs only the eigh of
+    h + rho U^Gamma, and a solve makes 2 (iterations + checks) - 1
+    eigensolves.
+
+    When the hermitized h has no imaginary part, the loop runs on its real
+    part: I/n, U and the screen follow h's dtype, so every iterate, ``eigh``
+    and matrix product is float64 (the same loop, with half the arithmetic
+    of complex128).  The minimizer and ``trace.dual`` are returned as
+    complex128 either way, as is the h = 0 answer.
 
     ``restarts`` and ``seed`` remain only because the benchmark still
     passes them; neither is read.
@@ -376,14 +391,16 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         nrm = float(np.linalg.norm(h))
         if not nrm < np.inf:
             raise ContractError(f"h has entries up to {np.max(np.abs(given)):.3e}: its Frobenius norm overflows")
-    if iters < 0:
-        raise ContractError(f"iters must be >= 0, got {iters}")
+    if not isinstance(iters, numbers.Integral) or iters < 0:
+        raise ContractError(f"iters must be an integer >= 0, got {iters!r}")
     n = spec.shape.dim
-    center = np.eye(n, dtype=complex) / n
     if nrm == 0:
-        return 0.0, center, SolveTrace(lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
+        return 0.0, np.eye(n, dtype=complex) / n, SolveTrace(lower_bound=0.0, gap=0.0, dual=np.zeros_like(h))
+    if not h.imag.any():
+        h = h.real.copy()  # real symmetric: the loop below then runs in float64 throughout
 
     tol = GAP_TOL * nrm
+    center = np.eye(n, dtype=h.dtype) / n
     x = x_gamma = y = center  # I/n is its own partial transpose
     u = np.zeros_like(h)
     rho = nrm
@@ -402,14 +419,16 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
                     upper, lower, *screen.bounds(x, x_gamma, u, rho, v[:, 0]), tol, _sign_tol):
                 continue
         checks += 1
-        w, v = np.linalg.eigh(x_gamma)
-        eps = max(0.0, -w[0])
+        if it:
+            w, v = np.linalg.eigh(x_gamma)
+            eps, least_gamma = max(0.0, -w[0]), v[:, 0]
+        else:  # X^Gamma = I/n: eigenvalues 1/n and eigenvectors I, the bits eigh returns for it
+            eps, least_gamma = 0.0, np.eye(n, dtype=h.dtype)[0]
         lam = eps / (eps + 1 / n)
         d = (1 - lam) * x + lam * center
         value = float(np.vdot(h, d).real)  # Tr(d h), as h is Hermitian
         if value < upper:
             upper, minimizer = value, d
-        least_gamma = v[:, 0]
         w, v = np.linalg.eigh(h + rho * _partial_transpose(u, spec.shape))
         bound = float(w[0])
         if bound > lower:
@@ -426,10 +445,11 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
                 scale = RHO_STEP if primal > RHO_BALANCE * dual else 1 / RHO_STEP if dual > RHO_BALANCE * primal else 1.0
                 rho, u = rho * scale, u / scale
             h_rho = h / rho
-    minimizer = hermitize(minimizer)
+    minimizer = hermitize(minimizer).astype(complex, copy=False)
     lower = min(lower, upper)  # the two meet within rounding; a smaller lower bound stays valid
     gap = upper - lower
-    trace = SolveTrace(iterates=it, converged=bool(gap <= tol), lower_bound=lower, gap=gap, dual=q, checks=checks)
+    trace = SolveTrace(iterates=it, converged=bool(gap <= tol), lower_bound=lower, gap=gap,
+                       dual=q.astype(complex, copy=False), checks=checks)
     return upper, minimizer, trace
 
 

@@ -56,6 +56,13 @@ class TestProjectPsd:
 
 
 class TestProjectPpt:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    def test_tol_feas_must_be_finite_and_positive(self, shape22, tol):
+        # a NaN tolerance passes no comparison: Dykstra would run all MAX_SWEEPS and never snap,
+        # and an infinite one would accept the first sweep
+        with pytest.raises(ContractError, match="tol_feas must be finite and positive"):
+            PptSetSpec(shape22, tol_feas=tol)
+
     def test_fixed_point_single_sweep(self, spec22):
         d = np.eye(4) / 4
         out, trace = project_ppt(d, spec22)
@@ -215,6 +222,13 @@ class TestMinTrace:
                         solve(big, spec22)
         value, _, trace = min_trace_over_ppt(h * 1e-10, spec22, iters=300)
         assert trace.converged and value == pytest.approx(-1e150, rel=1e-6)
+
+    def test_iters_must_be_an_integer(self, swap22, spec22):
+        for iters in (1.5, 2.0, -1, "3", None):
+            with pytest.raises(ContractError, match="iters must be an integer >= 0"):
+                min_trace_over_ppt(swap22, spec22, iters=iters)
+        for iters in (0, np.int64(0)):
+            assert min_trace_over_ppt(swap22, spec22, iters=iters)[2].iterates == 0
 
     def test_no_dykstra_projection(self, monkeypatch, swap22, spec22):
         def forbidden(*args, **kwargs):
@@ -628,6 +642,49 @@ class TestLeanDykstraSweep:
         monkeypatch.setattr(optim, "_residuals", counting)
         _, sweeps, _, _ = optim._dykstra(optim._seedlings(generator(400), spec, 100), spec)
         assert sum(rows) < 0.1 * sweeps.sum()
+
+
+def _local_unitaries(seed: int, shape: BipartiteShape) -> np.ndarray:
+    """U (x) V for Haar-like unitaries U, V (QR of complex Gaussians)."""
+    rng = generator(seed)
+    u, v = (np.linalg.qr(complex_gaussian(rng, d, d))[0] for d in (shape.dim_a, shape.dim_b))
+    return kron(u, v)
+
+
+class TestRealOperators:
+    """A real symmetric h is solved in float64, a complex one in complex128, by the same loop;
+    what is returned is complex128 either way."""
+
+    def test_local_unitary_rotation_keeps_the_choi_map_bracket(self, choi_map):
+        # (U (x) V) D (U (x) V)^dagger is PPT iff D is, so the minimum 1 - 2/sqrt(3) is unchanged
+        shape = BipartiteShape(3, 3)
+        w = _local_unitaries(17, shape)
+        rotated = w @ choi_map @ w.conj().T
+        assert np.any(hermitize(rotated).imag)
+        solves = [min_trace_over_ppt(h, PptSetSpec(shape), iters=300) for h in (choi_map, rotated)]
+        for value, minimizer, trace in solves:
+            assert trace.converged and trace.lower_bound <= 1 - 2 / np.sqrt(3) <= value
+            assert_feasible_state(minimizer, PptSetSpec(shape))
+        assert abs(solves[0][0] - solves[1][0]) <= optim.GAP_TOL * np.linalg.norm(choi_map)
+
+    def test_loop_follows_the_operator_and_returns_complex(self, monkeypatch, choi_map):
+        shape = BipartiteShape(3, 3)
+        w = _local_unitaries(17, shape)
+        seen = []
+
+        def recording(a, *args, _real=np.linalg.eigh, **kwargs):
+            seen.append(a.dtype)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        for h, dtype in ((choi_map, np.float64), (choi_map.real, np.float64),
+                         (w @ choi_map @ w.conj().T, np.complex128)):
+            seen.clear()
+            _, minimizer, trace = min_trace_over_ppt(h, PptSetSpec(shape), iters=300)
+            assert seen and set(seen) == {np.dtype(dtype)}
+            assert minimizer.dtype == trace.dual.dtype == np.complex128
+        _, minimizer, trace = min_trace_over_ppt(np.zeros((9, 9)), PptSetSpec(shape))
+        assert minimizer.dtype == trace.dual.dtype == np.complex128
 
 
 class TestOneStart:
