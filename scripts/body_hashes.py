@@ -59,6 +59,7 @@ CONFIGS = (
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2", "--tol", "psd=1e-11"),
     ("ppt-check", "--in", "mixed.json", "--dims", "2x2"),  # PPT: no witness
     ("cone-check", "--dims", "3", "--tol", "membership=1e-9"),
+    ("cone-check", "--dims", "4", "--samples", "7", "--seed", "3"),  # every field of the probes' draw key off its default
     ("minimize", "--in", "swap.json"),  # the split comes from the file's shape field
     ("minimize", "--in", "choi_map.json", "--dims", "3x3", "--seed", "2"),
     # ends uncertified: pins the check at the last iteration and an open bracket

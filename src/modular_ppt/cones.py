@@ -22,12 +22,19 @@ return eigen coordinates M' = X^dagger M X in rho's eigenbasis X, where
 Delta^beta is the Hadamard product ``gns._delta_factor``, right
 multiplication by rho^{+-1/2} scales column j by lambda_j^{+-1/2}, U is the
 plain transpose and pairings are ``_inner`` as before (the basis change is
-unitary).  ``duality_check`` and ``u_maps_cones`` draw all their samples
-first, in the order of a sample-by-sample loop, change basis once (the
-Gram factors G as X^dagger G, the random vectors g as X^dagger g X) and
-process them as one stack; ``v_beta_membership`` converts xi on the way in
-and its witness back to standard coordinates on the way out, since
-``pn_intersection_membership`` partially transposes it; ``_lmo_product_atom``
+unitary).  ``duality_check`` and ``u_maps_cones`` share one set of
+samples per (ctx, seed, samples), whatever beta: ``_probe_draws`` draws
+them all from one ``generator(seed)``, in the order of a sample-by-sample
+loop, changes basis once (the Gram factors G as X^dagger G, the random
+vectors g as X^dagger g X) and keeps them read-only for its last key, and
+``_v0_certificate`` keeps the beta-free V_0 half of ``u_maps_cones`` the
+same way.  So the ten probe calls over the five beta of one context and
+seed draw once and certify V_0 once; the kept entry holds 3 samples n^2
+complex numbers (194 KB at n = 9 with 50 samples) and the context until
+the next key arrives.  Each probe processes its samples as one stack;
+``v_beta_membership`` converts xi on the way in and its witness back to
+standard coordinates on the way out, since ``pn_intersection_membership``
+partially transposes it; ``_lmo_product_atom``
 alternates all its random starts as one stack, and a start leaves it at
 the round where it settles; ``density_of`` and ``one_otimes_ub`` also take
 a vector whose matrix is a stack.  ``commutant_cone_check`` draws its
@@ -37,7 +44,8 @@ call and checks them as one stack: ``_natural_cone_generator`` and
 ``build_composite`` draws nothing and solves no eigenproblem: it assembles
 the joint context from its factors' eigenpairs (``gns._gns_context``), so
 J, U, J_m and Delta of the joint factor by construction.
-The public functions check beta once per call.  The Delta-power overflow
+The public functions check beta once per call, the two probes also their
+samples and seed, before either cache.  The Delta-power overflow
 check lives in ``gns.apply_delta_power``, where the caller picks the power:
 every context comes from ``build_gns``, whose eigenvalues lie in
 [EPS_FAITHFUL, 1 + TOL_TRACE], or is a joint assembled by
@@ -56,6 +64,7 @@ the PPT cone's PSD and partial-transpose constraints gives the lower bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +84,7 @@ from .linalg import (
     require_count,
     require_density,
 )
-from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator
+from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, require_seed
 
 DEFAULT_TOL = 1e-10
 LMO_ROUNDS = 25       # alternation rounds of each start of the product-atom search
@@ -158,13 +167,40 @@ def _separating_eta(ctx: GnsContext, beta: float, witness: np.ndarray) -> np.nda
     return _delta_factor(ctx, 0.5 - beta, v[..., :, None] * (v.conj() * root)[..., None, :])
 
 
-def _psd_pairs(ctx: GnsContext, rng: np.random.Generator, samples: int) -> np.ndarray:
-    """``samples`` pairs of unit-trace Gram matrices G G^dagger / Tr, drawn in
-    the order of a sample-by-sample loop, in eigen coordinates: the Gram
-    factor is X^dagger G."""
+@functools.lru_cache(maxsize=1)
+def _probe_draws(ctx: GnsContext, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The beta-free draws of ``duality_check`` and ``u_maps_cones``, read-only,
+    in eigen coordinates, from one ``generator(seed)`` in the order of a
+    sample-by-sample loop: a (samples, 2, n, n) stack of pairs of unit-trace
+    Gram matrices G G^dagger / Tr (the Gram factor taken as X^dagger G), then
+    ``samples`` random unit vectors g (as X^dagger g X); unchecked.  The last
+    key is kept, so the probes at every beta of one context draw once."""
     n = ctx.dim
+    rng = generator(seed)
     g = ctx.eigvecs.conj().T @ complex_gaussians(rng, 2 * samples, n, n)
-    return _unit_trace_gram(g).reshape(samples, 2, n, n)
+    psd = _unit_trace_gram(g).reshape(samples, 2, n, n)
+    g = complex_gaussians(rng, samples, n, n)
+    xi = ctx.to_eigbasis(g / _norms(g)[:, None, None])
+    psd.flags.writeable = xi.flags.writeable = False
+    return psd, xi
+
+
+@functools.lru_cache(maxsize=1)
+def _v0_certificate(ctx: GnsContext, seed: int, samples: int) -> float:
+    """The least V_0 certificate of U Delta^{1/2} zeta over the cone elements
+    zeta of V_0 made from the second matrix of each ``_probe_draws`` pair, the
+    half of ``u_maps_cones`` that does not depend on beta; unchecked."""
+    zero = _cone_elements(ctx, 0.0, _probe_draws(ctx, seed, samples)[0][:, 1])
+    _, cert = _v_beta_certificate(ctx, 0.0, _delta_factor(ctx, 0.5, zero).swapaxes(-1, -2))
+    return float(np.min(cert, initial=np.inf))
+
+
+def _check_probe(beta: float, samples: int, seed: int) -> None:
+    """The contract of both probes, checked before either cache is reached,
+    so that a bool or a float never hits an integer's entry."""
+    _check_beta(beta)
+    require_count(samples, "samples")
+    require_seed(seed)
 
 
 def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
@@ -174,18 +210,15 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     Pairings of constructive members of the two cones must be nonnegative;
     for random vectors failing the beta membership test a separating
     element of V_{1/2-beta} is produced from the witness eigenvector.
+    The samples are the ``_probe_draws`` of (ctx, seed, samples), shared
+    with ``u_maps_cones`` and with the calls at other beta.
     """
-    _check_beta(beta)
-    require_count(samples, "samples")
-    rng = generator(seed)
-    psd = _psd_pairs(ctx, rng, samples)
-    xi = _cone_elements(ctx, beta, psd[:, 0])
+    _check_probe(beta, samples, seed)
+    psd, xi = _probe_draws(ctx, seed, samples)
+    members = _cone_elements(ctx, beta, psd[:, 0])
     eta = _cone_elements(ctx, 0.5 - beta, psd[:, 1])
-    min_pairing = np.min(_inner(eta, xi).real, initial=np.inf)
+    min_pairing = np.min(_inner(eta, members).real, initial=np.inf)
 
-    n = ctx.dim
-    g = complex_gaussians(rng, samples, n, n)
-    xi = ctx.to_eigbasis(g / _norms(g)[:, None, None])
     witness, cert = _v_beta_certificate(ctx, beta, xi)
     outside = ~(cert >= -tol)
     eta = _separating_eta(ctx, beta, witness[outside])
@@ -204,20 +237,22 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
 
 def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
                  tol: float = DEFAULT_TOL) -> dict:
-    """U carries V_beta into V_{1/2-beta}; U Delta^{1/2} fixes V_0."""
-    _check_beta(beta)
-    require_count(samples, "samples")
-    psd = _psd_pairs(ctx, generator(seed), samples)
-    xi = _cone_elements(ctx, beta, psd[:, 0])
+    """U carries V_beta into V_{1/2-beta}; U Delta^{1/2} fixes V_0.
+
+    The samples are the PSD pairs of ``_probe_draws``: the first matrix of
+    each pair probes the flip at beta, the second the V_0 half, which does
+    not depend on beta and is computed once per (ctx, seed, samples)
+    (``_v0_certificate``).
+    """
+    _check_probe(beta, samples, seed)
+    xi = _cone_elements(ctx, beta, _probe_draws(ctx, seed, samples)[0][:, 0])
     _, flip_cert = _v_beta_certificate(ctx, 0.5 - beta, xi.swapaxes(-1, -2))
     worst_flip = np.min(flip_cert, initial=np.inf)
-    zero = _cone_elements(ctx, 0.0, psd[:, 1])
-    _, v0_cert = _v_beta_certificate(ctx, 0.0, _delta_factor(ctx, 0.5, zero).swapaxes(-1, -2))
-    worst_v0 = np.min(v0_cert, initial=np.inf)
+    worst_v0 = _v0_certificate(ctx, seed, samples)
     return {
         "beta": beta,
         "min_flip_certificate": float(worst_flip),
-        "min_v0_certificate": float(worst_v0),
+        "min_v0_certificate": worst_v0,
         "passed": bool(worst_flip >= -tol and worst_v0 >= -tol),
     }
 
@@ -434,15 +469,17 @@ def _polish(f: np.ndarray, target: np.ndarray, na: int) -> np.ndarray:
     n = na * nb
     rows, cols = np.triu_indices(n)
     upper = rows * n + cols
-    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
     strict = upper[rows != cols]
+    # the float view of a complex row holds Re d_i at 2i and Im d_i at 2i + 1
+    gather = np.concatenate([2 * upper, 2 * strict + 1])
+    weight = np.concatenate([np.where(rows == cols, 1.0, np.sqrt(2.0)), np.full(strict.size, np.sqrt(2.0))])
     herm = hermitize(target).ravel()
 
     def unpack(x):
         return (x[:k * m] + 1j * x[k * m:]).reshape(k, m)
 
-    def coordinates(d):   # (..., n*n) Hermitian -> (..., n*n) real
-        return np.concatenate([weight * d[..., upper].real, np.sqrt(2.0) * d[..., strict].imag], axis=-1)
+    def coordinates(d):   # (..., n*n) Hermitian, contiguous -> (..., n*n) real
+        return weight * d.view(np.float64)[..., gather]
 
     def residual(x):
         return coordinates(_product_sum(unpack(x), na).ravel() - herm)
@@ -460,14 +497,20 @@ def _polish(f: np.ndarray, target: np.ndarray, na: int) -> np.ndarray:
     r = residual(x)
     if not r.any():   # an exact fit, where the damped system below is singular
         return f
-    mu = 1e-3 * (r @ r)
+    sq = r @ r
+    mu = 1e-3 * sq
+    eye = np.eye(r.size)
     jac = jacobian(x)
+    jjt = jac @ jac.T   # J, J J^T and r^T r change only at an accepted step
     for _ in range(POLISH_NFEV):
-        step = -jac.T @ np.linalg.solve(jac @ jac.T + mu * np.eye(r.size), r)
-        trial = residual(x + step)
-        if trial @ trial < r @ r:
-            x, r, mu = x + step, trial, mu / 3
+        step = -jac.T @ np.linalg.solve(jjt + mu * eye, r)
+        moved = x + step
+        trial = residual(moved)
+        trial_sq = trial @ trial
+        if trial_sq < sq:
+            x, r, sq, mu = moved, trial, trial_sq, mu / 3
             jac = jacobian(x)
+            jjt = jac @ jac.T
         else:
             mu *= 4
         if np.linalg.norm(step) <= 1e-15 * (1 + np.linalg.norm(x)):

@@ -7,7 +7,8 @@ projections and PSD square roots.
 
 Matrices are plain complex ndarrays; the contracts of the package are
 enforced by the ``require_*`` validators (``require_count`` for every
-sample or term count), which raise rather than coerce.
+sample or term count, ``require_integer`` under it and under every seed),
+which raise rather than coerce.
 Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
 unchecked kernel of the same name with a leading underscore.  Package code
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +116,15 @@ def require_density(m, tol_psd: float = TOL_PSD) -> np.ndarray:
     return m
 
 
+def require_integer(value: int, name: str) -> None:
+    """value is a ``numbers.Integral`` (numpy's integers too) and not a bool,
+    so a float, a string or None never reaches numpy or a cache key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
 def require_count(value: int, name: str) -> None:
+    require_integer(value, name)
     if value < 1:
         raise ContractError(f"{name} must be >= 1, got {value}")
 

@@ -11,14 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
+from .linalg import require_integer
 
 SEED_LIMIT = 2**32  # seeds lie in [0, SEED_LIMIT); the key's high 32 bits are the stream
 
 
-def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for ``seed``; ``stream`` splits independent uses."""
+def require_seed(seed: int) -> None:
+    """seed is an integer in [0, SEED_LIMIT): ``np.uint64`` would truncate a
+    float such as 1.5 to seed 1's stream."""
+    require_integer(seed, "seed")
     if not 0 <= seed < SEED_LIMIT:
         raise ContractError(f"seed must lie in [0, 2^32), got {seed}")
+
+
+def generator(seed: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based generator for ``seed``; ``stream`` splits independent uses."""
+    require_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(stream) << np.uint64(32))))
 
 

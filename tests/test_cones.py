@@ -797,6 +797,68 @@ class TestStackedConeLayer:
                 call()
 
 
+def clear_probe_caches():
+    cones._probe_draws.cache_clear()
+    cones._v0_certificate.cache_clear()
+
+
+def cold_probe(check, ctx, beta, samples, seed):
+    """A probe's report with both beta-free caches emptied first."""
+    clear_probe_caches()
+    return check(ctx, beta, samples=samples, seed=seed)
+
+
+class TestProbeCache:
+    KEY = dict(samples=20, seed=6)
+
+    def probe_orders(self, ctx, other):
+        """The benchmark's interleaved order, the CLI's order, and the
+        interleaved order with a probe of another (ctx, seed, samples)
+        between every two calls, as lists of (check, ctx, beta, samples, seed)."""
+        samples, seed = self.KEY["samples"], self.KEY["seed"]
+        bench = [(check, ctx, beta, samples, seed) for beta in BETAS for check in (duality_check, u_maps_cones)]
+        cli = [(check, ctx, beta, samples, seed) for check in (duality_check, u_maps_cones) for beta in BETAS]
+        evicting = []
+        for k, call in enumerate(bench):
+            evicting.append(call)
+            evicting.append(((duality_check, u_maps_cones)[k % 2], *other[k % len(other)]))
+        return {"bench": bench, "cli": cli, "evicting": evicting}
+
+    def test_reports_equal_cold_reports_in_every_order(self):
+        ctx = build_gns(random_faithful_density(generator(41), 4))
+        ctx2 = build_gns(random_faithful_density(generator(42), 4))
+        other = [(ctx2, 0.125, 20, 6), (ctx, 0.25, 21, 6), (ctx, 0.375, 20, 7)]
+        for name, calls in self.probe_orders(ctx, other).items():
+            cold = [cold_probe(*call) for call in calls]
+            warm = [check(c, beta, samples=samples, seed=seed) for check, c, beta, samples, seed in calls]
+            assert warm == cold, name
+
+    def test_cached_draws_are_read_only(self, ctx3):
+        psd, xi = cones._probe_draws(ctx3, 6, 20)
+        for view in (psd, xi, psd[:, 0], xi[3]):
+            with pytest.raises(ValueError, match="read-only"):
+                view[..., 0, 0] = 0.0
+
+    def test_draws_and_v0_certificate_run_once_per_context(self, monkeypatch):
+        ctx = build_gns(random_faithful_density(generator(43), 5))
+        calls = {"generator": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cones, "generator", counted("generator", cones.generator))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        clear_probe_caches()
+        for beta in BETAS:
+            duality_check(ctx, beta, **self.KEY)
+            u_maps_cones(ctx, beta, **self.KEY)
+        # one draw; one eigvalsh per duality_check and per flip, and one for the V_0 half
+        assert calls == {"generator": 1, "eigvalsh": 11}
+
+
 EIGEN_STATES = ("random", "maximally-mixed", "twofold")
 
 

@@ -277,6 +277,19 @@ class TestCliMain:
                 generator(seed)
         assert generator(2**32 - 1).integers(2**32) != generator(0, stream=1).integers(2**32)
 
+    def test_generator_refuses_seeds_that_are_not_integers(self):
+        # np.uint64(1.5) is 1: a float seed would run seed 1's stream
+        ctx = gns.build_gns(random_faithful_density(generator(4), 2))
+        for seed in (1.5, 1.0, True, "1", None):
+            with pytest.raises(ContractError, match="seed must be an integer"):
+                generator(seed)
+        modular_ppt.cones.duality_check(ctx, 0.25, samples=3, seed=1)
+        for seed in (1.5, 1.0, True):   # equal or near to the cached seed 1, still refused
+            with pytest.raises(ContractError, match="seed must be an integer"):
+                modular_ppt.cones.duality_check(ctx, 0.25, samples=3, seed=seed)
+        for seed in (np.int64(1), np.uint32(1)):
+            assert generator(seed).integers(2**32) == generator(1).integers(2**32)
+
     def test_exit_two_on_solver_dimension_cap(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "eye9.json")
         save_matrix(np.eye(9), path, kind="hermitian", shape=BipartiteShape(3, 3))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modular_ppt import choi, cones, linalg, optim
+from modular_ppt import choi, cones, constructions, gns, linalg, optim
 from modular_ppt.errors import ContractError, DimensionLimitError, ShapeError
 from modular_ppt.linalg import (
     BipartiteShape,
@@ -307,3 +307,17 @@ class TestRequireCount:
         }
         with pytest.raises(ContractError, match=f"samples must be >= 1, got {samples}"):
             calls[check]()
+
+    @pytest.mark.parametrize("samples", [2.5, 3.0, True, "4", None])
+    @pytest.mark.parametrize("check", ["duality_check", "verify_modular_identities", "sqrt_ppt_experiment"])
+    def test_sampled_check_rejects_counts_that_are_not_integers(self, check, samples):
+        # numpy would raise a bare TypeError on these, and a cache key would take True for 1
+        ctx = build_gns(random_faithful_density(generator(5), 3))
+        calls = {
+            "duality_check": lambda s: cones.duality_check(ctx, 0.25, samples=s),
+            "verify_modular_identities": lambda s: gns.verify_modular_identities(ctx, samples=s),
+            "sqrt_ppt_experiment": lambda s: constructions.sqrt_ppt_experiment(BipartiteShape(2, 2), samples=s),
+        }
+        with pytest.raises(ContractError, match="samples must be an integer"):
+            calls[check](samples)
+        calls[check](np.int64(3))   # numpy's integers are counts
