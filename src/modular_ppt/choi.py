@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .linalg import (
     BipartiteShape,
+    _eigvalsh,
     _gamma_min,
     _kron,
     _partial_transpose,
@@ -76,7 +77,7 @@ class DecomposableWitness:
 
     def __post_init__(self):
         for name, part in (("h1", self.h1), ("h2", self.h2)):
-            w = np.linalg.eigvalsh(hermitize(require_bipartite(part, self.shape)))
+            w = _eigvalsh(hermitize(require_bipartite(part, self.shape)))
             if w[0] < -1e-10:
                 raise ContractError(f"{name} must be PSD, min eigenvalue {w[0]:.3e}")
 
@@ -220,7 +221,7 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
     in_spec = PptSetSpec(BipartiteShape(k, n), tol_feas=1e-9)
     a = _sample_ppt(rng, in_spec, samples)[0]
     out = np.einsum("xsirj,ijkl->xskrl", a.reshape(-1, k, n, k, n), t.blocks)
-    min_eig = float(np.min(np.linalg.eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))[:, 0]))
+    min_eig = float(np.min(_eigvalsh(hermitize(out.reshape(-1, k * m, k * m)))[:, 0]))
     return {"k": k, "samples": samples, "min_output_eigenvalue": min_eig,
             "passed": bool(min_eig >= -1e-8)}
 
@@ -240,7 +241,7 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list) -> tuple[np.ndarr
     least eigenvalues down to -1e-9, so ``passed`` means both minima are >= -1e-9 s^2.
     """
     a = require_hermitian(require_bipartite(a, BipartiteShape(k, n)))
-    w = np.linalg.eigvalsh(hermitize(a))[0]
+    w = _eigvalsh(hermitize(a))[0]
     w_pt = _gamma_min(a, BipartiteShape(k, n), "A")
     if w < -1e-9 or w_pt < -1e-9:
         raise ContractError(f"A must be PPT on the k x n split: min eigs {w:.3e}, {w_pt:.3e}")
@@ -258,7 +259,7 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list) -> tuple[np.ndarr
     # psi[(r,u),(p,v)] = sum_ij <h_i (x) e_p, A h_j (x) e_r> x_j[u] conj(x_i[v])
     psi = np.einsum("is,sptr,jt,ju,iv->rupv", hs.conj(), a.reshape(k, n, k, n), hs, xs, xs.conj())
     psi = psi.reshape(n * m, n * m)
-    worst = float(np.linalg.eigvalsh(hermitize(psi))[0])
+    worst = float(_eigvalsh(hermitize(psi))[0])
     worst_tau = float(_gamma_min(psi, BipartiteShape(n, m), "A"))
     floor = -1e-9 * float(np.linalg.norm(hs, axis=1) @ np.linalg.norm(xs, axis=1)) ** 2
     report = {
@@ -288,7 +289,7 @@ def hierarchy_report(shape: BipartiteShape, seed: int = 0, separable_samples: in
     rng = generator(seed)
     n = shape.dim_a
     swap_like = choi_from_map(transposition_map_table(n))
-    swap_eigs = np.linalg.eigvalsh(hermitize(swap_like))
+    swap_eigs = _eigvalsh(hermitize(swap_like))
     cp_table = map_from_choi(random_psd(rng, shape.dim), shape)
     # per mixture: its term count, its Dirichlet weights, then each term's a- and b-factor
     weights, factors = [], []

@@ -74,6 +74,8 @@ from .errors import ConsistencyError, ContractError
 from .gns import GnsContext, GnsVector, _delta_factor, _flip, _gns_context, _inner, apply_u
 from .linalg import (
     BipartiteShape,
+    _eigh,
+    _eigvalsh,
     _gamma_min,
     _kron,
     _mat_sqrt_psd,
@@ -83,6 +85,7 @@ from .linalg import (
     kron,
     require_count,
     require_density,
+    require_integer,
 )
 from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, require_seed
 
@@ -111,7 +114,7 @@ def _v_beta_certificate(ctx: GnsContext, beta: float, coords: np.ndarray) -> tup
     eigenvalue, for a vector or a stack of them in eigen coordinates (the
     witness too); unchecked."""
     a = _delta_factor(ctx, -beta, coords) / np.sqrt(ctx.eigvals)
-    return a, np.linalg.eigvalsh(hermitize(a))[..., 0]
+    return a, _eigvalsh(hermitize(a))[..., 0]
 
 
 def v_beta_membership(ctx: GnsContext, beta: float, xi: GnsVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -132,7 +135,7 @@ def natural_cone_membership(ctx: GnsContext, xi: GnsVector, tol: float = DEFAULT
     internal error.
     """
     via_beta = v_beta_membership(ctx, 0.25, xi, tol)
-    spectral_cert = float(np.linalg.eigvalsh(hermitize(xi.mat))[0])
+    spectral_cert = float(_eigvalsh(hermitize(xi.mat))[0])
     spectral_inside = spectral_cert >= -tol
     if via_beta.inside != spectral_inside and min(abs(via_beta.certificate), abs(spectral_cert)) > 10 * tol:
         raise ConsistencyError(
@@ -163,7 +166,7 @@ def _separating_eta(ctx: GnsContext, beta: float, witness: np.ndarray) -> np.nda
     eigen coordinates on both sides; unchecked.
     """
     root = np.sqrt(ctx.eigvals)
-    v = np.linalg.eigh(hermitize(root[:, None] * witness * root))[1][..., :, 0]
+    v = _eigh(hermitize(root[:, None] * witness * root))[1][..., :, 0]
     return _delta_factor(ctx, 0.5 - beta, v[..., :, None] * (v.conj() * root)[..., None, :])
 
 
@@ -426,8 +429,8 @@ def _lmo_product_atom(residual: np.ndarray, na: int, nb: int,
     live = np.arange(LMO_STARTS)
     for _ in range(LMO_ROUNDS):
         q = _gram(v)
-        u = np.linalg.eigh(hermitize(np.einsum("prqs,krs->kpq", t, q.conj())))[1][:, :, -1]
-        vals_b, vecs_b = np.linalg.eigh(hermitize(np.einsum("prqs,kpq->krs", t, _gram(u).conj())))
+        u = _eigh(hermitize(np.einsum("prqs,krs->kpq", t, q.conj())))[1][:, :, -1]
+        vals_b, vecs_b = _eigh(hermitize(np.einsum("prqs,kpq->krs", t, _gram(u).conj())))
         v = vecs_b[:, :, -1]
         u_out[live], v_out[live], val[live] = u, v, vals_b[:, -1]
         settled = _norms(_gram(v) - q) < 1e-13
@@ -542,6 +545,9 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
     T = mat(xi): separable matrices are Hermitian, PSD and PPT, and Gamma
     is a Frobenius isometry.  It is clipped to the upper bound.
     """
+    require_integer(iters, "iters")
+    if iters < 0:
+        raise ContractError(f"iters must be >= 0, got {iters}")
     joint = comp.joint
     target = xi.mat_in(joint)
     na, nb = comp.ctx_a.dim, comp.ctx_b.dim
@@ -572,7 +578,7 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
         history.append(bound)
 
     herm = hermitize(target)
-    neg = max(float(np.sum(np.minimum(np.linalg.eigvalsh(m), 0.0) ** 2))
+    neg = max(float(np.sum(np.minimum(_eigvalsh(m), 0.0) ** 2))
               for m in (herm, hermitize(_partial_transpose(herm, comp.shape, "B"))))
     lower = min(bound, float(np.sqrt(np.linalg.norm(target - herm) ** 2 + neg)))
     info = {"history": history, "terms": len(factors), "converged": bound <= 1e-9,

@@ -21,6 +21,7 @@ from .errors import ContractError, ShapeError
 from .gns import GnsVector, _flip, apply_delta_power, apply_u, build_gns
 from .linalg import (
     BipartiteShape,
+    _eigvalsh,
     _gamma_min,
     _mat_sqrt_psd,
     _project_psd,
@@ -135,7 +136,7 @@ def random_anticommutator_instance(rng: np.random.Generator, m: int,
         big[m:, m:] = hermitize(complex_gaussian(rng, m, m))
         big[:m, m:] = s
         big[m:, :m] = s.conj().T
-        shift = -float(np.linalg.eigvalsh(big)[0]) + 0.2
+        shift = -float(_eigvalsh(big)[0]) + 0.2
         rho = big + shift * np.eye(2 * m)
         rho = rho / np.trace(rho).real
         f = e1

@@ -3,7 +3,10 @@
 Everything downstream (modular operators, cones, the PPT solver) reduces to
 the routines here: Kronecker products, partial transpose/trace over a fixed
 product basis, a deterministic Hermitian eigendecomposition, PSD
-projections and PSD square roots.
+projections and PSD square roots.  ``_eigh`` and ``_eigvalsh`` are the
+package's only eigensolver calls and its one source of ``LinAlgError`` (the
+CLI's exit 3); they hermitize nothing and look ``numpy.linalg`` up at each
+call, not at import, so a counter or a fault patched onto it sees them all.
 
 Matrices are plain complex ndarrays; the contracts of the package are
 enforced by the ``require_*`` validators (``require_count`` for every
@@ -88,6 +91,14 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(m)
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(m)
+
+
 def _norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each entry of a stack, bit for bit what
     ``np.linalg.norm`` gives for the entry alone: the square root of two
@@ -107,7 +118,7 @@ def require_hermitian(m) -> np.ndarray:
 
 def require_density(m, tol_psd: float = TOL_PSD) -> np.ndarray:
     m = require_hermitian(m)
-    w = np.linalg.eigvalsh(hermitize(m))
+    w = _eigvalsh(hermitize(m))
     if w[0] < -tol_psd:
         raise ContractError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     tr = np.trace(m).real
@@ -184,7 +195,7 @@ def _gamma_index(dim_a: int, dim_b: int, subsystem: str) -> np.ndarray:
 
 def _gamma_min(m: np.ndarray, shape: BipartiteShape, subsystem: str = "B") -> np.ndarray:
     """lambda_min of the Hermitian part of m^Gamma, for a matrix (0-d) or each matrix of a stack."""
-    return np.linalg.eigvalsh(hermitize(_partial_transpose(m, shape, subsystem)))[..., 0]
+    return _eigvalsh(hermitize(_partial_transpose(m, shape, subsystem)))[..., 0]
 
 
 def partial_trace(m, shape: BipartiteShape, keep: str = "A") -> np.ndarray:
@@ -235,7 +246,7 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     made real positive (ties broken by lowest index).
     """
     m = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(hermitize(m))
+    vals, vecs = _eigh(hermitize(m))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     n = len(vals)
@@ -259,7 +270,7 @@ def mat_sqrt_psd(m) -> np.ndarray:
 
 
 def _mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(hermitize(m))
+    vals, vecs = _eigh(hermitize(m))
     if np.any(vals[..., 0] < -TOL_PSD):
         raise ContractError(f"matrix is not PSD: eigenvalue {np.min(vals[..., 0]):.3e} < -{TOL_PSD:.1e}")
     return _spectral(vecs, np.sqrt(np.clip(vals, 0.0, None)))
@@ -271,7 +282,7 @@ def project_psd(m) -> np.ndarray:
 
 
 def _project_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = _eigh(m)
     return _spectral(vecs, np.clip(vals, 0.0, None))
 
 

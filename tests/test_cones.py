@@ -542,6 +542,14 @@ class TestSeparableDistance:
         assert_bracket(bound, approx, info)
         assert info["lower_bound"] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
 
+    @pytest.mark.parametrize("iters", [2.5, 3.0, True, "4", None, -1, -3])
+    def test_rejects_an_iters_that_is_not_a_count_of_rounds(self, comp22, iters):
+        # 2.5 would escape from range() as a TypeError, and -3 would return the trivial bound ||mat(xi)||
+        with pytest.raises(ContractError, match="iters must be"):
+            separable_cone_distance(comp22, comp22.joint.omega, iters=iters)
+        _, _, info = separable_cone_distance(comp22, comp22.joint.omega, iters=np.int64(2))
+        assert len(info["history"]) <= 2   # numpy's integers count rounds
+
 
 
 class TestSeparableLowerBound:

@@ -420,6 +420,32 @@ class TestCliMain:
         diagnostic = json.loads(capsys.readouterr().out)
         assert diagnostic == {"error": "Eigenvalues did not converge", "kind": "LinAlgError"}
 
+    @pytest.mark.parametrize("argv", [
+        ["gns-verify", "--dims", "2", "--samples", "5"],
+        ["cone-check", "--dims", "2", "--samples", "5"],
+        ["choi", "--dims", "2x2"],
+        ["ppt-check", "--in", "{density}"],
+        ["minimize", "--in", "{hermitian}"],
+        ["construct", "--dims", "2x2"],
+        ["anticomm", "--dims", "2x2"],
+        ["experiment", "--dims", "2x2", "--samples", "5"],
+        ["hierarchy", "--dims", "2x2", "--samples", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_three_when_the_eigensolver_fails(self, argv, tmp_path, singlet, capsys, monkeypatch):
+        # a LinAlgError from numpy's eigensolver, reached through each command's own code path, exits 3
+        files = {"density": str(tmp_path / "d.json"), "hermitian": str(tmp_path / "h.json")}
+        save_matrix(singlet, files["density"], kind="density", shape=BipartiteShape(2, 2))
+        save_matrix(-singlet, files["hermitian"], kind="hermitian", shape=BipartiteShape(2, 2))
+
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, failing)
+        assert main([arg.format(**files) for arg in argv]) == 3
+        diagnostic = json.loads(capsys.readouterr().out)
+        assert diagnostic == {"error": "Eigenvalues did not converge", "kind": "LinAlgError"}
+
     def test_exit_one_names_failing_residual(self, capsys, monkeypatch):
         from modular_ppt import cli as cli_mod
 

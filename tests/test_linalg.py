@@ -1,3 +1,7 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,3 +325,13 @@ class TestRequireCount:
         with pytest.raises(ContractError, match="samples must be an integer"):
             calls[check](samples)
         calls[check](np.int64(3))   # numpy's integers are counts
+
+
+class TestEigensolverEntryPoint:
+    def test_numpy_eigensolver_is_called_only_in_the_two_kernels(self):
+        # every Hermitian spectrum of the package comes from linalg._eigh or linalg._eigvalsh
+        sites = [(path.name, line.strip()) for path in sorted(Path(linalg.__file__).parent.glob("*.py"))
+                 for line in path.read_text().splitlines() if re.search(r"linalg\.eig", line)]
+        assert sites == [("linalg.py", "return np.linalg.eigh(m)"), ("linalg.py", "return np.linalg.eigvalsh(m)")]
+        for kernel, solver in ((linalg._eigh, "eigh"), (linalg._eigvalsh, "eigvalsh")):
+            assert f"return np.linalg.{solver}(m)" in inspect.getsource(kernel)

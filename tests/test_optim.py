@@ -20,14 +20,13 @@ from modular_ppt.choi import (
 )
 from modular_ppt.constructions import sqrt_ppt_experiment
 from modular_ppt.errors import ContractError
-from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
+from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose, project_psd
 from modular_ppt.optim import (
     PptSetSpec,
     feasibility_residual,
     min_trace_over_ppt,
     npt_witness,
     project_ppt,
-    project_psd,
     sample_ppt_density,
 )
 from modular_ppt.rand import complex_gaussian, generator, random_psd
