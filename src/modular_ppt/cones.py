@@ -22,16 +22,16 @@ return eigen coordinates M' = X^dagger M X in rho's eigenbasis X, where
 Delta^beta is the Hadamard product ``gns._delta_factor``, right
 multiplication by rho^{+-1/2} scales column j by lambda_j^{+-1/2}, U is the
 plain transpose and pairings are ``_inner`` as before (the basis change is
-unitary).  ``duality_check`` and ``u_maps_cones`` share one set of
-samples per (ctx, seed, samples), whatever beta: ``_probe_draws`` draws
-them all from one ``generator(seed)``, in the order of a sample-by-sample
+unitary).  ``duality_check`` and ``u_maps_cones`` share one
+beta-free entry per (ctx, seed, samples): ``_probe_draws`` draws the
+samples from one ``generator(seed)``, in the order of a sample-by-sample
 loop, changes basis once (the Gram factors G as X^dagger G, the random
-vectors g as X^dagger g X) and keeps them read-only for its last key, and
-``_v0_certificate`` keeps the beta-free V_0 half of ``u_maps_cones`` the
-same way.  So the ten probe calls over the five beta of one context and
-seed draw once and certify V_0 once; the kept entry holds 3 samples n^2
-complex numbers (194 KB at n = 9 with 50 samples) and the context until
-the next key arrives.  Each probe processes its samples as one stack;
+vectors g as X^dagger g X), certifies the V_0 half of ``u_maps_cones``
+and keeps all three, read-only, for its last key.  So the ten probe calls
+over the five beta of one context and seed draw once and certify V_0
+once; the kept entry holds 3 samples n^2 complex numbers (194 KB at n = 9
+with 50 samples) and the context until the next key arrives.  Each probe
+processes its samples as one stack;
 ``v_beta_membership`` converts xi on the way in and its witness back to
 standard coordinates on the way out, since ``pn_intersection_membership``
 partially transposes it; ``_lmo_product_atom``
@@ -45,7 +45,7 @@ call and checks them as one stack: ``_natural_cone_generator`` and
 the joint context from its factors' eigenpairs (``gns._gns_context``), so
 J, U, J_m and Delta of the joint factor by construction.
 The public functions check beta once per call, the two probes also their
-samples and seed, before either cache.  The Delta-power overflow
+samples and seed, before the cache.  The Delta-power overflow
 check lives in ``gns.apply_delta_power``, where the caller picks the power:
 every context comes from ``build_gns``, whose eigenvalues lie in
 [EPS_FAITHFUL, 1 + TOL_TRACE], or is a joint assembled by
@@ -171,13 +171,16 @@ def _separating_eta(ctx: GnsContext, beta: float, witness: np.ndarray) -> np.nda
 
 
 @functools.lru_cache(maxsize=1)
-def _probe_draws(ctx: GnsContext, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The beta-free draws of ``duality_check`` and ``u_maps_cones``, read-only,
-    in eigen coordinates, from one ``generator(seed)`` in the order of a
-    sample-by-sample loop: a (samples, 2, n, n) stack of pairs of unit-trace
-    Gram matrices G G^dagger / Tr (the Gram factor taken as X^dagger G), then
-    ``samples`` random unit vectors g (as X^dagger g X); unchecked.  The last
-    key is kept, so the probes at every beta of one context draw once."""
+def _probe_draws(ctx: GnsContext, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The beta-free work of ``duality_check`` and ``u_maps_cones``, in eigen
+    coordinates; unchecked.  The draws come read-only from one
+    ``generator(seed)`` in the order of a sample-by-sample loop: a
+    (samples, 2, n, n) stack of pairs of unit-trace Gram matrices
+    G G^dagger / Tr (the Gram factor taken as X^dagger G), then ``samples``
+    random unit vectors g (as X^dagger g X).  The third entry is the least
+    V_0 certificate of U Delta^{1/2} zeta over the cone elements zeta of V_0
+    made from the second matrix of each pair.  The last key is kept, so the
+    probes at every beta of one context draw and certify V_0 once."""
     n = ctx.dim
     rng = generator(seed)
     g = ctx.eigvecs.conj().T @ complex_gaussians(rng, 2 * samples, n, n)
@@ -185,21 +188,13 @@ def _probe_draws(ctx: GnsContext, seed: int, samples: int) -> tuple[np.ndarray, 
     g = complex_gaussians(rng, samples, n, n)
     xi = ctx.to_eigbasis(g / _norms(g)[:, None, None])
     psd.flags.writeable = xi.flags.writeable = False
-    return psd, xi
-
-
-@functools.lru_cache(maxsize=1)
-def _v0_certificate(ctx: GnsContext, seed: int, samples: int) -> float:
-    """The least V_0 certificate of U Delta^{1/2} zeta over the cone elements
-    zeta of V_0 made from the second matrix of each ``_probe_draws`` pair, the
-    half of ``u_maps_cones`` that does not depend on beta; unchecked."""
-    zero = _cone_elements(ctx, 0.0, _probe_draws(ctx, seed, samples)[0][:, 1])
+    zero = _cone_elements(ctx, 0.0, psd[:, 1])
     _, cert = _v_beta_certificate(ctx, 0.0, _delta_factor(ctx, 0.5, zero).swapaxes(-1, -2))
-    return float(np.min(cert, initial=np.inf))
+    return psd, xi, float(np.min(cert, initial=np.inf))
 
 
 def _check_probe(beta: float, samples: int, seed: int) -> None:
-    """The contract of both probes, checked before either cache is reached,
+    """The contract of both probes, checked before the cache is reached,
     so that a bool or a float never hits an integer's entry."""
     _check_beta(beta)
     require_count(samples, "samples")
@@ -217,7 +212,7 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     with ``u_maps_cones`` and with the calls at other beta.
     """
     _check_probe(beta, samples, seed)
-    psd, xi = _probe_draws(ctx, seed, samples)
+    psd, xi, _ = _probe_draws(ctx, seed, samples)
     members = _cone_elements(ctx, beta, psd[:, 0])
     eta = _cone_elements(ctx, 0.5 - beta, psd[:, 1])
     min_pairing = np.min(_inner(eta, members).real, initial=np.inf)
@@ -244,14 +239,14 @@ def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0
 
     The samples are the PSD pairs of ``_probe_draws``: the first matrix of
     each pair probes the flip at beta, the second the V_0 half, which does
-    not depend on beta and is computed once per (ctx, seed, samples)
-    (``_v0_certificate``).
+    not depend on beta and comes certified with the draws of
+    (ctx, seed, samples).
     """
     _check_probe(beta, samples, seed)
-    xi = _cone_elements(ctx, beta, _probe_draws(ctx, seed, samples)[0][:, 0])
+    psd, _, worst_v0 = _probe_draws(ctx, seed, samples)
+    xi = _cone_elements(ctx, beta, psd[:, 0])
     _, flip_cert = _v_beta_certificate(ctx, 0.5 - beta, xi.swapaxes(-1, -2))
     worst_flip = np.min(flip_cert, initial=np.inf)
-    worst_v0 = _v0_certificate(ctx, seed, samples)
     return {
         "beta": beta,
         "min_flip_certificate": float(worst_flip),

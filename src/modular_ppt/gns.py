@@ -155,11 +155,13 @@ def _gns_context(rho: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> GnsCont
 
 
 def _check_delta_power(ctx: GnsContext, beta: float) -> None:
-    """Raise ConditioningError where Delta^beta would overflow exp."""
-    peak = float(np.max(np.abs(beta * ctx.log_ratio)))
-    if peak > 700.0:
+    """Raise ConditioningError where Delta^beta would overflow exp, and for a
+    NaN or infinite beta, whose peak is NaN (beta * 0 on the diagonal)."""
+    with np.errstate(invalid="ignore"):
+        peak = float(np.max(np.abs(beta * ctx.log_ratio)))
+    if not peak <= 700.0:
         raise ConditioningError(
-            f"Delta power overflow: |beta * log eigenvalue ratio| = {peak:.1f} > 700"
+            f"Delta power overflow: |beta * log eigenvalue ratio| = {peak:.1f}, not <= 700"
         )
 
 

@@ -10,7 +10,8 @@ call, not at import, so a counter or a fault patched onto it sees them all.
 
 Matrices are plain complex ndarrays; the contracts of the package are
 enforced by the ``require_*`` validators (``require_count`` for every
-sample or term count, ``require_integer`` under it and under every seed),
+sample or term count, ``require_integer`` under it, under every seed and
+every ``BipartiteShape`` dimension),
 which raise rather than coerce.
 Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
@@ -53,12 +54,14 @@ MAX_STACK_ENTRIES = 2**21
 
 @dataclass(frozen=True)
 class BipartiteShape:
-    """Dimensions (n, m) of a fixed tensor split H (x) K."""
+    """Dimensions (n, m) of a fixed tensor split H (x) K, integers >= 1."""
 
     dim_a: int
     dim_b: int
 
     def __post_init__(self):
+        require_integer(self.dim_a, "dim_a")
+        require_integer(self.dim_b, "dim_b")
         if self.dim_a < 1 or self.dim_b < 1:
             raise ShapeError(f"subsystem dimensions must be >= 1, got {self.dim_a}x{self.dim_b}")
 

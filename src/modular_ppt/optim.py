@@ -391,7 +391,7 @@ def min_trace_over_ppt(h, spec: PptSetSpec, iters: int = 1500, restarts: int | N
         nrm = float(np.linalg.norm(h))
         if not nrm < np.inf:
             raise ContractError(f"h has entries up to {np.max(np.abs(given)):.3e}: its Frobenius norm overflows")
-    if not isinstance(iters, numbers.Integral) or iters < 0:
+    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 0:
         raise ContractError(f"iters must be an integer >= 0, got {iters!r}")
     n = spec.shape.dim
     if nrm == 0:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -807,11 +809,10 @@ class TestStackedConeLayer:
 
 def clear_probe_caches():
     cones._probe_draws.cache_clear()
-    cones._v0_certificate.cache_clear()
 
 
 def cold_probe(check, ctx, beta, samples, seed):
-    """A probe's report with both beta-free caches emptied first."""
+    """A probe's report with the beta-free cache emptied first."""
     clear_probe_caches()
     return check(ctx, beta, samples=samples, seed=seed)
 
@@ -841,30 +842,52 @@ class TestProbeCache:
             warm = [check(c, beta, samples=samples, seed=seed) for check, c, beta, samples, seed in calls]
             assert warm == cold, name
 
+    def test_cache_clears(self, ctx3):
+        cones._probe_draws(ctx3, 6, 20)
+        assert cones._probe_draws.cache_info().currsize == 1
+        clear_probe_caches()
+        assert cones._probe_draws.cache_info().currsize == 0
+
     def test_cached_draws_are_read_only(self, ctx3):
-        psd, xi = cones._probe_draws(ctx3, 6, 20)
+        psd, xi, _ = cones._probe_draws(ctx3, 6, 20)
         for view in (psd, xi, psd[:, 0], xi[3]):
             with pytest.raises(ValueError, match="read-only"):
                 view[..., 0, 0] = 0.0
 
-    def test_draws_and_v0_certificate_run_once_per_context(self, monkeypatch):
-        ctx = build_gns(random_faithful_density(generator(43), 5))
-        calls = {"generator": 0, "eigvalsh": 0}
+    def counted_calls(self, monkeypatch, ctx, calls):
+        """Counts of ``generator`` and ``np.linalg.eigvalsh`` calls over the
+        given (check, beta) probe calls at KEY, on an emptied cache."""
+        counts = {"generator": 0, "eigvalsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                counts[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(cones, "generator", counted("generator", cones.generator))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         clear_probe_caches()
-        for beta in BETAS:
-            duality_check(ctx, beta, **self.KEY)
-            u_maps_cones(ctx, beta, **self.KEY)
-        # one draw; one eigvalsh per duality_check and per flip, and one for the V_0 half
-        assert calls == {"generator": 1, "eigvalsh": 11}
+        for check, beta in calls:
+            check(ctx, beta, **self.KEY)
+        return counts
+
+    def test_draws_and_v0_certificate_run_once_per_context(self, monkeypatch):
+        ctx = build_gns(random_faithful_density(generator(43), 5))
+        bench = [(check, beta) for beta in BETAS for check in (duality_check, u_maps_cones)]
+        cli = [(check, beta) for check in (duality_check, u_maps_cones) for beta in BETAS]
+        for calls in (bench, cli):
+            # one draw; one eigvalsh per duality_check and per flip, and one for the V_0 half
+            assert self.counted_calls(monkeypatch, ctx, calls) == {"generator": 1, "eigvalsh": 11}
+
+    def test_lone_cold_duality_check_pays_the_v0_certificate(self, monkeypatch):
+        ctx = build_gns(random_faithful_density(generator(43), 5))
+        # the V_0 certificate comes with the draws: one eigvalsh for it, one for the duality check
+        assert self.counted_calls(monkeypatch, ctx, [(duality_check, 0.25)]) == {"generator": 1, "eigvalsh": 2}
+
+    def test_cones_keeps_one_cache(self):
+        source = Path(cones.__file__).read_text()
+        assert source.count("lru_cache(") == 1
 
 
 EIGEN_STATES = ("random", "maximally-mixed", "twofold")

@@ -91,6 +91,12 @@ class TestDeltaPower:
         with pytest.raises(ConditioningError):
             apply_delta_power(ctx, 30.0, ctx.vector(E12))
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_power_refused(self, ctx_rand, beta):
+        # beta * log_ratio holds NaN for all three; exp would return an all-NaN vector
+        with pytest.raises(ConditioningError):
+            apply_delta_power(ctx_rand, beta, ctx_rand.omega)
+
     def test_context_mismatch(self, ctx_diag, ctx_rand):
         with pytest.raises(ContractError):
             apply_delta_power(ctx_rand, 0.5, ctx_diag.vector(E12))

@@ -156,6 +156,15 @@ class TestPartialTranspose:
         for m in stack:
             assert np.array_equal(linalg._partial_transpose(m, shape, subsystem), reference(m))
 
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None])
+    def test_shape_refuses_dimensions_that_are_not_integers(self, dim):
+        # a float escaped the solver, project_ppt and partial_transpose as a bare TypeError
+        for dims in ((dim, 2), (2, dim)):
+            with pytest.raises(ContractError, match="must be an integer"):
+                BipartiteShape(*dims)
+        shape = BipartiteShape(np.int64(2), 2)   # numpy's integers are dimensions
+        assert np.array_equal(partial_transpose(np.eye(4), shape), np.eye(4))
+
     def test_unknown_subsystem(self, shape22):
         with pytest.raises(ShapeError):
             partial_transpose(np.eye(4), shape22, "C")

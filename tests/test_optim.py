@@ -223,7 +223,7 @@ class TestMinTrace:
         assert trace.converged and value == pytest.approx(-1e150, rel=1e-6)
 
     def test_iters_must_be_an_integer(self, swap22, spec22):
-        for iters in (1.5, 2.0, -1, "3", None):
+        for iters in (1.5, 2.0, -1, "3", None, True, False):
             with pytest.raises(ContractError, match="iters must be an integer >= 0"):
                 min_trace_over_ppt(swap22, spec22, iters=iters)
         for iters in (0, np.int64(0)):
