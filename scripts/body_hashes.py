@@ -79,6 +79,11 @@ CONFIGS = (
     ("hierarchy", "--dims", "1x2"),
     ("construct", "--dims", "10x9"),  # over the construction cap 81, refused before any GNS context is built
     ("minimize", "--in", "huge.json"),  # finite entries whose Frobenius norm overflows
+    ("anticomm", "--dims", "3x2"),  # anticomm needs a qubit first factor
+    ("gns-verify", "--dims", "2x2"),  # one system, not a split
+    ("experiment", "--dims", "3"),  # a split, not one system
+    ("ppt-check", "--in", "mixed.json", "--dims", "2x2", "--tol", "psd=nan"),
+    ("cone-check", "--dims", "3", "--tol", "membership=-1"),
 )
 
 # the 2x2 swap, the operator sum_ij E_ij (x) Phi(E_ij) of the Choi map Phi[2,0,1]

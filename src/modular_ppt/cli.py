@@ -9,13 +9,14 @@ names the offending residual), 2 input or contract error, 3 a numerical
 computation failed: two independent computation routes disagreed
 (ConsistencyError) or a LAPACK routine did not converge (LinAlgError).
 For 2 and 3 a JSON diagnostic object is emitted instead of a report.
-Exit 2 comes before anything is drawn for a bad --tol (malformed, not
-finite or negative), --seed, --samples or --dims (``choi`` and
-``hierarchy`` need dim_a >= 2, ``construct`` a joint dimension within
-constructions.MAX_CONSTRUCT_DIM), for samples * N^2 over
-linalg.MAX_STACK_ENTRIES on the commands that stack --samples N x N
-matrices (READS), and for an --out that is a directory or lies in a
-missing one.
+Exit 2 comes before anything is drawn.  Reading argv refuses a malformed
+--tol or --dims; ``RunConfig`` refuses the rest when it is built, from argv
+and in code alike: a set --in, --iters or --tol key the command does not
+read (READS), a --tol not finite and >= 0, a bad --seed or --samples, an
+--out that is a directory or in a missing one, a --dims of another form
+than the command takes (DIMS) or out of range (``choi`` and ``hierarchy``
+need dim_a >= 2, ``anticomm`` 2xM, ``construct`` at most MAX_CONSTRUCT_DIM)
+and samples * N^2 over MAX_STACK_ENTRIES where N x N stacks are drawn.
 
 ``minimize`` reports a certified bracket of min Tr(DH) over PPT states:
 ``value`` (Tr(DH) at a PPT state, whose diagonal is ``minimizer_diag``),
@@ -40,11 +41,15 @@ import numpy as np
 from . import choi, cones, constructions, gns, linalg, optim, rand
 from .errors import ConditioningError, ConsistencyError, ContractError, DimensionLimitError, ShapeError
 from .io import load_matrix, report_body_text, save_report
-from .linalg import TOL_PSD, BipartiteShape, _norms, hermitize, require_bipartite, require_count, require_density
+from .linalg import (TOL_PSD, BipartiteShape, _norms, hermitize, require_bipartite, require_count, require_density,
+                     require_integer, require_tol)
 from .rand import complex_gaussian, complex_gaussians, generator, random_faithful_density
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run of a command.  Building it checks the whole contract of the
+    run, so ``run_command`` only runs and argv and code take one check path."""
+
     command: str
     seed: int = 0
     dims: tuple[int, int] | int | None = None
@@ -65,48 +70,68 @@ class RunConfig:
             "in": self.in_path,
         }
 
+    def __post_init__(self) -> None:
+        if self.command not in RUNNERS:
+            raise ContractError(f"unknown command {self.command!r}")
+        reads = READS.get(self.command, ())
+        given = [flag for flag, value in (("--in", self.in_path), ("--iters", self.iters)) if value is not None]
+        unread = [setting for setting in given + [f"--tol {key}" for key in self.tol] if setting not in reads]
+        if unread:
+            raise ContractError(f"{unread[0]} is not read by {self.command!r} (it reads: {', '.join(reads) or 'none'})")
+        for key, value in self.tol.items():
+            require_tol(value, f"--tol {key}")
+        require_count(self.samples, "--samples")
+        require_integer(self.seed, "--seed")
+        if not 0 <= self.seed < rand.SEED_LIMIT:
+            raise ContractError(f"--seed must lie in [0, 2^32), got {self.seed}")
+        if self.out_path and (os.path.isdir(self.out_path) or not os.path.isdir(os.path.dirname(self.out_path) or ".")):
+            raise ContractError(f"--out must name a file in an existing directory, got {self.out_path!r}")
+        form = DIMS[self.command]
+        if form == FROM_FILE and self.in_path is None:
+            raise ContractError(f"{self.command} needs --in FILE")
+        if self.dims is None:
+            if form == FROM_FILE:
+                return
+            raise ContractError(f"command {self.command!r} needs --dims {form}")
+        factors = self.dims if isinstance(self.dims, tuple) else (self.dims,)
+        if len(factors) != (1 if form == "N" else 2):
+            need = "a single --dims N" if form == "N" else "--dims NxM"
+            raise ContractError(f"command {self.command!r} needs {need}")
+        for factor in factors:
+            require_integer(factor, "--dims")
+        text, dim = "x".join(map(str, factors)), math.prod(factors)
+        if min(factors) < 1 or dim > linalg.MAX_DIM:
+            raise ContractError(f"--dims {text!r} needs factors >= 1 and a dense dimension <= {linalg.MAX_DIM}")
+        if self.command in ("choi", "hierarchy") and factors[0] < 2:  # transposition on M_1 is the identity map
+            raise ContractError(f"{self.command} needs --dims NxM with N >= 2, got {text!r}")
+        if self.command == "anticomm" and factors[0] != 2:
+            raise ContractError(f"anticomm needs --dims 2xM, got {text}")
+        if self.command == "construct":
+            constructions.require_construct_dim(dim)
+        if "--samples" in reads and self.samples * dim * dim > linalg.MAX_STACK_ENTRIES:
+            raise ContractError(f"--samples {self.samples} at --dims {text} stacks samples * N^2 ="
+                                f" {self.samples * dim * dim} entries, over the cap {linalg.MAX_STACK_ENTRIES}")
+
 
 def _parse_dims(text: str) -> tuple[int, int] | int:
     try:
         factors = tuple(int(part) for part in text.lower().split("x", 1))
     except ValueError:
         raise ContractError(f"--dims expects N or NxM, got {text!r}") from None
-    if min(factors) < 1 or math.prod(factors) > linalg.MAX_DIM:
-        raise ContractError(f"--dims {text!r} needs factors >= 1 and a dense dimension <= {linalg.MAX_DIM}")
     return factors if len(factors) == 2 else factors[0]
-
-
-def _bipartite(cfg: RunConfig) -> BipartiteShape:
-    if not isinstance(cfg.dims, tuple):
-        raise ContractError(f"command {cfg.command!r} needs --dims NxM")
-    return BipartiteShape(*cfg.dims)
-
-
-def _single_dim(cfg: RunConfig) -> int:
-    if isinstance(cfg.dims, tuple):
-        raise ContractError(f"command {cfg.command!r} needs a single --dims N")
-    if cfg.dims is None:
-        raise ContractError(f"command {cfg.command!r} needs --dims N")
-    return cfg.dims
 
 
 def _input_operator(cfg: RunConfig) -> tuple[np.ndarray, BipartiteShape, str]:
     """The --in matrix, its split (from --dims or else the file's shape field) and its load-validated kind."""
-    if cfg.in_path is None:
-        raise ContractError(f"{cfg.command} needs --in FILE")
     m, meta = load_matrix(cfg.in_path)
-    shape = _bipartite(cfg) if cfg.dims is not None else meta.get("shape")
+    shape = BipartiteShape(*cfg.dims) if cfg.dims is not None else meta.get("shape")
     if shape is None:
         raise ContractError(f"{cfg.command} needs --dims NxM (or a shape field in the file)")
     return m, shape, meta["kind"]
 
 
-def _context_for(cfg: RunConfig, dim: int) -> gns.GnsContext:
-    return gns.build_gns(random_faithful_density(generator(cfg.seed), dim))
-
-
 def run_gns_verify(cfg: RunConfig) -> tuple[dict, bool]:
-    ctx = _context_for(cfg, _single_dim(cfg))
+    ctx = gns.build_gns(random_faithful_density(generator(cfg.seed), cfg.dims))
     report = gns.verify_modular_identities(ctx, samples=cfg.samples, seed=cfg.seed)
     rng = generator(cfg.seed, stream=1)
     n = ctx.dim
@@ -128,7 +153,7 @@ def run_gns_verify(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_cone_check(cfg: RunConfig) -> tuple[dict, bool]:
-    ctx = _context_for(cfg, _single_dim(cfg))
+    ctx = gns.build_gns(random_faithful_density(generator(cfg.seed), cfg.dims))
     tol = cfg.tol.get("membership", cones.DEFAULT_TOL)
     betas = (0.0, 0.125, 0.25, 0.375, 0.5)
     duality = [cones.duality_check(ctx, b, samples=cfg.samples, seed=cfg.seed, tol=tol) for b in betas]
@@ -138,7 +163,7 @@ def run_cone_check(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_choi(cfg: RunConfig) -> tuple[dict, bool]:
-    shape = _bipartite(cfg)
+    shape = BipartiteShape(*cfg.dims)
     rng = generator(cfg.seed)
     h = hermitize(complex_gaussian(rng, shape.dim, shape.dim))
     table = choi.map_from_choi(h, shape)
@@ -195,7 +220,7 @@ def run_minimize(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 
 def run_construct(cfg: RunConfig) -> tuple[dict, bool]:
-    shape = _bipartite(cfg)
+    shape = BipartiteShape(*cfg.dims)
     rng = generator(cfg.seed, stream=7)
     ctx_a = gns.build_gns(random_faithful_density(rng, shape.dim_a))
     ctx_b = gns.build_gns(random_faithful_density(rng, shape.dim_b))
@@ -207,9 +232,7 @@ def run_construct(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_anticomm(cfg: RunConfig) -> tuple[dict, bool]:
-    shape = _bipartite(cfg)
-    if shape.dim_a != 2:
-        raise ContractError(f"anticomm needs --dims 2xM, got {shape.dim_a}x{shape.dim_b}")
+    shape = BipartiteShape(*cfg.dims)
     rng = generator(cfg.seed)
     kinds = ("product", "block_diag", "herm_offdiag", "antiherm_offdiag")
     reports = []
@@ -231,12 +254,12 @@ def run_anticomm(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run_experiment(cfg: RunConfig) -> tuple[dict, bool, dict]:
-    body, tallies = constructions.sqrt_ppt_experiment(_bipartite(cfg), samples=cfg.samples, seed=cfg.seed)
+    body, tallies = constructions.sqrt_ppt_experiment(BipartiteShape(*cfg.dims), samples=cfg.samples, seed=cfg.seed)
     return body, body["passed"], tallies
 
 
 def run_hierarchy(cfg: RunConfig) -> tuple[dict, bool]:
-    shape = _bipartite(cfg)
+    shape = BipartiteShape(*cfg.dims)
     body = choi.hierarchy_report(shape, seed=cfg.seed, separable_samples=cfg.samples)
     return body, bool(body["passed"])
 
@@ -252,27 +275,23 @@ RUNNERS = {
     "experiment": run_experiment,
     "hierarchy": run_hierarchy,
 }
-# the --in, --iters and --tol settings each command reads; run_command rejects any other that is set.
-# --samples is listed where it sizes a stack of N x N matrices, whose entries config_from_args budgets
+# the --in, --iters and --tol settings each command reads; RunConfig rejects any other that is set.
+# --samples is listed where it sizes a stack of N x N matrices, whose entries RunConfig budgets
 READS = {"gns-verify": ("--samples",), "cone-check": ("--samples", "--tol membership"),
          "ppt-check": ("--in", "--tol psd"), "minimize": ("--in", "--iters"),
          "experiment": ("--samples",), "hierarchy": ("--samples",)}
+# the --dims each command takes; FROM_FILE is NxM or none, the split then coming from the --in file
+FROM_FILE = "NxM or none"
+DIMS = {"gns-verify": "N", "cone-check": "N", "choi": "NxM", "ppt-check": FROM_FILE, "minimize": FROM_FILE,
+        "construct": "NxM", "anticomm": "NxM", "experiment": "NxM", "hierarchy": "NxM"}
 
 
 def run_command(cfg: RunConfig) -> tuple[int, dict]:
-    """Execute one command; returns (exit code, full report).  A runner returns
-    (results, passed) and may add a dict of solver counters for the timing."""
-    if cfg.command not in RUNNERS:
-        raise ContractError(f"unknown command {cfg.command!r}")
-    reads = READS.get(cfg.command, ())
-    given = [flag for flag, value in (("--in", cfg.in_path), ("--iters", cfg.iters)) if value is not None]
-    for setting in given + [f"--tol {key}" for key in cfg.tol]:
-        if setting not in reads:
-            raise ContractError(f"{setting} is not read by {cfg.command!r} (it reads: {', '.join(reads) or 'none'})")
+    """Execute one checked command; returns (exit code, full report).  A runner
+    returns (results, passed) and may add a dict of solver counters for the timing."""
     started = time.time()
     results, passed, *counters = RUNNERS[cfg.command](cfg)
-    body = {"command": cfg.command, "config": cfg.echo(), "results": results,
-            "passed": bool(passed)}
+    body = {"command": cfg.command, "config": cfg.echo(), "results": results, "passed": bool(passed)}
     if not passed:
         body["failure"] = _name_failure(results)
     report = {"body": body, "timing": {"seconds": time.time() - started, **dict(*counters)}}
@@ -312,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Parsed argv as a RunConfig, which checks the values that its --tol and --dims text give."""
     tol = {}
     for entry in args.tol:
         if "=" not in entry:
@@ -321,36 +341,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             tol[key] = float(val)
         except ValueError:
             raise ContractError(f"--tol {key} expects a number, got {val!r}") from None
-        if not math.isfinite(tol[key]) or tol[key] < 0:
-            raise ContractError(f"--tol {key} must be finite and >= 0, got {val!r}")
-    require_count(args.samples, "--samples")
-    if args.out_path and (os.path.isdir(args.out_path) or not os.path.isdir(os.path.dirname(args.out_path) or ".")):
-        raise ContractError(f"--out must name a file in an existing directory, got {args.out_path!r}")
-    if not 0 <= args.seed < rand.SEED_LIMIT:
-        raise ContractError(f"--seed must lie in [0, 2^32), got {args.seed}")
-    dims = _parse_dims(args.dims) if args.dims else None
-    if args.command in ("choi", "hierarchy") and isinstance(dims, tuple) and dims[0] < 2:
-        # on M_1 transposition is the identity map, so "positive but not CP" cannot hold there
-        raise ContractError(f"{args.command} needs --dims NxM with N >= 2, got {args.dims!r}")
-    if args.command == "construct" and isinstance(dims, tuple):
-        constructions.require_construct_dim(math.prod(dims))
-    if dims and "--samples" in READS.get(args.command, ()):
-        dim = math.prod(dims) if isinstance(dims, tuple) else dims
-        if args.samples * dim * dim > linalg.MAX_STACK_ENTRIES:
-            raise ContractError(f"--samples {args.samples} at --dims {args.dims} stacks samples * N^2 ="
-                                f" {args.samples * dim * dim} entries, over the cap {linalg.MAX_STACK_ENTRIES}")
-    return RunConfig(
-        command=args.command, seed=args.seed, dims=dims, samples=args.samples,
-        iters=args.iters, tol=tol, in_path=args.in_path, out_path=args.out_path,
-    )
+    return RunConfig(command=args.command, seed=args.seed, dims=_parse_dims(args.dims) if args.dims else None,
+                     samples=args.samples, iters=args.iters, tol=tol, in_path=args.in_path, out_path=args.out_path)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        code, report = run_command(cfg)
+        code, report = run_command(config_from_args(args))
     except (ContractError, ShapeError, DimensionLimitError, ConditioningError,
             ConsistencyError, np.linalg.LinAlgError) as exc:
         diagnostic = {"error": str(exc), "kind": type(exc).__name__}

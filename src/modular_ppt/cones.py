@@ -45,7 +45,9 @@ call and checks them as one stack: ``_natural_cone_generator`` and
 the joint context from its factors' eigenpairs (``gns._gns_context``), so
 J, U, J_m and Delta of the joint factor by construction.
 The public functions check beta once per call, the two probes also their
-samples and seed, before the cache.  The Delta-power overflow
+samples and seed, before the cache, and every ``tol`` is checked by
+``linalg.require_tol`` where it is first read (``v_beta_membership``, under
+both membership routes, and ``_check_probe``).  The Delta-power overflow
 check lives in ``gns.apply_delta_power``, where the caller picks the power:
 every context comes from ``build_gns``, whose eigenvalues lie in
 [EPS_FAITHFUL, 1 + TOL_TRACE], or is a joint assembled by
@@ -86,6 +88,7 @@ from .linalg import (
     require_count,
     require_density,
     require_integer,
+    require_tol,
 )
 from .rand import _factor_draws, _unit_trace_gram, complex_gaussians, generator, require_seed
 
@@ -121,6 +124,7 @@ def v_beta_membership(ctx: GnsContext, beta: float, xi: GnsVector, tol: float = 
     """xi in V_beta  iff  a = mat(Delta^{-beta} xi) rho^{-1/2} is PSD; the
     witness a is returned in standard coordinates."""
     _check_beta(beta)
+    require_tol(tol, "tol")
     a, cert = _v_beta_certificate(ctx, beta, ctx.to_eigbasis(xi.mat_in(ctx)))
     cert = float(cert)
     return MembershipVerdict(inside=cert >= -tol, certificate=cert, witness=ctx.from_eigbasis(a))
@@ -193,12 +197,13 @@ def _probe_draws(ctx: GnsContext, seed: int, samples: int) -> tuple[np.ndarray, 
     return psd, xi, float(np.min(cert, initial=np.inf))
 
 
-def _check_probe(beta: float, samples: int, seed: int) -> None:
+def _check_probe(beta: float, samples: int, seed: int, tol: float) -> None:
     """The contract of both probes, checked before the cache is reached,
     so that a bool or a float never hits an integer's entry."""
     _check_beta(beta)
     require_count(samples, "samples")
     require_seed(seed)
+    require_tol(tol, "tol")
 
 
 def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0,
@@ -211,7 +216,7 @@ def duality_check(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 
     The samples are the ``_probe_draws`` of (ctx, seed, samples), shared
     with ``u_maps_cones`` and with the calls at other beta.
     """
-    _check_probe(beta, samples, seed)
+    _check_probe(beta, samples, seed, tol)
     psd, xi, _ = _probe_draws(ctx, seed, samples)
     members = _cone_elements(ctx, beta, psd[:, 0])
     eta = _cone_elements(ctx, 0.5 - beta, psd[:, 1])
@@ -242,7 +247,7 @@ def u_maps_cones(ctx: GnsContext, beta: float, samples: int = 100, seed: int = 0
     not depend on beta and comes certified with the draws of
     (ctx, seed, samples).
     """
-    _check_probe(beta, samples, seed)
+    _check_probe(beta, samples, seed, tol)
     psd, _, worst_v0 = _probe_draws(ctx, seed, samples)
     xi = _cone_elements(ctx, beta, psd[:, 0])
     _, flip_cert = _v_beta_certificate(ctx, 0.5 - beta, xi.swapaxes(-1, -2))

@@ -276,5 +276,5 @@ def sqrt_ppt_experiment(shape: BipartiteShape, samples: int = 100, seed: int = 0
 def reverify_counterexample(entry: dict, shape: BipartiteShape) -> float:
     """Recompute a serialized counterexample's sqrt-PT eigenvalue from scratch."""
     d = np.array(entry["d_re"]) + 1j * np.array(entry["d_im"])
-    root = _mat_sqrt_psd(require_density(require_bipartite(d, shape), tol_psd=1e-8))
+    root = _mat_sqrt_psd(require_density(require_bipartite(d, shape)))
     return float(_gamma_min(root, shape))

@@ -11,7 +11,8 @@ call, not at import, so a counter or a fault patched onto it sees them all.
 Matrices are plain complex ndarrays; the contracts of the package are
 enforced by the ``require_*`` validators (``require_count`` for every
 sample or term count, ``require_integer`` under it, under every seed and
-every ``BipartiteShape`` dimension),
+every ``BipartiteShape`` dimension, ``require_tol`` for every tolerance a
+caller may set),
 which raise rather than coerce.
 Contracts are checked once, at the public boundary: ``partial_transpose``,
 ``project_psd`` and ``mat_sqrt_psd`` validate their input and then call an
@@ -119,10 +120,10 @@ def require_hermitian(m) -> np.ndarray:
     return m
 
 
-def require_density(m, tol_psd: float = TOL_PSD) -> np.ndarray:
+def require_density(m) -> np.ndarray:
     m = require_hermitian(m)
     w = _eigvalsh(hermitize(m))
-    if w[0] < -tol_psd:
+    if w[0] < -TOL_PSD:
         raise ContractError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     tr = np.trace(m).real
     if abs(tr - 1.0) > TOL_TRACE:
@@ -141,6 +142,15 @@ def require_count(value: int, name: str) -> None:
     require_integer(value, name)
     if value < 1:
         raise ContractError(f"{name} must be >= 1, got {value}")
+
+
+def require_tol(value: float, name: str) -> None:
+    """value is a finite real >= 0 (0 included) and not a bool: under a NaN
+    or a negative tolerance every ``x >= -tol`` test gives a wrong verdict."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ContractError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def require_bipartite(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:

@@ -65,6 +65,7 @@ from .linalg import (
     require_bipartite,
     require_density,
     require_hermitian,
+    require_tol,
 )
 from .rand import complex_gaussians
 
@@ -509,6 +510,7 @@ def npt_witness(d, shape: BipartiteShape, tol: float = TOL_PSD) -> np.ndarray | 
     """Decomposable witness (|v><v|)^Gamma from the most negative eigenvector
     of d^Gamma; None when d is PPT.  Tr(W d) recovers that eigenvalue, while
     Tr(W sigma) >= 0 for every PPT sigma."""
+    require_tol(tol, "tol")
     return _gamma_witness(require_density(require_bipartite(d, shape)), shape, tol)[1]
 
 

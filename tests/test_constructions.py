@@ -175,6 +175,21 @@ class TestSqrtExperiment:
             assert recomputed == pytest.approx(entry["sqrt_gamma_min_eig"], abs=1e-9)
             assert recomputed < -1e-9
 
+    def test_counterexample_with_a_negative_eigenvalue_is_refused_as_a_density(self):
+        # -5e-9 used to pass a looser density check and fail the square root's PSD check
+        d = np.diag([0.5 + 5e-9, 0.3, 0.2, -5e-9])
+        entry = {"d_re": d.tolist(), "d_im": np.zeros_like(d).tolist()}
+        with pytest.raises(ContractError, match="density matrix has negative eigenvalue -5.000e-09"):
+            reverify_counterexample(entry, BipartiteShape(2, 2))
+
+    def test_counterexamples_of_the_pinned_run_reverify(self):
+        # the run of `experiment --dims 2x2 --seed 3 --samples 300`
+        shape = BipartiteShape(2, 2)
+        report, _ = sqrt_ppt_experiment(shape, samples=300, seed=3)
+        assert report["counterexamples"]
+        for entry in report["counterexamples"]:
+            assert reverify_counterexample(entry, shape) == pytest.approx(entry["sqrt_gamma_min_eig"], abs=1e-9)
+
     def test_probe_reports_residuals(self):
         report, _ = sqrt_ppt_experiment(BipartiteShape(2, 2), samples=10, seed=411)
         probe = report["partial_transpose_probe"]

@@ -534,10 +534,44 @@ class TestCliMain:
 
     def test_tol_override_parsing(self):
         parser = build_parser()
-        args = parser.parse_args(["minimize", "--in", "x.json", "--dims", "2x2",
-                                  "--tol", "feas=1e-9", "--tol", "psd=1e-11"])
+        args = parser.parse_args(["ppt-check", "--in", "x.json", "--dims", "2x2",
+                                  "--tol", "psd=1e-9", "--tol", "psd=1e-11"])
         cfg = config_from_args(args)
-        assert cfg.tol == {"feas": 1e-9, "psd": 1e-11}
+        assert cfg.tol == {"psd": 1e-11}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"command": "ppt-check", "dims": (2, 2), "in_path": "MIXED", "tol": {"psd": float("nan")}},
+        {"command": "ppt-check", "dims": (2, 2), "in_path": "MIXED", "tol": {"psd": -1.0}},
+        {"command": "ppt-check", "dims": (2, 2)},
+        {"command": "cone-check", "dims": 3, "tol": {"membership": float("nan")}},
+        {"command": "choi", "dims": (1, 3)},
+        {"command": "hierarchy", "dims": (1, 2)},
+        {"command": "anticomm", "dims": (3, 2)},
+        {"command": "gns-verify", "dims": (2, 2)},
+        {"command": "experiment", "dims": 3},
+        {"command": "experiment", "dims": (8, 8), "samples": 600},  # 600 * 64^2 entries, over the stack budget
+        {"command": "choi", "dims": (2, 2), "seed": True},
+        {"command": "nope", "dims": (2, 2)},
+    ], ids=["ppt-check-psd-nan", "ppt-check-psd-negative", "ppt-check-without-in", "cone-check-membership-nan",
+            "choi-on-m1", "hierarchy-on-m1", "anticomm-not-a-qubit", "gns-verify-bipartite", "experiment-single",
+            "experiment-over-budget", "seed-bool", "unknown-command"])
+    def test_config_built_in_code_refuses_a_broken_contract(self, kwargs, tmp_path, monkeypatch):
+        # a config built in code takes the checks argv takes, so none of these reaches a runner
+        def forbidden(cfg):
+            raise AssertionError("a runner was called")
+
+        for name in modular_ppt.cli.RUNNERS:
+            monkeypatch.setitem(modular_ppt.cli.RUNNERS, name, forbidden)
+        path = str(tmp_path / "mixed.json")
+        save_matrix(np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        with pytest.raises(ContractError):
+            RunConfig(**{key: path if value == "MIXED" else value for key, value in kwargs.items()})
+
+    def test_command_tables_name_only_known_commands(self):
+        cli = modular_ppt.cli
+        assert set(cli.READS) <= set(cli.RUNNERS)
+        assert set(cli.DIMS) == set(cli.RUNNERS)  # every command takes one --dims form
+        assert set(cli.DIMS.values()) <= {"N", "NxM", cli.FROM_FILE}
 
     def test_tol_key_the_command_does_not_read_exits_two(self, tmp_path, swap22, capsys):
         path = str(tmp_path / "swap.json")

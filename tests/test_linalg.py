@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modular_ppt import choi, cones, constructions, gns, linalg, optim
+from modular_ppt import choi, cli, cones, constructions, gns, linalg, optim
 from modular_ppt.errors import ContractError, DimensionLimitError, ShapeError
 from modular_ppt.linalg import (
     BipartiteShape,
@@ -334,6 +334,41 @@ class TestRequireCount:
         with pytest.raises(ContractError, match="samples must be an integer"):
             calls[check](samples)
         calls[check](np.int64(3))   # numpy's integers are counts
+
+
+class TestRequireTol:
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-10, np.float64(1e-9)])
+    def test_accepts_a_finite_nonnegative_real(self, tol):
+        linalg.require_tol(tol, "tol")
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, True, "1e-9", None],
+                             ids=["nan", "inf", "minus-inf", "negative", "bool", "string", "none"])
+    def test_refuses_anything_else(self, tol):
+        with pytest.raises(ContractError, match="tol must be"):
+            linalg.require_tol(tol, "tol")
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1e-10],
+                             ids=["nan", "inf", "negative", "zero", "default"])
+    @pytest.mark.parametrize("call", ["v_beta_membership", "natural_cone_membership", "pn_intersection_membership",
+                                      "duality_check", "u_maps_cones", "npt_witness", "RunConfig"])
+    def test_every_public_tolerance_is_checked(self, call, tol):
+        # a NaN or negative tolerance used to give a verdict: I/4 an NPT witness, every probe sample "missed"
+        ctx = build_gns(random_faithful_density(generator(5), 2))
+        comp = cones.build_composite(ctx, ctx)
+        calls = {
+            "v_beta_membership": lambda: cones.v_beta_membership(ctx, 0.25, ctx.omega, tol=tol),
+            "natural_cone_membership": lambda: cones.natural_cone_membership(ctx, ctx.omega, tol=tol),
+            "pn_intersection_membership": lambda: cones.pn_intersection_membership(comp, comp.joint.omega, tol=tol),
+            "duality_check": lambda: cones.duality_check(ctx, 0.25, samples=3, tol=tol),
+            "u_maps_cones": lambda: cones.u_maps_cones(ctx, 0.25, samples=3, tol=tol),
+            "npt_witness": lambda: optim.npt_witness(np.eye(4) / 4, BipartiteShape(2, 2), tol=tol),
+            "RunConfig": lambda: cli.RunConfig(command="cone-check", dims=2, tol={"membership": tol}),
+        }
+        if tol in (0.0, 1e-10):
+            calls[call]()
+        else:
+            with pytest.raises(ContractError, match="tol.* must be finite and >= 0"):
+                calls[call]()
 
 
 class TestEigensolverEntryPoint:
