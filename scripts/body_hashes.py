@@ -55,6 +55,8 @@ CONFIGS = (
     ("anticomm", "--dims", "2x2"),
     ("anticomm", "--dims", "2x3"),
     ("anticomm", "--dims", "2x4"),
+    # every option off its default; 7 is not a multiple of the four instance kinds
+    ("anticomm", "--dims", "2x3", "--samples", "7", "--seed", "5"),
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2"),
     ("ppt-check", "--in", "singlet.json", "--dims", "2x2", "--tol", "psd=1e-11"),
     ("ppt-check", "--in", "mixed.json", "--dims", "2x2"),  # PPT: no witness

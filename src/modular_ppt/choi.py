@@ -226,11 +226,13 @@ def stormer_block_test(t: MapTable, k: int = 2, samples: int = 50, seed: int = 0
             "passed": bool(min_eig >= -1e-8)}
 
 
-def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list) -> tuple[np.ndarray, dict]:
+def lemma_fi_functional(a, xs: list, hs: list) -> tuple[np.ndarray, dict]:
     """The PPT-representing kernel of the functional
     psi(C) = sum <h_i (x) e_p, A h_j (x) e_r> <e_p (x) x_i, C e_r (x) x_j>.
 
-    Requires A and its k-side partial transpose PSD on the k (x) n split.
+    The k = len(xs) = len(hs) vectors h_i live in C^k and the x_i in one
+    C^m, all finite, m >= 1; A is PSD with its k-side partial transpose on
+    the k (x) n split, n = dim(A) / k.
     Returns the operator Psi on H (x) K with psi(C) = Tr(Psi C), plus a
     report of the exact minima of Re psi over states, lambda_min(herm Psi),
     and after composing with transposition on the H factor,
@@ -240,22 +242,29 @@ def lemma_fi_functional(a, k: int, n: int, xs: list, hs: list) -> tuple[np.ndarr
     the same bound with A's k-side partial transpose.  The input check admits
     least eigenvalues down to -1e-9, so ``passed`` means both minima are >= -1e-9 s^2.
     """
-    a = require_hermitian(require_bipartite(a, BipartiteShape(k, n)))
-    w = _eigvalsh(hermitize(a))[0]
-    w_pt = _gamma_min(a, BipartiteShape(k, n), "A")
-    if w < -1e-9 or w_pt < -1e-9:
-        raise ContractError(f"A must be PPT on the k x n split: min eigs {w:.3e}, {w_pt:.3e}")
     xs = [np.asarray(x, dtype=complex).ravel() for x in xs]
     hs = [np.asarray(h, dtype=complex).ravel() for h in hs]
-    if len(xs) != k or len(hs) != k:
-        raise ContractError(f"need k={k} vectors in both xs and hs")
+    k = len(xs)
+    if k == 0 or len(hs) != k:
+        raise ContractError(f"need as many vectors in hs as in xs, at least one: got {len(hs)} and {k}")
     if any(h.size != k for h in hs):
         raise ShapeError("each h_i must live in C^k")
     m = xs[0].size
     if any(x.size != m for x in xs):
         raise ShapeError("all x_i must have equal dimension")
-
     hs, xs = np.stack(hs), np.stack(xs)  # rows h_i and x_i
+    if m == 0 or not (np.all(np.isfinite(hs)) and np.all(np.isfinite(xs))):
+        raise ContractError("the x_i must be nonempty, and xs and hs finite")
+    a = require_hermitian(a)
+    if a.shape[0] % k != 0:
+        raise ShapeError(f"A's dimension {a.shape[0]} is not a multiple of k = {k}")
+    split = BipartiteShape(k, a.shape[0] // k)  # refuses an empty A
+    w = _eigvalsh(hermitize(a))[0]
+    w_pt = _gamma_min(a, split, "A")
+    if w < -1e-9 or w_pt < -1e-9:
+        raise ContractError(f"A must be PPT on the k x n split: min eigs {w:.3e}, {w_pt:.3e}")
+
+    n = split.dim_b
     # psi[(r,u),(p,v)] = sum_ij <h_i (x) e_p, A h_j (x) e_r> x_j[u] conj(x_i[v])
     psi = np.einsum("is,sptr,jt,ju,iv->rupv", hs.conj(), a.reshape(k, n, k, n), hs, xs, xs.conj())
     psi = psi.reshape(n * m, n * m)

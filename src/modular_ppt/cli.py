@@ -34,7 +34,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,14 +50,16 @@ from .rand import complex_gaussian, complex_gaussians, generator, random_faithfu
 @dataclass(frozen=True)
 class RunConfig:
     """One run of a command.  Building it checks the whole contract of the
-    run, so ``run_command`` only runs and argv and code take one check path."""
+    run, so ``run_command`` only runs and argv and code take one check path.
+    ``tol`` is kept as a read-only copy, so the tolerances a run reads are
+    the ones that were checked."""
 
     command: str
     seed: int = 0
     dims: tuple[int, int] | int | None = None
     samples: int = 100
     iters: int | None = None
-    tol: dict = field(default_factory=dict)
+    tol: Mapping[str, float] = field(default_factory=dict)
     in_path: str | None = None
     out_path: str | None = None
 
@@ -71,6 +75,7 @@ class RunConfig:
         }
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tol", MappingProxyType(dict(self.tol)))
         if self.command not in RUNNERS:
             raise ContractError(f"unknown command {self.command!r}")
         reads = READS.get(self.command, ())

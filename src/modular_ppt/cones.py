@@ -578,8 +578,8 @@ def separable_cone_distance(comp: CompositeGnsContext, xi: GnsVector, iters: int
         history.append(bound)
 
     herm = hermitize(target)
-    neg = max(float(np.sum(np.minimum(_eigvalsh(m), 0.0) ** 2))
-              for m in (herm, hermitize(_partial_transpose(herm, comp.shape, "B"))))
+    spectra = _eigvalsh(np.stack([herm, hermitize(_partial_transpose(herm, comp.shape, "B"))]))
+    neg = float(np.max(np.sum(np.minimum(spectra, 0.0) ** 2, axis=1)))
     lower = min(bound, float(np.sqrt(np.linalg.norm(target - herm) ** 2 + neg)))
     info = {"history": history, "terms": len(factors), "converged": bound <= 1e-9,
             "lower_bound": lower}

@@ -1,12 +1,19 @@
 """Constructive recipes and exploratory experiments.
 
 Three things live here: the dim-2 anticommutator criterion (vanishing of
-<f (x) y, {A (x) 1, rho} f (x) y> for all y forces the block transpose of
-rho to stay positive), the recipe that manufactures PPT states from
+<f (x) y, {A (x) 1, rho} f (x) y> for all y, with A f != 0, forces the block
+transpose of rho to stay positive), the recipe that manufactures PPT states from
 cone-intersection vectors, and an exploratory harness probing how PPT-ness
 of a state relates to PPT-ness of its square root.  The harness draws
 its PPT states as one stack from ``optim``'s sampler, then tallies and
 reports; it never asserts an answer to the open correspondence.
+
+An ``AnticommutatorInstance`` checks its contract once, when it is built:
+rho a density on 2 (x) m, f a finite nonzero vector of C^2 (normalized
+there and nowhere else), A a finite Hermitian 2x2 with A f != 0 relative
+to ||A||, which is the criterion's hypothesis.  ``find_anticommutator_solution``
+checks its rho and f with the same code; ``verify_anticommutator_ppt`` only
+gates the residual, relative to the block's scale: residual <= RESIDUAL_TOL ||A f||.
 """
 
 from __future__ import annotations
@@ -29,21 +36,61 @@ from .linalg import (
     require_bipartite,
     require_count,
     require_density,
+    require_hermitian,
+    require_square,
 )
 from .optim import PptSetSpec, _sample_ppt, sample_ppt_density
 from .rand import complex_gaussian, generator, random_faithful_density
 
 SOLUTION_SV_THRESHOLD = 1e-9
 RESIDUAL_TOL = 1e-9
+ANNIHILATION_TOL = 1e-9  # an A with ||A f|| <= this * ||A|| annihilates f
 MAX_CONSTRUCT_DIM = 81  # joint dimension cap of construct_ppt_from_cone
 CANDIDATE_BOUND = 0.05  # a PPT vector whose separable bound exceeds this is flagged as a candidate
 
 
+def _require_state_and_f(rho, f) -> tuple[np.ndarray, np.ndarray]:
+    """rho checked as a density matrix on 2 (x) m, and f as a finite nonzero
+    vector of C^2, returned normalized."""
+    rho = require_square(rho)
+    if rho.shape[0] == 0 or rho.shape[0] % 2 != 0:
+        raise ContractError(f"state must live on 2 (x) m, got dim {rho.shape[0]}")
+    rho = require_density(rho)
+    f = np.asarray(f, dtype=complex).ravel()
+    if f.size != 2:
+        raise ContractError(f"f must live in C^2, got dim {f.size}")
+    norm = np.linalg.norm(f)
+    if not 0 < norm < np.inf:  # also refuses NaN
+        raise ContractError(f"f must be a finite nonzero vector, got norm {norm}")
+    return rho, f / norm
+
+
 @dataclass(frozen=True)
 class AnticommutatorInstance:
-    rho: np.ndarray        # density on 2 (x) m
-    f: np.ndarray          # unit vector in C^2
-    a_op: np.ndarray       # Hermitian 2x2, nonzero
+    """An input of the anticommutator criterion, checked once when built:
+    ``rho`` a density on 2 (x) m, ``f`` a finite nonzero vector of C^2
+    (stored normalized), ``a_op`` a finite Hermitian 2x2 with
+    ||A f|| > ANNIHILATION_TOL ||A||.  A f != 0 is the criterion's
+    hypothesis: for A f = 0 the block V_f^* {A (x) 1, rho} V_f vanishes for
+    every rho.  Whether it vanishes for this rho is the verdict's gate,
+    relative to ||A f||.  The three arrays are kept as read-only copies.
+    """
+
+    rho: np.ndarray
+    f: np.ndarray
+    a_op: np.ndarray
+
+    def __post_init__(self) -> None:
+        rho, f = _require_state_and_f(self.rho, self.f)
+        a_op = require_hermitian(self.a_op)
+        if a_op.shape != (2, 2):
+            raise ContractError(f"A must act on C^2, got shape {a_op.shape}")
+        if not np.linalg.norm(a_op @ f) > ANNIHILATION_TOL * np.linalg.norm(a_op):
+            raise ContractError("A annihilates f, so the anticommutator condition says nothing about rho")
+        for name, value in (("rho", rho), ("f", f), ("a_op", a_op)):
+            value = value.copy()  # so the verdict reads the arrays that were checked
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def _anticommutator_blocks(rho: np.ndarray, f: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -76,13 +123,7 @@ def find_anticommutator_solution(rho, f) -> np.ndarray | None:
     condition vacuous; solutions along it say nothing about rho, so the
     solver excludes it.
     """
-    rho = require_density(rho)
-    if rho.shape[0] % 2 != 0:
-        raise ContractError(f"state must live on 2 (x) m, got dim {rho.shape[0]}")
-    f = np.asarray(f, dtype=complex).ravel()
-    if f.size != 2:
-        raise ContractError(f"f must live in C^2, got dim {f.size}")
-    f = f / np.linalg.norm(f)
+    rho, f = _require_state_and_f(rho, f)
     g = np.array([-f[1].conjugate(), f[0].conjugate()], dtype=complex)
     fg = np.outer(f, g.conj())
     basis = np.stack([np.outer(f, f.conj()), (fg + fg.conj().T) / np.sqrt(2), 1j * (fg - fg.conj().T) / np.sqrt(2)])
@@ -95,18 +136,9 @@ def find_anticommutator_solution(rho, f) -> np.ndarray | None:
     return a_op / np.linalg.norm(a_op)
 
 
-def instance_residual(rho, f, a_op) -> float:
-    """max |V_f^* {A (x) 1, rho} V_f|, with f normalized."""
-    f = np.asarray(f, dtype=complex).ravel() / np.linalg.norm(f)
-    return float(np.max(np.abs(_anticommutator_blocks(rho, f, a_op))))
-
-
-def make_instance(rho, f) -> AnticommutatorInstance | None:
-    a_op = find_anticommutator_solution(rho, f)
-    if a_op is None:
-        return None
-    return AnticommutatorInstance(rho=np.asarray(rho, dtype=complex),
-                                  f=np.asarray(f, dtype=complex).ravel() / np.linalg.norm(f), a_op=a_op)
+def instance_residual(inst: AnticommutatorInstance) -> float:
+    """max |V_f^* {A (x) 1, rho} V_f| of an instance."""
+    return float(np.max(np.abs(_anticommutator_blocks(inst.rho, inst.f, inst.a_op))))
 
 
 def random_anticommutator_instance(rng: np.random.Generator, m: int,
@@ -142,22 +174,24 @@ def random_anticommutator_instance(rng: np.random.Generator, m: int,
         f = e1
     else:
         raise ContractError(f"unknown instance kind {kind!r}")
-    return make_instance(rho, f)
+    a_op = find_anticommutator_solution(rho, f)
+    return None if a_op is None else AnticommutatorInstance(rho=rho, f=f, a_op=a_op)
 
 
 def verify_anticommutator_ppt(inst: AnticommutatorInstance) -> dict:
     """The criterion's conclusion: the block transpose of rho stays positive.
 
-    The instance residual (``instance_residual`` of rho, f and A) is
-    reported as ``residual``; above RESIDUAL_TOL it is a contract error.  A
-    block transpose eigenvalue below -RESIDUAL_TOL is a falsification event
-    and ships the serialized instance in the report.
+    The instance residual (``instance_residual``) is reported as
+    ``residual``; unless it is at most RESIDUAL_TOL ||A f|| (NaN is not) it
+    is a contract error.  The instance checked the rest of its contract when
+    it was built.  A block transpose eigenvalue below -RESIDUAL_TOL is a
+    falsification event and ships the serialized instance in the report.
     """
-    residual = instance_residual(inst.rho, inst.f, inst.a_op)
-    if residual > RESIDUAL_TOL:
-        raise ContractError(f"instance residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    shape = BipartiteShape(2, inst.rho.shape[0] // 2)
-    min_eig = float(_gamma_min(require_bipartite(inst.rho, shape), shape, "A"))
+    residual = instance_residual(inst)
+    gate = RESIDUAL_TOL * float(np.linalg.norm(inst.a_op @ inst.f))
+    if not residual <= gate:
+        raise ContractError(f"instance residual {residual:.3e} exceeds RESIDUAL_TOL * ||A f|| = {gate:.3e}")
+    min_eig = float(_gamma_min(inst.rho, BipartiteShape(2, inst.rho.shape[0] // 2), "A"))
     falsified = min_eig < -RESIDUAL_TOL
     report = {"residual": residual, "min_gamma_eig": min_eig, "falsified": bool(falsified)}
     if falsified:

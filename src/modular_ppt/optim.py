@@ -96,7 +96,8 @@ class PptSetSpec:
     tol_feas: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.tol_feas < np.inf:  # also refuses NaN, which no comparison lets through
+        # a bool is no tolerance, and NaN passes no comparison
+        if isinstance(self.tol_feas, bool) or not 0 < self.tol_feas < np.inf:
             raise ContractError(f"tol_feas must be finite and positive, got {self.tol_feas}")
         if self.shape.dim > MAX_DIM:
             raise DimensionLimitError(f"PPT set dimension {self.shape.dim} exceeds cap {MAX_DIM}")

@@ -177,7 +177,7 @@ def test_criterion_09_functional_positivity():
         a = optim.sample_ppt_density(rng, spec)
         xs = [random_unit_vector(rng, 2) for _ in range(2)]
         hs = [random_unit_vector(rng, 2) for _ in range(2)]
-        _, report = choi.lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs)
+        _, report = choi.lemma_fi_functional(a, xs=xs, hs=hs)
         worst = min(worst, report["min_functional_value"],
                     report["min_functional_value_after_transpose"])
     _line("criterion 9 functional positivity", worst >= -1e-9,

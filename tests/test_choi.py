@@ -449,13 +449,13 @@ def exact_functional_minima(psi, shape):
 class TestLemmaFi:
     def test_scalar_case(self):
         a = np.array([[1.0]])
-        psi, report = lemma_fi_functional(a, k=1, n=1, xs=[np.array([1.0, 0.0])], hs=[np.array([1.0])])
+        psi, report = lemma_fi_functional(a, xs=[np.array([1.0, 0.0])], hs=[np.array([1.0])])
         assert report["passed"]
 
     def test_identity_input(self, rng):
         xs = [random_unit_vector(rng, 2) for _ in range(2)]
         hs = [random_unit_vector(rng, 2) for _ in range(2)]
-        psi, report = lemma_fi_functional(np.eye(4) / 4, k=2, n=2, xs=xs, hs=hs)
+        psi, report = lemma_fi_functional(np.eye(4) / 4, xs=xs, hs=hs)
         assert report["passed"]
         assert report["kernel_herm_defect"] <= 1e-12
 
@@ -466,7 +466,7 @@ class TestLemmaFi:
             a = sample_ppt_density(rng, spec)
             xs = [random_unit_vector(rng, 2) for _ in range(2)]
             hs = [random_unit_vector(rng, 2) for _ in range(2)]
-            psi, report = lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs)
+            psi, report = lemma_fi_functional(a, xs=xs, hs=hs)
             assert report["min_functional_value"] >= -1e-9
             assert report["min_functional_value_after_transpose"] >= -1e-9
 
@@ -476,7 +476,7 @@ class TestLemmaFi:
         a = sample_ppt_density(rng, PptSetSpec(BipartiteShape(k, n)))
         xs = [random_unit_vector(rng, m) for _ in range(k)]
         hs = [random_unit_vector(rng, k) for _ in range(k)]
-        psi, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs)
+        psi, report = lemma_fi_functional(a, xs=xs, hs=hs)
         exact = exact_functional_minima(psi, BipartiteShape(n, m))
         reported = (report["min_functional_value"], report["min_functional_value_after_transpose"])
         assert np.max(np.abs(np.subtract(reported, exact))) <= 1e-15
@@ -495,7 +495,7 @@ class TestLemmaFi:
             xs = [rng.uniform(0.5, 2) * random_unit_vector(rng, m) for _ in range(k)]
             hs = [rng.uniform(0.5, 2) * random_unit_vector(rng, k) for _ in range(k)]
             s = sum(np.linalg.norm(h) * np.linalg.norm(x) for h, x in zip(hs, xs))
-            _, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs)
+            _, report = lemma_fi_functional(a, xs=xs, hs=hs)
             least = np.linalg.eigvalsh(a)[0]
             least_pt = np.linalg.eigvalsh(partial_transpose(a, BipartiteShape(k, n), "A"))[0]
             assert report["min_functional_value"] >= min(0.0, least) * s**2 - 1e-14 * s**2
@@ -515,7 +515,7 @@ class TestLemmaFi:
         x = random_unit_vector(rng, m)
         hs, xs = [2.0 * h] * k, [1.5 * x] * k
         s = k * 2.0 * 1.5
-        _, report = lemma_fi_functional(a, k=k, n=n, xs=xs, hs=hs)
+        _, report = lemma_fi_functional(a, xs=xs, hs=hs)
         for key in ("min_functional_value", "min_functional_value_after_transpose"):
             assert report[key] == pytest.approx(lam * s**2, rel=1e-6)
             assert report[key] < -1e-9
@@ -525,7 +525,17 @@ class TestLemmaFi:
         xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         hs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         with pytest.raises(ContractError):
-            lemma_fi_functional(singlet, k=2, n=2, xs=xs, hs=hs)
+            lemma_fi_functional(singlet, xs=xs, hs=hs)
+
+    @pytest.mark.parametrize("xs,hs", [
+        ([np.array([np.nan, 0.0]), np.array([0.0, 1.0])], [np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
+        ([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [np.array([np.inf, 0.0]), np.array([0.0, 1.0])]),
+        ([np.array([]), np.array([])], [np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
+    ], ids=["x-nan", "h-inf", "x-empty"])
+    def test_vectors_are_checked(self, xs, hs):
+        # these once escaped the input check, as a LAPACK failure and as an IndexError
+        with pytest.raises(ContractError):
+            lemma_fi_functional(np.eye(4) / 4, xs=xs, hs=hs)
 
     def test_kernel_represents_functional(self, rng):
         # spot check: Tr(Psi C) recomputed from the defining double sum
@@ -534,7 +544,7 @@ class TestLemmaFi:
         a = sample_ppt_density(gen, spec)
         xs = [random_unit_vector(gen, 3) for _ in range(2)]
         hs = [random_unit_vector(gen, 2) for _ in range(2)]
-        psi, _ = lemma_fi_functional(a, k=2, n=2, xs=xs, hs=hs)
+        psi, _ = lemma_fi_functional(a, xs=xs, hs=hs)
         c = complex_gaussian(gen, 6, 6)
         a4 = a.reshape(2, 2, 2, 2)
         c4 = c.reshape(2, 3, 2, 3)

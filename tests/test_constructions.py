@@ -9,7 +9,6 @@ from modular_ppt.constructions import (
     construct_ppt_from_cone,
     find_anticommutator_solution,
     instance_residual,
-    make_instance,
     random_anticommutator_instance,
     reverify_counterexample,
     sqrt_ppt_experiment,
@@ -17,7 +16,7 @@ from modular_ppt.constructions import (
 )
 from modular_ppt import optim
 from modular_ppt.cones import build_composite
-from modular_ppt.errors import ContractError
+from modular_ppt.errors import ContractError, ShapeError
 from modular_ppt.gns import apply_u, build_gns, transpose_operator
 from modular_ppt.linalg import BipartiteShape, hermitize, kron, partial_transpose
 from modular_ppt.rand import generator, random_faithful_density
@@ -48,14 +47,14 @@ class TestAnticommutatorSolver:
         for _ in range(5):
             inst = random_anticommutator_instance(rng, m, kind)
             assert inst is not None
-            assert instance_residual(inst.rho, inst.f, inst.a_op) <= 1e-10
+            assert instance_residual(inst) <= 1e-10
             assert np.linalg.norm(inst.a_op) == pytest.approx(1.0)
 
     def test_residual_cross_check_loop_vs_vectorized(self):
         rng = generator(400)
         for kind in KINDS:
             inst = random_anticommutator_instance(rng, 3, kind)
-            fast = instance_residual(inst.rho, inst.f, inst.a_op)
+            fast = instance_residual(inst)
             slow = float(np.max(np.abs(compressed_block_loop(inst.rho, inst.f, inst.a_op, 3))))
             assert abs(fast - slow) <= 1e-12
             assert slow <= 1e-9
@@ -97,7 +96,7 @@ class TestAnticommutatorVerdict:
         rng = generator(404)
         rho = np.kron(random_faithful_density(rng, 2), random_faithful_density(rng, 2))
         bad = AnticommutatorInstance(rho=rho, f=np.array([1.0, 0.0]), a_op=np.eye(2, dtype=complex))
-        assert instance_residual(bad.rho, bad.f, bad.a_op) > RESIDUAL_TOL
+        assert instance_residual(bad) > RESIDUAL_TOL
         with pytest.raises(ContractError):
             verify_anticommutator_ppt(bad)
 
@@ -107,7 +106,7 @@ class TestAnticommutatorVerdict:
         rng = generator(404)
         inst = random_anticommutator_instance(rng, 2, "product")
         report = verify_anticommutator_ppt(inst)
-        assert 0.0 < report["residual"] == instance_residual(inst.rho, inst.f, inst.a_op) <= RESIDUAL_TOL
+        assert 0.0 < report["residual"] == instance_residual(inst) <= RESIDUAL_TOL
         with pytest.raises(ContractError):
             verify_anticommutator_ppt(replace(inst, a_op=np.eye(2, dtype=complex)))
 
@@ -116,9 +115,59 @@ class TestAnticommutatorVerdict:
         rng = generator(405)
         rho = np.kron(np.eye(2) / 2, random_faithful_density(rng, 3))
         f = np.array([1.0, 1.0]) / np.sqrt(2)
-        inst = make_instance(rho, f)
-        assert inst is not None
-        assert abs(np.vdot(f, inst.a_op @ f)) <= 1e-9
+        a_op = find_anticommutator_solution(rho, f)
+        assert a_op is not None
+        assert abs(np.vdot(f, a_op @ f)) <= 1e-9
+
+
+class TestAnticommutatorContract:
+    @pytest.mark.parametrize("f,a_op", [
+        ([1.0, 0.0], np.diag([0.0, 1.0])),
+        ([1.0, 0.0], np.zeros((2, 2))),
+        ([0.0, 0.0], np.diag([1.0, 0.0])),
+        ([1.0, 0.0], 1e-12 * np.diag([1.0, 0.0])),
+    ], ids=["a-annihilates-f", "a-zero", "f-zero", "a-tiny"])
+    def test_npt_singlet_is_never_falsified(self, singlet, f, a_op):
+        # the singlet is NPT, so each of these, once reported as a falsification, breaks the hypothesis:
+        # A f = 0 (the block vanishes for every state), f = 0 (a NaN residual), or a block that vanishes
+        # only on the absolute scale 1e-12 of A
+        with pytest.raises(ContractError):
+            verify_anticommutator_ppt(AnticommutatorInstance(rho=singlet, f=np.array(f), a_op=a_op))
+
+    @pytest.mark.parametrize("rho,a_op", [(np.eye(6) / 6, np.eye(3)), (np.eye(3) / 3, np.eye(2))],
+                             ids=["a-3x3", "rho-odd"])
+    def test_wrong_dimension_is_named(self, rho, a_op):
+        with pytest.raises((ShapeError, ContractError)):
+            verify_anticommutator_ppt(AnticommutatorInstance(rho=rho, f=np.array([1.0, 0.0]), a_op=a_op))
+
+    @pytest.mark.parametrize("f", [[0.0, 0.0], [np.nan, 1.0]], ids=["zero", "nan"])
+    def test_solver_refuses_a_degenerate_f(self, singlet, f):
+        with pytest.raises(ContractError):
+            find_anticommutator_solution(singlet, np.array(f))
+
+    def test_f_is_stored_normalized(self, singlet):
+        inst = AnticommutatorInstance(rho=singlet, f=np.array([3.0, 4.0j]), a_op=np.eye(2))
+        assert np.max(np.abs(inst.f - np.array([0.6, 0.8j]))) <= 1e-15
+
+    def test_checked_arrays_are_read_only(self, singlet):
+        # an A zeroed after the check once turned the singlet into a falsification
+        a_op = np.diag([1.0, 0.0])
+        inst = AnticommutatorInstance(rho=singlet, f=np.array([1.0, 0.0]), a_op=a_op)
+        with pytest.raises(ValueError):
+            inst.a_op[0, 0] = 0.0
+        a_op[0, 0] = 0.0
+        with pytest.raises(ContractError):
+            verify_anticommutator_ppt(inst)
+
+    def test_residual_gate_is_scale_free(self):
+        # the block is linear in A, so the gate scales with ||A f||: no scale of A moves the verdict
+        # (A is made exactly Hermitian first, as the Hermiticity check is absolute)
+        inst = random_anticommutator_instance(generator(407), 3, "product")
+        inst = replace(inst, a_op=hermitize(inst.a_op))
+        base = verify_anticommutator_ppt(inst)
+        for scale in (1e-8, 1e8):
+            report = verify_anticommutator_ppt(replace(inst, a_op=scale * inst.a_op))
+            assert report["min_gamma_eig"] == base["min_gamma_eig"] and not report["falsified"]
 
 
 class TestConeConstruction:

@@ -11,7 +11,7 @@ import pytest
 import modular_ppt
 from modular_ppt import gns
 from modular_ppt.cli import RunConfig, config_from_args, build_parser, main, run_command
-from modular_ppt.constructions import instance_residual, random_anticommutator_instance
+from modular_ppt.constructions import AnticommutatorInstance, instance_residual, random_anticommutator_instance
 from modular_ppt.errors import ContractError
 from modular_ppt.io import (
     MatrixFileError,
@@ -486,7 +486,8 @@ class TestCliMain:
         for entry in results["falsified_instances"]:
             inst = {key: np.array(entry["instance"][key + "_re"]) + 1j * np.array(entry["instance"][key + "_im"])
                     for key in ("rho", "f", "a")}
-            assert instance_residual(inst["rho"], inst["f"], inst["a"]) == entry["residual"]
+            rebuilt = AnticommutatorInstance(rho=inst["rho"], f=inst["f"], a_op=inst["a"])
+            assert instance_residual(rebuilt) == entry["residual"]
             assert entry["min_gamma_eig"] == -1.0 and entry["falsified"] and entry["passed"] is False
 
     @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2", "--samples", "10"],
@@ -521,7 +522,7 @@ class TestCliMain:
         rng = generator(0)
         kinds = ("product", "block_diag", "herm_offdiag", "antiherm_offdiag")
         instances = [random_anticommutator_instance(rng, 3, kinds[k % 4]) for k in range(8)]
-        residuals = [instance_residual(inst.rho, inst.f, inst.a_op) for inst in instances]
+        residuals = [instance_residual(inst) for inst in instances]
         assert 0.0 < results["max_instance_residual"] == max(residuals) <= 1e-9
 
     @pytest.mark.parametrize("argv", [["cone-check", "--dims", "2x2"], ["anticomm", "--dims", "3x2"],
@@ -566,6 +567,20 @@ class TestCliMain:
         save_matrix(np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
         with pytest.raises(ContractError):
             RunConfig(**{key: path if value == "MIXED" else value for key, value in kwargs.items()})
+
+    def test_checked_tolerances_are_read_only(self, tmp_path):
+        # a NaN set after the check once turned I/4 NPT with exit 0; neither the config's
+        # mapping nor the caller's dict reaches the run after it
+        path = str(tmp_path / "mixed.json")
+        save_matrix(np.eye(4) / 4, path, kind="density", shape=BipartiteShape(2, 2))
+        tol = {"psd": 1e-11}
+        cfg = RunConfig(command="ppt-check", dims=(2, 2), in_path=path, tol=tol)
+        with pytest.raises(TypeError):
+            cfg.tol["psd"] = float("nan")
+        tol["psd"] = float("nan")
+        code, report = run_command(cfg)
+        assert code == 0 and report["body"]["results"]["ppt"] is True
+        assert report["body"]["config"]["tol"] == {"psd": 1e-11}
 
     def test_command_tables_name_only_known_commands(self):
         cli = modular_ppt.cli

@@ -55,10 +55,10 @@ class TestProjectPsd:
 
 
 class TestProjectPpt:
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8, True])
     def test_tol_feas_must_be_finite_and_positive(self, shape22, tol):
         # a NaN tolerance passes no comparison: Dykstra would run all MAX_SWEEPS and never snap,
-        # and an infinite one would accept the first sweep
+        # an infinite one would accept the first sweep, and True once ran as 1.0
         with pytest.raises(ContractError, match="tol_feas must be finite and positive"):
             PptSetSpec(shape22, tol_feas=tol)
 
